@@ -9,12 +9,10 @@ follows from the inputs. See `quantities`, `ladder`, `spectrum`,
 """
 
 from .quantities import (
-    AuxIndex,
     MassValue,
     ModelConstants,
     OrbitalIndex,
     Unit,
-    convert,
     gev,
     mev,
     relative_error,
@@ -33,13 +31,9 @@ from .ladder import (
 )
 from .spectrum import (
     AuxBaseSet,
-    AuxTerm,
-    BaseTerm,
     CalibrationError,
     CalibrationFileError,
     CalibrationResult,
-    Family,
-    FermionComposition,
     SpectrumRow,
     TABLE,
     UncalibratedBaseError,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -26,7 +27,15 @@ from .compare import (
     round_to_sig,
 )
 from .ladder import boson_ladder, closed_form_mass, electroweak_mix
-from .quantities import ALPHA_E_DEFAULT, ModelConstants, Unit, gev, mev
+from .quantities import (
+    ALPHA_E_DEFAULT,
+    KeyValueError,
+    ModelConstants,
+    Unit,
+    gev,
+    mev,
+    parse_key_values,
+)
 from .spectrum import (
     ANCHOR_CHOICES,
     TABLE,
@@ -151,34 +160,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _located(path: str, exc: KeyValueError) -> str:
+    """Name the file and line of a `key=value` error: "<path>:<line>: <reason>"."""
+    return f"{path}:{exc.line}: {exc.reason}" if exc.line else f"{path}: {exc.reason}"
+
+
 def _read_config(path: str) -> dict[str, float]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(
-                f"{path}:{lineno}: unknown key {key!r} (expected one of: "
-                f"{', '.join(_CONFIG_KEYS)})"
-            )
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = float(value.strip())
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: value for {key!r} is not a number: {value.strip()!r}"
-            ) from None
-    return values
+    try:
+        return parse_key_values(text, _CONFIG_KEYS)
+    except KeyValueError as exc:
+        raise ConfigError(_located(path, exc)) from None
 
 
 _CONSTANT_FIELDS = {
@@ -275,7 +270,11 @@ def _cmd_calibrate(args, constants: ModelConstants) -> int:
 
 def _cmd_fermions(args, constants: ModelConstants) -> int:
     if args.calibration:
-        bases = load_bases(Path(args.calibration).read_text(), constants)
+        text = Path(args.calibration).read_text()
+        try:
+            bases = load_bases(text, constants)
+        except CalibrationFileError as exc:
+            raise CalibrationFileError(_located(args.calibration, exc)) from None
     elif args.calibrate:
         bases = calibrate(constants).bases
     else:
@@ -314,8 +313,8 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
         if report.skipped_observed:
             print(f"skipped observed: {', '.join(report.skipped_observed)}", file=sys.stderr)
     if args.check:
-        if args.tol <= 0.0:
-            print("dimorb: error: --tol must be positive", file=sys.stderr)
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            print("dimorb: error: --tol must be a finite positive number", file=sys.stderr)
             return EXIT_USAGE
         breaches = [row.name for row in report.rows if row.rel_error > args.tol]
         if breaches:

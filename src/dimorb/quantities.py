@@ -1,4 +1,5 @@
-"""Mass values with explicit units, index types, and the model's input constants.
+"""Mass values with explicit units, index types, the model's input constants,
+and the `key=value` text format that config and calibration files share.
 
 Internally the package works in MeV; `MassValue` exists so that any mass
 crossing a module boundary carries its unit with it. Adjacent units differ
@@ -15,10 +16,10 @@ __all__ = [
     "Unit",
     "MassValue",
     "OrbitalIndex",
-    "AuxIndex",
     "ModelConstants",
-    "convert",
     "relative_error",
+    "KeyValueError",
+    "parse_key_values",
     "mev",
     "gev",
 ]
@@ -75,11 +76,6 @@ def gev(magnitude: float) -> MassValue:
     return MassValue(magnitude, Unit.GEV)
 
 
-def convert(value: MassValue, target: Unit) -> MassValue:
-    """Express the same physical mass in another unit."""
-    return value.to(target)
-
-
 def relative_error(computed, reference) -> float:
     """|computed - reference| / |reference|, independent of unit choice.
 
@@ -113,23 +109,6 @@ class OrbitalIndex:
 
     def __index__(self) -> int:
         return self.d
-
-
-@dataclass(frozen=True)
-class AuxIndex:
-    """Auxiliary orbital number a within a level, 0..5."""
-
-    a: int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.a, bool) or not isinstance(self.a, int) or not 0 <= self.a <= 5:
-            raise ValueError(f"auxiliary number must be an integer in 0..5, got {self.a!r}")
-
-    def __int__(self) -> int:
-        return self.a
-
-    def __index__(self) -> int:
-        return self.a
 
 
 @dataclass(frozen=True)
@@ -168,3 +147,39 @@ class ModelConstants:
 
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+class KeyValueError(ValueError):
+    """Unusable `key=value` text; `line` is 1-based, or 0 when no one line is at fault."""
+
+    def __init__(self, reason: str, line: int = 0) -> None:
+        super().__init__(f"line {line}: {reason}" if line else reason)
+        self.reason = reason
+        self.line = line
+
+
+def parse_key_values(text: str, keys: tuple[str, ...],
+                     error: type[KeyValueError] = KeyValueError) -> dict[str, float]:
+    """Read `key=value` lines into floats, skipping blank lines and '#' comments.
+
+    A line without '=', an unknown or repeated key, or a value that is not a
+    number raises `error` with the line number.
+    """
+    values: dict[str, float] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise error(f"expected key=value, got {line!r}", lineno)
+        if key not in keys:
+            raise error(f"unknown key {key!r} (expected one of: {', '.join(keys)})", lineno)
+        if key in values:
+            raise error(f"duplicate key {key!r}", lineno)
+        try:
+            values[key] = float(value.strip())
+        except ValueError:
+            raise error(f"value for {key!r} is not a number: {value.strip()!r}", lineno) from None
+    return values

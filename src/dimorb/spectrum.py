@@ -1,31 +1,38 @@
-"""Charged lepton and quark masses from composition rules over the levels.
+"""Charged lepton and quark masses as integer combinations of a few numbers.
 
-Every massive fermion is a sum of fixed constituents (electrons,
-computed muons, or nothing for the massless neutrino slots) plus one
-auxiliary-orbital term per level. The auxiliary term at level D with
-index a contributes base_D * sum(k**4 for k = 0..a), so the three
-generations climb steeply with a.
+Once the ladder is known, every row of the fermion table is
 
-Three auxiliary bases exist. The lepton base at level 7 is fixed by the
-ladder itself, (3/2) * B6, and never calibrated. The quark base at level
-7 and the lumped level-8 contribution of the top are the model's only
-two calibrated constants: each is solved exactly from one anchor row of
-the composition table.
+    mass = ((electrons*Me + muons*mu) + lump*top_lump) + w*base
+
+with small integer coefficients, zero terms skipped. Me is the electron
+mass and mu = Me + L is the computed muon. The base is the level-7
+auxiliary base of the row's family, L for charged leptons and Q for
+quarks, and its weight w = quartic_sum(a) = sum(k**4 for k = 0..a) for the
+row's auxiliary index a, so the three generations climb steeply with a.
+
+L = (3/2) * B6 is fixed by the ladder itself and never calibrated. Q and
+the top's lumped level-8 contribution are the model's only two calibrated
+constants: each is solved exactly from one anchor row of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from typing import NamedTuple
 
-from .ladder import quartic_sum
-from .quantities import MassValue, ModelConstants, Unit, gev, mev, relative_error
+from .quantities import (
+    KeyValueError,
+    MassValue,
+    ModelConstants,
+    Unit,
+    gev,
+    mev,
+    parse_key_values,
+    relative_error,
+)
 
 __all__ = [
-    "Family",
-    "BaseTerm",
-    "AuxTerm",
-    "FermionComposition",
+    "Coefficients",
     "SpectrumRow",
     "TABLE",
     "AuxBaseSet",
@@ -49,75 +56,25 @@ __all__ = [
 
 
 class UncalibratedBaseError(ValueError):
-    """A composition needs an auxiliary base that has not been provided."""
+    """A row needs an auxiliary base that has not been provided."""
 
 
 class CalibrationError(ValueError):
     """An anchor row produced an unusable calibrated constant."""
 
 
-class CalibrationFileError(ValueError):
+class CalibrationFileError(KeyValueError):
     """A calibration file could not be parsed."""
 
 
-class Family(Enum):
-    LEPTON = "lepton"
-    QUARK = "quark"
+class Coefficients(NamedTuple):
+    """Integer weights of one table row; see the module docstring."""
 
-
-class BaseTerm(Enum):
-    """Fixed constituents occupying the a = 0 slots of a composition."""
-
-    NEUTRINO_ZERO = "nu"        # massless
-    ELECTRON = "e"
-    THREE_NEUTRINO = "3nu"      # massless triple
-    THREE_ELECTRON = "3e"
-    THREE_MUON = "3mu"          # three times the computed muon, not a fixed number
-    LUMPED_D8 = "lump8"         # the top's combined level-8 contribution
-
-
-@dataclass(frozen=True)
-class AuxTerm:
-    """One auxiliary-orbital occupation: level 7 or 8, index a >= 1."""
-
-    orbital: int
-    a: int
-    family: Family
-
-    def __post_init__(self) -> None:
-        if self.orbital not in (7, 8):
-            raise ValueError(f"auxiliary terms live at level 7 or 8, got {self.orbital!r}")
-        top = 5 if self.orbital == 7 else 2
-        if not isinstance(self.a, int) or isinstance(self.a, bool) or not 1 <= self.a <= top:
-            raise ValueError(
-                f"auxiliary index at level {self.orbital} must be an integer in 1..{top}, got {self.a!r}"
-            )
-        if not isinstance(self.family, Family):
-            raise ValueError(f"family must be a Family, got {self.family!r}")
-
-
-@dataclass(frozen=True)
-class FermionComposition:
-    name: str
-    family: Family
-    base_terms: tuple[BaseTerm, ...]
-    aux_terms: tuple[AuxTerm, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("composition needs a name")
-        if not isinstance(self.family, Family):
-            raise ValueError(f"family must be a Family, got {self.family!r}")
-        if not self.base_terms or not all(isinstance(t, BaseTerm) for t in self.base_terms):
-            raise ValueError("base_terms must be a non-empty tuple of BaseTerm")
-        orbitals = [t.orbital for t in self.aux_terms]
-        if len(set(orbitals)) != len(orbitals):
-            raise ValueError("at most one auxiliary term per orbital")
-        for term in self.aux_terms:
-            if term.family is not self.family:
-                raise ValueError(
-                    f"auxiliary term family {term.family.value} does not match composition family {self.family.value}"
-                )
+    electrons: int
+    muons: int
+    lump: int
+    lepton_w: int
+    quark_w: int
 
 
 @dataclass(frozen=True)
@@ -127,7 +84,7 @@ class SpectrumRow:
     name: str
     orbitals: str            # occupied level_index slots, e.g. "6_0 + 7_0 + 7_1"
     constituents: str        # the same row spelled as named pieces
-    composition: FermionComposition
+    composition: Coefficients
     table_mass: MassValue    # the mass the table states for this row
     display_unit: Unit
     note: str = ""           # "given" for inputs, "massless" for zero rows
@@ -153,66 +110,32 @@ class AuxBaseSet:
     def lepton_only(cls, constants: ModelConstants) -> "AuxBaseSet":
         return cls(lepton_base_7=lepton_aux_base(constants))
 
-    def base_for(self, orbital: int, family: Family) -> MassValue:
-        if orbital == 7 and family is Family.LEPTON:
-            return self.lepton_base_7
-        if orbital == 7 and family is Family.QUARK:
-            if self.quark_base_7 is None:
-                raise UncalibratedBaseError(
-                    "uncalibrated base: the quark base at level 7 has not been calibrated"
-                )
-            return self.quark_base_7
-        raise UncalibratedBaseError(
-            f"uncalibrated base: no auxiliary base for level {orbital} ({family.value})"
-        )
 
+_C = Coefficients
 
-_L = Family.LEPTON
-_Q = Family.QUARK
-_B = BaseTerm
-
-
-def _comp(name, family, bases, aux=()):
-    return FermionComposition(name, family, bases, aux)
-
-
-def _aux7(a, family):
-    return (AuxTerm(7, a, family),)
-
-
+# the weights are quartic_sum(a) for the row's 7_a slot with a >= 1:
+# 1, 17, 98, 354, 979 for a = 1..5
 TABLE: tuple[SpectrumRow, ...] = (
-    SpectrumRow("nu_e", "5_0", "nu_e",
-                _comp("nu_e", _L, (_B.NEUTRINO_ZERO,)), mev(0.0), Unit.MEV, "massless"),
-    SpectrumRow("e", "6_0", "e",
-                _comp("e", _L, (_B.ELECTRON,)), mev(0.51), Unit.MEV, "given"),
-    SpectrumRow("nu_mu", "7_0", "nu_mu",
-                _comp("nu_mu", _L, (_B.NEUTRINO_ZERO,)), mev(0.0), Unit.MEV, "massless"),
-    SpectrumRow("nu_tau", "8_0", "nu_tau",
-                _comp("nu_tau", _L, (_B.NEUTRINO_ZERO,)), mev(0.0), Unit.MEV, "massless"),
+    SpectrumRow("nu_e", "5_0", "nu_e", _C(0, 0, 0, 0, 0), mev(0.0), Unit.MEV, "massless"),
+    SpectrumRow("e", "6_0", "e", _C(1, 0, 0, 0, 0), mev(0.51), Unit.MEV, "given"),
+    SpectrumRow("nu_mu", "7_0", "nu_mu", _C(0, 0, 0, 0, 0), mev(0.0), Unit.MEV, "massless"),
+    SpectrumRow("nu_tau", "8_0", "nu_tau", _C(0, 0, 0, 0, 0), mev(0.0), Unit.MEV, "massless"),
     SpectrumRow("mu", "6_0 + 7_0 + 7_1", "e + nu_mu + mu_7",
-                _comp("mu", _L, (_B.ELECTRON, _B.NEUTRINO_ZERO), _aux7(1, _L)),
-                mev(105.6), Unit.MEV),
+                _C(1, 0, 0, 1, 0), mev(105.6), Unit.MEV),
     SpectrumRow("tau", "6_0 + 7_0 + 7_2", "e + nu_mu + tau_7",
-                _comp("tau", _L, (_B.ELECTRON, _B.NEUTRINO_ZERO), _aux7(2, _L)),
-                mev(1786.0), Unit.MEV),
+                _C(1, 0, 0, 17, 0), mev(1786.0), Unit.MEV),
     SpectrumRow("u", "5_0 + 7_0 + 7_1", "u_5 + q_7 + u_7",
-                _comp("u", _Q, (_B.THREE_NEUTRINO, _B.THREE_MUON), _aux7(1, _Q)),
-                mev(330.8), Unit.MEV),
+                _C(0, 3, 0, 0, 1), mev(330.8), Unit.MEV),
     SpectrumRow("d", "6_0 + 7_0 + 7_1", "d_6 + q_7 + d_7",
-                _comp("d", _Q, (_B.THREE_ELECTRON, _B.THREE_MUON), _aux7(1, _Q)),
-                mev(332.3), Unit.MEV),
+                _C(3, 3, 0, 0, 1), mev(332.3), Unit.MEV),
     SpectrumRow("s", "6_0 + 7_0 + 7_2", "d_6 + q_7 + s_7",
-                _comp("s", _Q, (_B.THREE_ELECTRON, _B.THREE_MUON), _aux7(2, _Q)),
-                mev(558.0), Unit.MEV),
+                _C(3, 3, 0, 0, 17), mev(558.0), Unit.MEV),
     SpectrumRow("c", "5_0 + 7_0 + 7_3", "u_5 + q_7 + c_7",
-                _comp("c", _Q, (_B.THREE_NEUTRINO, _B.THREE_MUON), _aux7(3, _Q)),
-                mev(1701.0), Unit.MEV),
+                _C(0, 3, 0, 0, 98), mev(1701.0), Unit.MEV),
     SpectrumRow("b", "6_0 + 7_0 + 7_4", "d_6 + q_7 + b_7",
-                _comp("b", _Q, (_B.THREE_ELECTRON, _B.THREE_MUON), _aux7(4, _Q)),
-                mev(5318.0), Unit.MEV),
+                _C(3, 3, 0, 0, 354), mev(5318.0), Unit.MEV),
     SpectrumRow("t", "5_0 + 7_0 + 7_5 + 8_0 + 8_2", "u_5 + q_7 + t_7 + q_8 + t_8",
-                _comp("t", _Q, (_B.THREE_NEUTRINO, _B.THREE_MUON, _B.LUMPED_D8), _aux7(5, _Q)),
-                MassValue(176.5, Unit.GEV), Unit.GEV),
+                _C(0, 3, 1, 0, 979), MassValue(176.5, Unit.GEV), Unit.GEV),
 )
 
 _BY_NAME = {row.name: row for row in TABLE}
@@ -229,40 +152,39 @@ def spectrum_row(name: str) -> SpectrumRow:
         raise KeyError(f"no spectrum row named {name!r}") from None
 
 
-def composition(name: str) -> FermionComposition:
+def composition(name: str) -> Coefficients:
     return spectrum_row(name).composition
 
 
-def fermion_mass(comp: FermionComposition, bases: AuxBaseSet,
-                 constants: ModelConstants) -> MassValue:
-    """Evaluate one composition: fixed constituents plus auxiliary terms."""
-    total = _base_total_mev(comp, bases, constants)
-    for term in comp.aux_terms:
-        total += bases.base_for(term.orbital, term.family).mev * quartic_sum(term.a)
-    return mev(total)
+def _calibrated(base: MassValue | None, what: str) -> float:
+    if base is None:
+        raise UncalibratedBaseError(f"uncalibrated base: {what} has not been calibrated")
+    return base.mev
 
 
-def _base_total_mev(comp, bases, constants) -> float:
+def _row_mev(comp: Coefficients, bases: AuxBaseSet, constants: ModelConstants) -> float:
+    # the summation order is part of the output contract: it reproduces the
+    # stated masses and the calibration files bit for bit
     me = constants.m_electron.mev
+    lepton = bases.lepton_base_7.mev
     total = 0.0
-    for term in comp.base_terms:
-        if term in (_B.NEUTRINO_ZERO, _B.THREE_NEUTRINO):
-            continue
-        if term is _B.ELECTRON:
-            total += me
-        elif term is _B.THREE_ELECTRON:
-            total += 3.0 * me
-        elif term is _B.THREE_MUON:
-            # the muon here is the computed one, so a cycle is impossible:
-            # the muon row contains no THREE_MUON term
-            total += 3.0 * fermion_mass(composition("mu"), bases, constants).mev
-        elif term is _B.LUMPED_D8:
-            if bases.top_lump_8 is None:
-                raise UncalibratedBaseError(
-                    "uncalibrated base: the lumped level-8 term has not been calibrated"
-                )
-            total += bases.top_lump_8.mev
+    if comp.electrons:
+        total += comp.electrons * me
+    if comp.muons:
+        total += comp.muons * (me + lepton)
+    if comp.lump:
+        total += comp.lump * _calibrated(bases.top_lump_8, "the lumped level-8 term")
+    if comp.lepton_w:
+        total += comp.lepton_w * lepton
+    if comp.quark_w:
+        total += comp.quark_w * _calibrated(bases.quark_base_7, "the quark base at level 7")
     return total
+
+
+def fermion_mass(comp: Coefficients, bases: AuxBaseSet,
+                 constants: ModelConstants) -> MassValue:
+    """Evaluate one coefficient row against the auxiliary bases."""
+    return mev(_row_mev(comp, bases, constants))
 
 
 def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> MassValue:
@@ -274,10 +196,9 @@ def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> Mass
     if anchor not in ANCHOR_CHOICES:
         raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
     row = spectrum_row(anchor)
-    bases = AuxBaseSet.lepton_only(constants)
-    fixed = _base_total_mev(row.composition, bases, constants)
-    weight = quartic_sum(row.composition.aux_terms[0].a)
-    base = (row.table_mass.mev - fixed) / weight
+    comp = row.composition
+    fixed = _row_mev(comp._replace(quark_w=0), AuxBaseSet.lepton_only(constants), constants)
+    base = (row.table_mass.mev - fixed) / comp.quark_w
     if base <= 0.0:
         raise CalibrationError(
             f"inconsistent calibration: anchor row {anchor!r} gives a non-positive quark base"
@@ -288,13 +209,8 @@ def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> Mass
 def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> MassValue:
     """Solve the top's lumped level-8 contribution from its table row."""
     row = spectrum_row("t")
-    bases = AuxBaseSet.lepton_only(constants)
-    non_lump = tuple(t for t in row.composition.base_terms if t is not _B.LUMPED_D8)
-    fixed = _base_total_mev(
-        _comp(row.name, row.composition.family, non_lump), bases, constants
-    )
-    fixed += quark_base_7.mev * quartic_sum(row.composition.aux_terms[0].a)
-    lump = row.table_mass.mev - fixed
+    bases = AuxBaseSet(lepton_aux_base(constants), quark_base_7)
+    lump = row.table_mass.mev - _row_mev(row.composition._replace(lump=0), bases, constants)
     if lump <= 0.0:
         raise CalibrationError("inconsistent calibration: the solved top lump is not positive")
     return mev(lump)
@@ -342,6 +258,7 @@ def full_spectrum(constants: ModelConstants,
 # trip is byte identical
 _CAL_QUARK_KEY = "quark_base_7_mev"
 _CAL_LUMP_KEY = "top_lump_8_gev"
+_CAL_KEYS = (_CAL_QUARK_KEY, _CAL_LUMP_KEY)
 
 
 def format_calibration(bases: AuxBaseSet) -> str:
@@ -355,26 +272,8 @@ def format_calibration(bases: AuxBaseSet) -> str:
 
 
 def parse_calibration(text: str) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise CalibrationFileError(f"line {lineno}: expected key=value, got {line!r}")
-        if key not in (_CAL_QUARK_KEY, _CAL_LUMP_KEY):
-            raise CalibrationFileError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise CalibrationFileError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            values[key] = float(value.strip())
-        except ValueError:
-            raise CalibrationFileError(
-                f"line {lineno}: value for {key!r} is not a number: {value.strip()!r}"
-            ) from None
-    for key in (_CAL_QUARK_KEY, _CAL_LUMP_KEY):
+    values = parse_key_values(text, _CAL_KEYS, CalibrationFileError)
+    for key in _CAL_KEYS:
         if key not in values:
             raise CalibrationFileError(f"missing key {key!r}")
         if not values[key] > 0.0:

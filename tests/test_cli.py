@@ -127,6 +127,15 @@ def test_fermions_bad_calibration_file(tmp_path, capsys):
     assert "not a number" in err
 
 
+def test_fermions_calibration_error_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("quark_base_7_mev=14.5\nbogus\ntop_lump_8_gev=162\n")
+    code, out, err = _run(capsys, "fermions", "--calibration", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}:2: expected key=value" in err
+
+
 def test_fermions_sources_are_mutually_exclusive(capsys):
     code, _, _ = _run(capsys, "fermions", "--calibrate", "--calibration", "x.txt")
     assert code == 1
@@ -165,6 +174,13 @@ def test_compare_check_lepton_rows_pass(tmp_path, capsys):
     tight = _run(capsys, "compare", "--observed", str(path), "--check",
                  "--tol", "0.0001")
     assert tight[0] == 3
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_compare_check_rejects_bad_tolerance(tol, capsys):
+    code, _, err = _run(capsys, "compare", "--check", "--tol", tol)
+    assert code == 1
+    assert "--tol" in err
 
 
 def test_compare_json_parses(capsys):

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from dimorb.quantities import (
     ALPHA_E_DEFAULT,
-    AuxIndex,
     MassValue,
     ModelConstants,
     OrbitalIndex,
     Unit,
-    convert,
     gev,
     mev,
     relative_error,
@@ -28,9 +26,9 @@ def test_adjacent_units_differ_by_thousand():
 
 
 def test_conversion_examples():
-    assert convert(mev(0.511), Unit.GEV).magnitude == pytest.approx(0.000511, rel=1e-12)
-    assert convert(gev(91.177), Unit.MEV).magnitude == pytest.approx(91177.0, rel=1e-12)
-    assert convert(gev(1.2e19), Unit.MEV).magnitude == pytest.approx(1.2e22, rel=1e-12)
+    assert mev(0.511).to(Unit.GEV).magnitude == pytest.approx(0.000511, rel=1e-12)
+    assert gev(91.177).to(Unit.MEV).magnitude == pytest.approx(91177.0, rel=1e-12)
+    assert gev(1.2e19).to(Unit.MEV).magnitude == pytest.approx(1.2e22, rel=1e-12)
 
 
 def test_conversion_to_same_unit_is_identity():
@@ -168,10 +166,3 @@ def test_orbital_index_bounds():
     with pytest.raises(ValueError):
         OrbitalIndex(True)
 
-
-def test_aux_index_bounds():
-    for a in range(0, 6):
-        assert int(AuxIndex(a)) == a
-    for bad in (-1, 6, 100):
-        with pytest.raises(ValueError):
-            AuxIndex(bad)

@@ -8,12 +8,8 @@ from dimorb.spectrum import (
     ANCHOR_CHOICES,
     TABLE,
     AuxBaseSet,
-    AuxTerm,
-    BaseTerm,
     CalibrationError,
     CalibrationFileError,
-    Family,
-    FermionComposition,
     UncalibratedBaseError,
     calibrate,
     calibrate_quark_base_7,
@@ -71,33 +67,26 @@ def test_massless_and_given_rows():
     assert fermion_mass(composition("e"), bases, C).mev == ME
 
 
-def test_aux_term_validation():
-    AuxTerm(7, 5, Family.QUARK)
-    AuxTerm(8, 2, Family.QUARK)
-    with pytest.raises(ValueError):
-        AuxTerm(6, 1, Family.LEPTON)
-    with pytest.raises(ValueError):
-        AuxTerm(7, 0, Family.LEPTON)
-    with pytest.raises(ValueError):
-        AuxTerm(7, 6, Family.QUARK)
-    with pytest.raises(ValueError):
-        AuxTerm(8, 3, Family.QUARK)
-    with pytest.raises(ValueError):
-        AuxTerm(7, 1, "lepton")
+def test_table_coefficients_match_orbitals():
+    # a nonzero level-7 weight is quartic_sum(a) of the row's one 7_a slot with a >= 1
+    for row in TABLE:
+        c = row.composition
+        aux = [int(slot[2:]) for slot in row.orbitals.split(" + ")
+               if slot.startswith("7_") and slot != "7_0"]
+        weights = [w for w in (c.lepton_w, c.quark_w) if w]
+        assert weights == [quartic_sum(a) for a in aux], row.name
+        assert bool(c.lump) == (row.name == "t"), row.name
+        assert bool(c.lepton_w) == (row.name in ("mu", "tau")), row.name
+        assert bool(c.quark_w) == (row.name in ANCHOR_CHOICES + ("t",)), row.name
 
 
-def test_composition_validation():
-    with pytest.raises(ValueError, match="one auxiliary term per orbital"):
-        FermionComposition(
-            "x", Family.QUARK, (BaseTerm.THREE_MUON,),
-            (AuxTerm(7, 1, Family.QUARK), AuxTerm(7, 2, Family.QUARK)),
-        )
-    with pytest.raises(ValueError, match="does not match composition family"):
-        FermionComposition(
-            "x", Family.LEPTON, (BaseTerm.ELECTRON,), (AuxTerm(7, 1, Family.QUARK),)
-        )
-    with pytest.raises(ValueError):
-        FermionComposition("x", Family.LEPTON, ())
+def test_default_calibration_text_is_exact():
+    # the 17-digit file is the byte-level contract for both calibrated bases
+    assert format_calibration(calibrate(C).bases) == (
+        "# calibrated auxiliary bases\n"
+        "quark_base_7_mev=14.120342769037393\n"
+        "top_lump_8_gev=162.35953776888141\n"
+    )
 
 
 def test_uncalibrated_bases_raise():
@@ -108,13 +97,6 @@ def test_uncalibrated_bases_raise():
     partial = AuxBaseSet(lepton_aux_base(C), quark_base_7=mev(14.0))
     with pytest.raises(UncalibratedBaseError, match="uncalibrated base"):
         fermion_mass(composition("t"), partial, C)
-    # a level-8 auxiliary term has no base to draw from at all
-    full = AuxBaseSet(lepton_aux_base(C), mev(14.0), gev(162.0))
-    exotic = FermionComposition(
-        "x", Family.QUARK, (BaseTerm.THREE_MUON,), (AuxTerm(8, 1, Family.QUARK),)
-    )
-    with pytest.raises(UncalibratedBaseError):
-        fermion_mass(exotic, full, C)
 
 
 def test_quark_base_solved_from_default_anchor():
