@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .compare import (
@@ -227,6 +225,7 @@ def _emit(fmt: str, columns: list[str], rows: list[list], digits: int) -> None:
         for row in rows:
             writer.writerow([_cell_text(v, digits) for v in row])
     else:
+        import json  # only json output needs it; it is slow to import
         entries = []
         for row in rows:
             entry = {}
@@ -294,7 +293,13 @@ def _cmd_fermions(args, constants: ModelConstants) -> int:
 
 def _cmd_compare(args, constants: ModelConstants) -> int:
     if args.observed:
-        records = parse_observed(Path(args.observed).read_text())
+        text = Path(args.observed).read_text()
+        try:
+            records = parse_observed(text)
+        except ObservedFormatError as exc:
+            print(f"dimorb: error: {args.observed}:{exc.line}:{exc.column}: {exc.reason}",
+                  file=sys.stderr)
+            return EXIT_DATA
     else:
         records = default_observed()
     bases = calibrate(constants).bases
@@ -336,9 +341,11 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     field, wrap = _CONSTANT_FIELDS[args.param]
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
     rows = []
+    fixed = constants._asdict()
     for point in points:
         try:
-            swept = replace(constants, **{field: wrap(point)})
+            # a constructor call, not _replace, so the swept value is validated
+            swept = ModelConstants(**{**fixed, field: wrap(point)})
         except ValueError as exc:
             print(f"dimorb: error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .ladder import BosonLadder, ElectroweakMix
 from .quantities import MassValue, Unit
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ObservedUnit",
@@ -76,40 +76,42 @@ class ObservedFormatError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+        self.reason = message
 
 
-@dataclass(frozen=True)
-class ObservedRecord:
+class _ObservedFields(NamedTuple):
     name: str
     value: float
     unit: ObservedUnit
-    uncertainty: float | None = None
-    source: str = ""
+    uncertainty: float | None
+    source: str
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class ObservedRecord(_ObservedFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, value: float, unit: ObservedUnit,
+                uncertainty: float | None = None, source: str = "") -> "ObservedRecord":
+        if not name:
             raise ValueError("observed record needs a name")
-        if not math.isfinite(self.value):
-            raise ValueError(f"observed value must be finite, got {self.value!r}")
-        if not isinstance(self.unit, ObservedUnit):
-            raise ValueError(f"unknown observed unit: {self.unit!r}")
-        if self.uncertainty is not None:
-            if not math.isfinite(self.uncertainty) or self.uncertainty < 0.0:
-                raise ValueError(
-                    f"uncertainty must be finite and >= 0, got {self.uncertainty!r}"
-                )
+        if not math.isfinite(value):
+            raise ValueError(f"observed value must be finite, got {value!r}")
+        if not isinstance(unit, ObservedUnit):
+            raise ValueError(f"unknown observed unit: {unit!r}")
+        if uncertainty is not None:
+            if not math.isfinite(uncertainty) or uncertainty < 0.0:
+                raise ValueError(f"uncertainty must be finite and >= 0, got {uncertainty!r}")
+        return tuple.__new__(cls, (name, value, unit, uncertainty, source))
 
 
-@dataclass(frozen=True)
-class ComputedClaim:
+class ComputedClaim(NamedTuple):
     name: str
     value: float
     unit: ObservedUnit
     printed_sigfigs: int | None = None
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     name: str
     computed: float          # expressed in the observed row's unit
     observed: float
@@ -118,8 +120,7 @@ class ComparisonRow:
     within_uncertainty: bool | None = None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     skipped_computed: tuple[str, ...]
     skipped_observed: tuple[str, ...]
@@ -131,6 +132,7 @@ def baryon_fractions() -> tuple[Fraction, Fraction]:
     One of the seven orbital sets carries the baryonic matter, so the
     split is 1/7 against 6/7 and the two sum to exactly 1.
     """
+    from fractions import Fraction  # only this function needs it; it is slow to import
     return Fraction(1, 7), Fraction(6, 7)
 
 
@@ -195,7 +197,10 @@ def parse_observed(text: str) -> list[ObservedRecord]:
         try:
             record = ObservedRecord(name, value, unit, uncertainty, fields[4].strip())
         except ValueError as exc:
-            raise ObservedFormatError(lineno, 1, str(exc)) from None
+            # name and unit are checked above, so only the value (column 2,
+            # checked first) or the uncertainty (column 4) can be at fault
+            column = 2 if not math.isfinite(value) else 4
+            raise ObservedFormatError(lineno, column, str(exc)) from None
         seen.add(name)
         records.append(record)
     return records
@@ -391,6 +396,7 @@ def _render_csv(rows, full, sig) -> str:
 
 
 def _render_json(rows, sig) -> str:
+    import json  # only json output needs it; it is slow to import
     entries = []
     for row in rows:
         entry = {

@@ -16,8 +16,8 @@ the ladder; `boson_ladder` is the authoritative path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .quantities import MassValue, ModelConstants, OrbitalIndex, Unit, gev
 
@@ -72,35 +72,33 @@ def quartic_sum(a: int) -> int:
     return n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) // 30
 
 
-@dataclass(frozen=True)
-class BosonRow:
+class BosonRow(NamedTuple):
     orbital: OrbitalIndex
     gauge: GaugeLabel
     symmetry: str
     mass: MassValue
 
 
-@dataclass(frozen=True)
-class BosonLadder:
-    """The seven boson masses, bottom (D=5) to top (D=11)."""
+class BosonLadder(tuple):
+    """The seven boson rows, bottom (D=5) to top (D=11)."""
 
-    rows: tuple[BosonRow, ...]
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[BosonRow, ...]) -> "BosonLadder":
+        return tuple.__new__(cls, rows)
+
+    @property
+    def rows(self) -> tuple[BosonRow, ...]:
+        return tuple(self)
 
     def row(self, d: int) -> BosonRow:
-        return self.rows[int(d) - 5]
+        return self[int(d) - 5]
 
     def mass(self, d: int) -> MassValue:
         return self.row(d).mass
 
-    def __iter__(self):
-        return iter(self.rows)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class ElectroweakMix:
+class ElectroweakMix(NamedTuple):
     """Mixing view of the electroweak level.
 
     alpha_w is defined so that alpha_w**2 * cos(theta_w) * M_Z = B6, i.e.
@@ -124,8 +122,11 @@ def electroweak_mix(constants: ModelConstants) -> ElectroweakMix:
     )
 
 
-@dataclass(frozen=True)
-class LadderAlphas:
+class _LadderAlphasFields(NamedTuple):
+    steps: tuple[float, ...]
+
+
+class LadderAlphas(_LadderAlphasFields):
     """Per-step couplings alpha_D for the recursion B_{D-1} = B_D * alpha_D**2.
 
     Every step coupling equals alpha_e except the electroweak one, where
@@ -133,14 +134,15 @@ class LadderAlphas:
     anchor. Indexed by the upper orbital of the step, D = 6..11.
     """
 
-    steps: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.steps) != 6:
+    def __new__(cls, steps: tuple[float, ...]) -> "LadderAlphas":
+        if len(steps) != 6:
             raise ValueError("need one coupling per step, D = 6..11")
-        for value in self.steps:
+        for value in steps:
             if not (0.0 < value < 1.0):
                 raise ValueError(f"step coupling must lie in (0, 1), got {value!r}")
+        return tuple.__new__(cls, (steps,))
 
     def alpha(self, d: int) -> float:
         if not 6 <= int(d) <= 11:
@@ -168,7 +170,7 @@ def boson_ladder(constants: ModelConstants) -> BosonLadder:
     for d in ORBITAL_RANGE:
         gauge, symmetry = _ROW_LABELS[d]
         rows.append(BosonRow(OrbitalIndex(d), gauge, symmetry, gev(masses[d])))
-    return BosonLadder(tuple(rows))
+    return BosonLadder(rows)
 
 
 def closed_form_mass(d: int, constants: ModelConstants) -> MassValue:

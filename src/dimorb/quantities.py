@@ -9,8 +9,8 @@ by exact factors of 10**3, so conversion chains are cheap and stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "Unit",
@@ -37,22 +37,23 @@ class Unit(Enum):
 _TO_MEV = {Unit.EV: 1e-6, Unit.KEV: 1e-3, Unit.MEV: 1.0, Unit.GEV: 1e3}
 
 
-@dataclass(frozen=True)
-class MassValue:
-    """A non-negative mass magnitude tagged with its unit."""
-
+class _MassFields(NamedTuple):
     magnitude: float
     unit: Unit
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.unit, Unit):
-            raise ValueError(f"unknown mass unit: {self.unit!r}")
-        m = float(self.magnitude)
+
+class MassValue(_MassFields):
+    """A non-negative mass magnitude tagged with its unit."""
+
+    __slots__ = ()
+
+    def __new__(cls, magnitude: float, unit: Unit) -> "MassValue":
+        if not isinstance(unit, Unit):
+            raise ValueError(f"unknown mass unit: {unit!r}")
+        m = float(magnitude)
         if not math.isfinite(m) or m < 0.0:
-            raise ValueError(
-                f"mass magnitude must be finite and >= 0, got {self.magnitude!r}"
-            )
-        object.__setattr__(self, "magnitude", m)
+            raise ValueError(f"mass magnitude must be finite and >= 0, got {magnitude!r}")
+        return tuple.__new__(cls, (m, unit))
 
     @property
     def mev(self) -> float:
@@ -94,15 +95,19 @@ def relative_error(computed, reference) -> float:
     return abs(c - r) / abs(r)
 
 
-@dataclass(frozen=True)
-class OrbitalIndex:
-    """Main orbital number D; the model's mass levels live at D = 5..11."""
-
+class _OrbitalFields(NamedTuple):
     d: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.d, bool) or not isinstance(self.d, int) or not 5 <= self.d <= 11:
-            raise ValueError(f"orbital number must be an integer in 5..11, got {self.d!r}")
+
+class OrbitalIndex(_OrbitalFields):
+    """Main orbital number D; the model's mass levels live at D = 5..11."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int) -> "OrbitalIndex":
+        if isinstance(d, bool) or not isinstance(d, int) or not 5 <= d <= 11:
+            raise ValueError(f"orbital number must be an integer in 5..11, got {d!r}")
+        return tuple.__new__(cls, (d,))
 
     def __int__(self) -> int:
         return self.d
@@ -111,38 +116,80 @@ class OrbitalIndex:
         return self.d
 
 
-@dataclass(frozen=True)
-class ModelConstants:
+class _ConstantsFields(NamedTuple):
+    alpha_e: float
+    m_electron: MassValue
+    m_z: MassValue
+    theta_w_deg: float
+    planck_ref: MassValue
+    n_orbitals: int
+
+
+class ModelConstants(_ConstantsFields):
     """Input constants that fix every output of the model.
 
     alpha_e, the electron mass, the Z0 mass and the orbital count drive the
     mass ladder and the fermion spectrum; theta_w_deg only enters the
     electroweak mixing view, and planck_ref only the closed-form
     approximation and the agreement report.
+
+    Besides each constant's own range, a set is rejected when it would
+    drive the top of the ladder, the tau row or alpha_w out of float range;
+    the message names the constants involved.
     """
 
-    alpha_e: float = ALPHA_E_DEFAULT
-    m_electron: MassValue = MassValue(0.510999, Unit.MEV)
-    m_z: MassValue = MassValue(91.177, Unit.GEV)
-    theta_w_deg: float = 29.69
-    planck_ref: MassValue = MassValue(1.2e19, Unit.GEV)
-    n_orbitals: int = 7
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _finite(self.alpha_e) or not 0.0 < float(self.alpha_e) < 1.0:
-            raise ValueError(f"alpha_e must lie strictly inside (0, 1), got {self.alpha_e!r}")
-        for name in ("m_electron", "m_z", "planck_ref"):
-            value = getattr(self, name)
+    def __new__(cls, alpha_e: float = ALPHA_E_DEFAULT,
+                m_electron: MassValue = MassValue(0.510999, Unit.MEV),
+                m_z: MassValue = MassValue(91.177, Unit.GEV),
+                theta_w_deg: float = 29.69,
+                planck_ref: MassValue = MassValue(1.2e19, Unit.GEV),
+                n_orbitals: int = 7) -> "ModelConstants":
+        if not _finite(alpha_e) or not 0.0 < float(alpha_e) < 1.0:
+            raise ValueError(f"alpha_e must lie strictly inside (0, 1), got {alpha_e!r}")
+        for name, value in (("m_electron", m_electron), ("m_z", m_z),
+                            ("planck_ref", planck_ref)):
             if not isinstance(value, MassValue):
                 raise ValueError(f"{name} must be a MassValue, got {value!r}")
             if value.magnitude <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not _finite(self.theta_w_deg) or not 0.0 < float(self.theta_w_deg) < 90.0:
+        if not _finite(theta_w_deg) or not 0.0 < float(theta_w_deg) < 90.0:
             raise ValueError(
-                f"theta_w_deg must lie strictly inside (0, 90), got {self.theta_w_deg!r}"
+                f"theta_w_deg must lie strictly inside (0, 90), got {theta_w_deg!r}"
             )
-        if self.n_orbitals != 7:
-            raise ValueError(f"the model has exactly 7 orbitals per set, got {self.n_orbitals!r}")
+        if n_orbitals != 7:
+            raise ValueError(f"the model has exactly 7 orbitals per set, got {n_orbitals!r}")
+        _check_derived_range(alpha_e, m_electron, m_z, theta_w_deg)
+        return tuple.__new__(
+            cls, (alpha_e, m_electron, m_z, theta_w_deg, planck_ref, n_orbitals)
+        )
+
+
+def _check_derived_range(alpha_e, m_electron, m_z, theta_w_deg) -> None:
+    # Each value is computed with the same operations, in the same order, as
+    # the ladder, spectrum and electroweak code compute it, so a set passes
+    # exactly when those stay finite (and divide by no underflowed zero).
+    # The tau row bounds every lepton row and B6; the top bounds the ladder.
+    def out_of_range(what: str, **named) -> ValueError:
+        values = ", ".join(f"{key} = {value}" for key, value in named.items())
+        return ValueError(f"constants out of range: {what} overflows a float ({values})")
+
+    me_gev = m_electron.to(Unit.GEV).magnitude
+    mz_gev = m_z.to(Unit.GEV).magnitude
+    step = alpha_e * alpha_e
+    if step == 0.0 or not math.isfinite(mz_gev / step / step / step / step):
+        raise out_of_range("the top boson mass m_z / alpha_e**8",
+                           m_z=m_z, alpha_e=alpha_e)
+    me = m_electron.mev
+    if not math.isfinite(me + 17 * (1.5 * me / alpha_e)):
+        raise out_of_range("the tau mass m_electron * (1 + 25.5 / alpha_e)",
+                           m_electron=m_electron, alpha_e=alpha_e)
+    denominator = mz_gev * math.cos(math.radians(theta_w_deg))
+    if denominator == 0.0 or not math.isfinite(me_gev / alpha_e / denominator):
+        raise out_of_range("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
+                           m_electron=m_electron, alpha_e=alpha_e, m_z=m_z,
+                           theta_w_deg=theta_w_deg)
 
 
 def _finite(x) -> bool:

@@ -17,7 +17,6 @@ constants: each is solved exactly from one anchor row of the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .quantities import (
@@ -77,8 +76,7 @@ class Coefficients(NamedTuple):
     quark_w: int
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     """One row of the built-in composition table."""
 
     name: str
@@ -98,8 +96,7 @@ def lepton_aux_base(constants: ModelConstants) -> MassValue:
     return mev(1.5 * constants.m_electron.mev / constants.alpha_e)
 
 
-@dataclass(frozen=True)
-class AuxBaseSet:
+class AuxBaseSet(NamedTuple):
     """The three auxiliary bases; the two calibrated ones may be absent."""
 
     lepton_base_7: MassValue
@@ -216,11 +213,10 @@ def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> Ma
     return mev(lump)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     bases: AuxBaseSet
-    residuals: dict[str, float] = field(default_factory=dict)
-    non_anchor_residuals: dict[str, float] = field(default_factory=dict)
+    residuals: dict[str, float]
+    non_anchor_residuals: dict[str, float]
 
 
 def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult:

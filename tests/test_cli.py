@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimorb.cli import run
 from dimorb.quantities import ModelConstants
@@ -194,9 +199,10 @@ def test_compare_json_parses(capsys):
 def test_compare_malformed_observed(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("name,value,unit,uncertainty,source\nmuon,105.6,parsec,,x\n")
-    code, _, err = _run(capsys, "compare", "--observed", str(path))
+    code, out, err = _run(capsys, "compare", "--observed", str(path))
     assert code == 2
-    assert "line 2" in err
+    assert out == ""
+    assert f"{path}:2:3: unknown unit 'parsec'" in err
 
 
 def test_compare_is_deterministic(capsys):
@@ -237,6 +243,60 @@ def test_out_of_range_constants_exit_1(capsys):
     assert "alpha_e" in err
     assert _run(capsys, "bosons", "--m-electron-mev", "-1")[0] == 1
     assert _run(capsys, "bosons", "--theta-w-deg", "95")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (["bosons", "--m-z-gev", "1e308"], "m_z"),
+        (["bosons", "--alpha", "1e-40"], "alpha_e"),
+        (["compare", "--m-electron-mev", "1e306"], "m_electron"),
+        (["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps", "2",
+          "--m-electron-mev", "1e306"], "m_electron"),
+        (["sweep", "m_z_gev", "--from", "90", "--to", "1e308", "--steps", "2"], "m_z"),
+    ],
+)
+def test_overflowing_constants_exit_1_and_name_the_culprit(argv, culprit, capsys):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "out of range" in err and culprit in err
+
+
+def _run_quiet(argv):
+    # capsys is function scoped, so Hypothesis tests capture by hand
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+_LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+_CONSTANT_FLAGS = ("--alpha", "--m-electron-mev", "--m-z-gev", "--theta-w-deg", "--planck-gev")
+_SWEEP_PARAMS = ("alpha", "m_electron_mev", "m_z_gev", "theta_w_deg", "planck_gev")
+_NON_FINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
+
+
+@given(
+    values=st.tuples(*[_LOG_UNIFORM] * len(_CONSTANT_FLAGS)),
+    param=st.sampled_from(_SWEEP_PARAMS),
+    start=_LOG_UNIFORM,
+    stop=_LOG_UNIFORM,
+)
+@settings(max_examples=300, deadline=None)
+def test_extreme_constants_exit_0_or_1_and_print_only_finite_numbers(values, param, start,
+                                                                      stop):
+    flags = [text for flag, value in zip(_CONSTANT_FLAGS, values)
+             for text in (flag, repr(value))]
+    for argv in (
+        ["bosons", "--closed-form", *flags],
+        ["sweep", param, "--from", repr(start), "--to", repr(stop), "--steps", "2", *flags],
+    ):
+        code, out = _run_quiet(argv)
+        assert code in (0, 1), argv
+        assert not _NON_FINITE.search(out), argv
+        if code == 1:
+            assert out == ""
 
 
 def test_digits_flag(capsys):

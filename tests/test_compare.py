@@ -82,7 +82,11 @@ def test_parse_observed_empty_inputs():
         ("muon,abc,MeV,,x\n", 2, 2),                  # value not numeric
         ("muon,105.6,parsec,,x\n", 2, 3),             # unknown unit
         ("muon,105.6,MeV,abc,x\n", 2, 4),             # uncertainty not numeric
-        ("muon,105.6,MeV,-1,x\n", 2, 1),              # negative uncertainty
+        ("muon,105.6,MeV,-1,x\n", 2, 4),              # negative uncertainty
+        ("muon,105.6,MeV,inf,x\n", 2, 4),             # non-finite uncertainty
+        ("muon,nan,MeV,,\n", 2, 2),                   # non-finite value
+        ("muon,-inf,MeV,,x\n", 2, 2),                 # non-finite value
+        ("muon,105.6,mev,,x\n", 2, 3),                # unit is case sensitive
         (",105.6,MeV,,x\n", 2, 1),                    # empty name
         ("muon,1,MeV,,x\nmuon,2,MeV,,y\n", 3, 1),     # duplicate name
     ],
