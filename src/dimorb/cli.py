@@ -1,29 +1,20 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage or out-of-range constants, 2 unreadable or
-malformed data (config, calibration, observed CSV), 3 tolerance breach
-under `compare --check`. Data goes to stdout, diagnostics to stderr, and
-output is deterministic: same inputs, same bytes.
+Exit codes: 0 success, 1 usage or out-of-range constants (including ones the
+fermion table cannot be calibrated with), 2 unreadable or malformed data
+(config, calibration, observed CSV), 3 tolerance breach under
+`compare --check`. Data goes to stdout, diagnostics to stderr, and output is
+deterministic: same inputs, same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from pathlib import Path
 
-from .compare import (
-    ObservedFormatError,
-    baryon_fractions,
-    compare_all,
-    default_observed,
-    parse_observed,
-    render,
-    round_to_sig,
-)
 from .ladder import boson_ladder, closed_form_mass, electroweak_mix
 from .quantities import (
     ALPHA_E_DEFAULT,
@@ -40,7 +31,6 @@ from .spectrum import (
     AuxBaseSet,
     CalibrationError,
     CalibrationFileError,
-    UncalibratedBaseError,
     calibrate,
     composition,
     fermion_mass,
@@ -220,12 +210,14 @@ def _emit(fmt: str, columns: list[str], rows: list[list], digits: int) -> None:
         for t in texts:
             print("  ".join(t[i].ljust(widths[i]) for i in range(len(columns))).rstrip())
     elif fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell_text(v, digits) for v in row])
     else:
         import json  # only json output needs it; it is slow to import
+        from .compare import round_to_sig
         entries = []
         for row in rows:
             entry = {}
@@ -292,6 +284,14 @@ def _cmd_fermions(args, constants: ModelConstants) -> int:
 
 
 def _cmd_compare(args, constants: ModelConstants) -> int:
+    from .compare import (
+        BARYON_SPLIT,
+        ObservedFormatError,
+        compare_all,
+        default_observed,
+        parse_observed,
+        render,
+    )
     if args.observed:
         text = Path(args.observed).read_text()
         try:
@@ -307,7 +307,7 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
         full_spectrum(constants, bases),
         boson_ladder(constants),
         electroweak_mix(constants),
-        baryon_fractions(),
+        BARYON_SPLIT,
         records,
     )
     sys.stdout.write(render(report, args.format, sig=args.digits))
@@ -382,20 +382,21 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args, constants)
-    except (ObservedFormatError, CalibrationError, CalibrationFileError,
-            UncalibratedBaseError) as exc:
+    except CalibrationError as exc:
+        # the table is built in, so only out-of-range constants get here
         print(f"dimorb: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"dimorb: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+        return EXIT_USAGE
+    except (ValueError, OSError) as exc:
         print(f"dimorb: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 
 def main() -> None:
-    sys.exit(run())
+    import gc  # only the process entry point needs it
+    code = run()
+    # frozen objects are skipped by the full collection CPython runs at exit
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

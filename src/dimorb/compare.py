@@ -37,6 +37,7 @@ __all__ = [
     "ComparisonRow",
     "ComparisonReport",
     "baryon_fractions",
+    "BARYON_SPLIT",
     "parse_observed",
     "format_observed_csv",
     "default_observed",
@@ -126,6 +127,16 @@ class ComparisonReport(NamedTuple):
     skipped_observed: tuple[str, ...]
 
 
+# one of the seven orbital sets carries the baryonic matter
+_ORBITAL_SETS = 7
+_BARYONIC_SETS = 1
+
+# the split as floats, for callers that need no exact value; each is one
+# correctly rounded division, so it equals float() of baryon_fractions()
+BARYON_SPLIT = (_BARYONIC_SETS / _ORBITAL_SETS,
+                (_ORBITAL_SETS - _BARYONIC_SETS) / _ORBITAL_SETS)
+
+
 def baryon_fractions() -> tuple[Fraction, Fraction]:
     """Baryonic and dark fractions of the mass budget, exactly.
 
@@ -133,7 +144,8 @@ def baryon_fractions() -> tuple[Fraction, Fraction]:
     split is 1/7 against 6/7 and the two sum to exactly 1.
     """
     from fractions import Fraction  # only this function needs it; it is slow to import
-    return Fraction(1, 7), Fraction(6, 7)
+    return (Fraction(_BARYONIC_SETS, _ORBITAL_SETS),
+            Fraction(_ORBITAL_SETS - _BARYONIC_SETS, _ORBITAL_SETS))
 
 
 def round_to_sig(value: float, figures: int) -> float:
@@ -246,7 +258,7 @@ def computed_claims(
     spectrum: Sequence[tuple[str, MassValue]],
     ladder: BosonLadder,
     mix: ElectroweakMix,
-    fractions: tuple[Fraction, Fraction],
+    fractions: tuple[Fraction | float, Fraction | float],
 ) -> list[ComputedClaim]:
     """Everything the model claims, keyed by stable comparison names."""
     claims = [
@@ -278,7 +290,7 @@ def compare_all(
     spectrum: Sequence[tuple[str, MassValue]],
     ladder: BosonLadder,
     mix: ElectroweakMix,
-    fractions: tuple[Fraction, Fraction],
+    fractions: tuple[Fraction | float, Fraction | float],
     observed: Sequence[ObservedRecord],
 ) -> ComparisonReport:
     """Match claims to observed rows by name, in observed input order."""

@@ -170,7 +170,8 @@ def _check_derived_range(alpha_e, m_electron, m_z, theta_w_deg) -> None:
     # Each value is computed with the same operations, in the same order, as
     # the ladder, spectrum and electroweak code compute it, so a set passes
     # exactly when those stay finite (and divide by no underflowed zero).
-    # The tau row bounds every lepton row and B6; the top bounds the ladder.
+    # The tau row bounds every lepton row and B6; the top bounds the ladder,
+    # taken in MeV because compare converts a boson row to an observed MeV.
     def out_of_range(what: str, **named) -> ValueError:
         values = ", ".join(f"{key} = {value}" for key, value in named.items())
         return ValueError(f"constants out of range: {what} overflows a float ({values})")
@@ -178,8 +179,9 @@ def _check_derived_range(alpha_e, m_electron, m_z, theta_w_deg) -> None:
     me_gev = m_electron.to(Unit.GEV).magnitude
     mz_gev = m_z.to(Unit.GEV).magnitude
     step = alpha_e * alpha_e
-    if step == 0.0 or not math.isfinite(mz_gev / step / step / step / step):
-        raise out_of_range("the top boson mass m_z / alpha_e**8",
+    if step == 0.0 or not math.isfinite(
+            mz_gev / step / step / step / step * _TO_MEV[Unit.GEV] / _TO_MEV[Unit.MEV]):
+        raise out_of_range("the top boson mass m_z / alpha_e**8 in MeV",
                            m_z=m_z, alpha_e=alpha_e)
     me = m_electron.mev
     if not math.isfinite(me + 17 * (1.5 * me / alpha_e)):

@@ -184,6 +184,12 @@ def fermion_mass(comp: Coefficients, bases: AuxBaseSet,
     return mev(_row_mev(comp, bases, constants))
 
 
+def _inconsistent(what: str, constants: ModelConstants) -> CalibrationError:
+    # the table is built in, so only the two constants the solves read can be at fault
+    return CalibrationError(f"inconsistent calibration: {what} (alpha_e = {constants.alpha_e}, "
+                            f"m_electron = {constants.m_electron})")
+
+
 def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> MassValue:
     """Solve the level-7 quark base exactly from one anchor row.
 
@@ -197,9 +203,7 @@ def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> Mass
     fixed = _row_mev(comp._replace(quark_w=0), AuxBaseSet.lepton_only(constants), constants)
     base = (row.table_mass.mev - fixed) / comp.quark_w
     if base <= 0.0:
-        raise CalibrationError(
-            f"inconsistent calibration: anchor row {anchor!r} gives a non-positive quark base"
-        )
+        raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
     return mev(base)
 
 
@@ -209,7 +213,7 @@ def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> Ma
     bases = AuxBaseSet(lepton_aux_base(constants), quark_base_7)
     lump = row.table_mass.mev - _row_mev(row.composition._replace(lump=0), bases, constants)
     if lump <= 0.0:
-        raise CalibrationError("inconsistent calibration: the solved top lump is not positive")
+        raise _inconsistent("the solved top lump is not positive", constants)
     return mev(lump)
 
 

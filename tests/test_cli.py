@@ -254,13 +254,35 @@ def test_out_of_range_constants_exit_1(capsys):
         (["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps", "2",
           "--m-electron-mev", "1e306"], "m_electron"),
         (["sweep", "m_z_gev", "--from", "90", "--to", "1e308", "--steps", "2"], "m_z"),
+        # finite in GeV, but compare converts it to the observed row's MeV
+        (["compare", "--m-z-gev", "1e290", "--observed", "{observed}"], "m_z"),
     ],
 )
-def test_overflowing_constants_exit_1_and_name_the_culprit(argv, culprit, capsys):
-    code, out, err = _run(capsys, *argv)
+def test_overflowing_constants_exit_1_and_name_the_culprit(argv, culprit, tmp_path, capsys):
+    observed = tmp_path / "observed.csv"
+    observed.write_text("name,value,unit,uncertainty,source\nboson_11,1e300,MeV,,x\n")
+    code, out, err = _run(capsys, *(arg.format(observed=observed) for arg in argv))
     assert code == 1
     assert out == ""
     assert "out of range" in err and culprit in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--alpha", "0.001"],
+        ["fermions", "--calibrate", "--m-electron-mev", "5"],
+        ["calibrate", "--alpha", "0.001", "--out", "{out}"],
+    ],
+)
+def test_uncalibratable_constants_exit_1_and_name_them(argv, tmp_path, capsys):
+    out_path = tmp_path / "cal.txt"
+    code, out, err = _run(capsys, *(arg.format(out=out_path) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert "inconsistent calibration" in err
+    assert "alpha_e = " in err and "m_electron = " in err
+    assert not out_path.exists()
 
 
 def _run_quiet(argv):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimorb.compare import (
+    BARYON_SPLIT,
     OBSERVED_HEADER,
     ComparisonRow,
     ObservedFormatError,
@@ -43,6 +44,8 @@ def test_baryon_fractions_are_exact():
     assert baryonic == Fraction(1, 7)
     assert dark == Fraction(6, 7)
     assert baryonic + dark == 1
+    # the float split the command line uses is bit-identical to the exact one
+    assert BARYON_SPLIT == (float(baryonic), float(dark))
 
 
 def test_round_to_sig():

@@ -1,0 +1,141 @@
+"""What a `dimorb` process loads, prints and exits with, run as a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dimorb
+from dimorb.cli import run
+from dimorb.quantities import ModelConstants
+from dimorb.spectrum import calibrate, format_calibration
+
+SRC = str(Path(dimorb.__file__).resolve().parents[1])
+# stdout stays block-buffered, as it is in a pipe by default, so output that
+# exit fails to flush would go missing
+ENV = {key: value for key, value in os.environ.items()
+       if key not in ("DIMORB_CONFIG", "PYTHONUNBUFFERED")}
+ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+
+# every name the package namespace offered when it still imported its four
+# submodules eagerly
+PUBLIC = {
+    "quantities": ("MassValue", "ModelConstants", "OrbitalIndex", "Unit", "gev", "mev",
+                   "relative_error"),
+    "ladder": ("BosonLadder", "BosonRow", "ElectroweakMix", "GaugeLabel", "LadderAlphas",
+               "boson_ladder", "closed_form_mass", "dimensional_fermion_mass",
+               "electroweak_mix", "quartic_sum"),
+    "spectrum": ("AuxBaseSet", "CalibrationError", "CalibrationFileError", "CalibrationResult",
+                 "SpectrumRow", "TABLE", "UncalibratedBaseError", "calibrate",
+                 "calibrate_quark_base_7", "calibrate_top_lump", "composition", "fermion_mass",
+                 "format_calibration", "full_spectrum", "lepton_aux_base", "load_bases",
+                 "parse_calibration", "spectrum_row"),
+    "compare": ("ComparisonReport", "ComparisonRow", "ComputedClaim", "ObservedFormatError",
+                "ObservedRecord", "ObservedUnit", "baryon_fractions", "compare_all",
+                "computed_claims", "default_observed", "format_observed_csv", "parse_observed",
+                "render", "round_to_sig"),
+}
+
+
+def _python(*args, cwd=None):
+    return subprocess.run([sys.executable, *args], env=ENV, cwd=cwd, capture_output=True)
+
+
+def _dimorb(*argv, cwd=None):
+    return _python("-m", "dimorb", *argv, cwd=cwd)
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["bosons"], {"dimorb.compare", "fractions", "decimal", "numbers"}),
+        (["calibrate", "--out", "cal.txt"], {"dimorb.compare", "fractions", "decimal", "numbers"}),
+        (["fermions", "--calibrate"], {"dimorb.compare", "fractions", "decimal", "numbers"}),
+        (["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps", "3"],
+         {"dimorb.compare", "fractions", "decimal", "numbers"}),
+        (["compare"], {"fractions", "decimal", "numbers"}),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(argv, absent, tmp_path):
+    child = _python("-X", "importtime", "-m", "dimorb", *argv, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    names = [line.rpartition("|")[2].strip() for line in child.stderr.decode().splitlines()
+             if line.startswith("import time:")]
+    # `-m` imports runpy right before the package, so what follows is the
+    # command's own; anything a site hook loaded earlier does not count
+    loaded = set(names[names.index("runpy") + 1:] if "runpy" in names else names)
+    assert "dimorb.cli" in loaded
+    assert not absent & loaded
+
+
+def test_package_names_resolve_on_first_use():
+    code = (
+        "import importlib, json, sys\n"
+        "import dimorb\n"
+        "eager = sorted(m for m in sys.modules if m.startswith('dimorb.'))\n"
+        f"public = {PUBLIC!r}\n"
+        "same = all(getattr(dimorb, name) is getattr(importlib.import_module('dimorb.' + m), name)\n"
+        "           for m, names in public.items() for name in names)\n"
+        "modules = all(getattr(dimorb, m) is sys.modules['dimorb.' + m] for m in public)\n"
+        "star = {}\n"
+        "exec('from dimorb import *', star)\n"
+        "print(json.dumps({'eager': eager, 'same': same, 'modules': modules,\n"
+        "                  'star': sorted(star), 'dir': dir(dimorb)}))\n"
+    )
+    child = _python("-c", code)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    assert result["eager"] == []
+    assert result["same"] and result["modules"]
+    expected = {*PUBLIC, *(name for names in PUBLIC.values() for name in names)}
+    assert expected <= set(result["star"])
+    assert expected <= set(result["dir"])
+
+
+def test_package_names_import_as_before():
+    for module, names in PUBLIC.items():
+        namespace = {}
+        exec(f"from dimorb import {module}, {', '.join(names)}", namespace)
+        assert namespace[module] is sys.modules[f"dimorb.{module}"]
+        for name in names:
+            assert namespace[name] is getattr(namespace[module], name) is getattr(dimorb, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dimorb.no_such_name
+    with pytest.raises(ImportError):
+        exec("from dimorb import no_such_name", {})
+
+
+def test_process_prints_what_run_prints(capsys):
+    argv = ["sweep", "alpha", "--from", "0.005", "--to", "0.02", "--steps", "5000",
+            "--format", "csv", "--digits", "17"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    child = _dimorb(*argv)
+    assert child.returncode == 0
+    assert child.stdout == expected.encode()
+    assert len(child.stdout.splitlines()) == 5001
+
+
+def test_process_writes_the_whole_calibration_file(tmp_path):
+    child = _dimorb("calibrate", "--out", "cal.txt", cwd=tmp_path)
+    assert child.returncode == 0
+    assert (tmp_path / "cal.txt").read_text() == format_calibration(
+        calibrate(ModelConstants()).bases)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bosons"], 0),
+        (["bosons", "--alpha", "2"], 1),
+        (["fermions", "--calibration", "missing.txt"], 2),
+        (["compare", "--check"], 3),
+    ],
+)
+def test_process_exit_codes(argv, code, tmp_path):
+    child = _dimorb(*argv, cwd=tmp_path)
+    assert child.returncode == code, child.stderr
+    assert (child.stdout == b"") == (code in (1, 2))

@@ -136,4 +136,6 @@ def test_cli_import_loads_no_slow_stdlib_modules():
     added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                            capture_output=True, text=True).stdout.split()
     assert "dimorb.cli" in added
-    assert not {"dataclasses", "inspect", "fractions", "decimal", "json"} & set(added)
+    # compare and csv load only when a subcommand uses them
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "json",
+                "dimorb.compare", "csv"} & set(added)
