@@ -10,6 +10,7 @@ deterministic: same inputs, same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -45,6 +46,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TOLERANCE = 3
+
+MAX_SWEEP_STEPS = 100000
 
 _CONFIG_KEYS = ("alpha", "m_electron_mev", "m_z_gev", "theta_w_deg", "planck_gev")
 
@@ -148,6 +151,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # parse_args leaves the parser as it found it, so one parser serves every run()
+    return build_parser()
+
+
 def _located(path: str, exc: KeyValueError) -> str:
     """Name the file and line of a `key=value` error: "<path>:<line>: <reason>"."""
     return f"{path}:{exc.line}: {exc.reason}" if exc.line else f"{path}: {exc.reason}"
@@ -173,34 +182,47 @@ _CONSTANT_FIELDS = {
 }
 
 
+def _constant(key: str, raw: float, source: str):
+    """The `ModelConstants` field value for config key `key`.
+
+    A value the field rejects raises a `ValueError` that names the field and
+    `source`: the flag, `config:<path>` or the sweep.
+    """
+    field, wrap = _CONSTANT_FIELDS[key]
+    try:
+        return wrap(raw)
+    except ValueError as exc:
+        raise ValueError(f"{field} from {source} is out of range: {exc}") from None
+
+
 def _resolve_constants(args) -> ModelConstants:
     # precedence: defaults < config file < command line flags
-    values: dict[str, float] = {}
+    values: dict[str, tuple[float, str]] = {}
     config_path = os.environ.get(ENV_CONFIG)
     if config_path:
-        values.update(_read_config(config_path))
+        source = f"config:{config_path}"
+        for key, raw in _read_config(config_path).items():
+            values[key] = (raw, source)
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = flag
-    kwargs = {}
-    for key, raw in values.items():
-        field, wrap = _CONSTANT_FIELDS[key]
-        kwargs[field] = wrap(raw)
-    return ModelConstants(**kwargs)
+            values[key] = (flag, "--" + key.replace("_", "-"))
+    return ModelConstants(**{_CONSTANT_FIELDS[key][0]: _constant(key, raw, source)
+                             for key, (raw, source) in values.items()})
 
 
-def _cell_text(value, digits: int) -> str:
+def _cell_text(value, spec: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.{digits}g}"
+        return f"{value:{spec}}"
     return str(value)
 
 
 def _emit(fmt: str, columns: list[str], rows: list[list], digits: int) -> None:
+    spec = f".{digits}g"
     if fmt == "table":
-        texts = [[_cell_text(v, digits) for v in row] for row in rows]
+        texts = [[_cell_text(v, spec) for v in row] for row in rows]
         widths = [
             max(len(columns[i]), *(len(t[i]) for t in texts)) if texts else len(columns[i])
             for i in range(len(columns))
@@ -214,7 +236,7 @@ def _emit(fmt: str, columns: list[str], rows: list[list], digits: int) -> None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell_text(v, digits) for v in row])
+            writer.writerow([_cell_text(v, spec) for v in row])
     else:
         import json  # only json output needs it; it is slow to import
         from .compare import round_to_sig
@@ -333,19 +355,25 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     if args.steps < 1:
         print("dimorb: error: --steps must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.steps > MAX_SWEEP_STEPS:
+        # every row is held until the table is laid out, so memory grows with steps
+        print(f"dimorb: error: --steps must be at most {MAX_SWEEP_STEPS}", file=sys.stderr)
+        return EXIT_USAGE
     if args.steps == 1:
         points = [args.start]
     else:
         step = (args.stop - args.start) / (args.steps - 1)
         points = [args.start + i * step for i in range(args.steps)]
-    field, wrap = _CONSTANT_FIELDS[args.param]
+    field = _CONSTANT_FIELDS[args.param][0]
+    source = f"the sweep of {args.param}"
+    mu, tau = composition("mu"), composition("tau")
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
     rows = []
     fixed = constants._asdict()
     for point in points:
         try:
             # a constructor call, not _replace, so the swept value is validated
-            swept = ModelConstants(**{**fixed, field: wrap(point)})
+            swept = ModelConstants(**{**fixed, field: _constant(args.param, point, source)})
         except ValueError as exc:
             print(f"dimorb: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -353,8 +381,8 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
         ladder = boson_ladder(swept)
         rows.append([
             point,
-            fermion_mass(composition("mu"), bases, swept).mev,
-            fermion_mass(composition("tau"), bases, swept).mev,
+            fermion_mass(mu, bases, swept).mev,
+            fermion_mass(tau, bases, swept).mev,
             ladder.mass(6).to(Unit.GEV).magnitude,
             ladder.mass(11).to(Unit.GEV).magnitude,
             electroweak_mix(swept).alpha_w,
@@ -364,9 +392,8 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if getattr(args, "digits", 6) < 1:

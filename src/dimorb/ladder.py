@@ -48,16 +48,19 @@ class GaugeLabel(Enum):
     G = "G"
 
 
-# gauge boson and broken-symmetry tag hosted by each main orbital
-_ROW_LABELS: dict[int, tuple[GaugeLabel, str]] = {
-    5: (GaugeLabel.A, "electromagnetic, U(1)"),
-    6: (GaugeLabel.PI_HALF, "strong, SU(3) -> U(1)"),
-    7: (GaugeLabel.Z_L, "weak (left), SU(2)_L"),
-    8: (GaugeLabel.X_R, "CP (right) nonconservation, U(1)_R"),
-    9: (GaugeLabel.X_L, "CP (left) nonconservation, U(1)_L"),
-    10: (GaugeLabel.Z_R, "weak (right), SU(2)_R"),
-    11: (GaugeLabel.G, "gravity"),
-}
+# each level's orbital, gauge boson and broken-symmetry tag, built once so
+# that boson_ladder validates no OrbitalIndex per call
+_LEVELS: tuple[tuple[OrbitalIndex, GaugeLabel, str], ...] = tuple(
+    (OrbitalIndex(d), gauge, symmetry) for d, gauge, symmetry in (
+        (5, GaugeLabel.A, "electromagnetic, U(1)"),
+        (6, GaugeLabel.PI_HALF, "strong, SU(3) -> U(1)"),
+        (7, GaugeLabel.Z_L, "weak (left), SU(2)_L"),
+        (8, GaugeLabel.X_R, "CP (right) nonconservation, U(1)_R"),
+        (9, GaugeLabel.X_L, "CP (left) nonconservation, U(1)_L"),
+        (10, GaugeLabel.Z_R, "weak (right), SU(2)_R"),
+        (11, GaugeLabel.G, "gravity"),
+    )
+)
 
 
 def quartic_sum(a: int) -> int:
@@ -163,14 +166,11 @@ def boson_ladder(constants: ModelConstants) -> BosonLadder:
     """Build the seven-row boson table from the three anchors."""
     a = constants.alpha_e
     me_gev = constants.m_electron.to(Unit.GEV).magnitude
-    masses = {5: a * me_gev, 6: me_gev / a, 7: constants.m_z.to(Unit.GEV).magnitude}
-    for d in range(8, 12):
-        masses[d] = masses[d - 1] / (a * a)
-    rows = []
-    for d in ORBITAL_RANGE:
-        gauge, symmetry = _ROW_LABELS[d]
-        rows.append(BosonRow(OrbitalIndex(d), gauge, symmetry, gev(masses[d])))
-    return BosonLadder(rows)
+    masses = [a * me_gev, me_gev / a, constants.m_z.to(Unit.GEV).magnitude]
+    for _ in range(8, 12):
+        masses.append(masses[-1] / (a * a))
+    return BosonLadder([BosonRow(orbital, gauge, symmetry, gev(mass))
+                        for (orbital, gauge, symmetry), mass in zip(_LEVELS, masses)])
 
 
 def closed_form_mass(d: int, constants: ModelConstants) -> MassValue:

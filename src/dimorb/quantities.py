@@ -33,6 +33,11 @@ class Unit(Enum):
     MEV = "MeV"
     GEV = "GeV"
 
+    # Members are singletons compared by identity, so hashing by identity
+    # agrees with ==, and keeps dict lookups such as _TO_MEV[unit] in C
+    # instead of Enum.__hash__'s hash of the member name.
+    __hash__ = object.__hash__
+
 
 _TO_MEV = {Unit.EV: 1e-6, Unit.KEV: 1e-3, Unit.MEV: 1.0, Unit.GEV: 1e3}
 
@@ -43,7 +48,11 @@ class _MassFields(NamedTuple):
 
 
 class MassValue(_MassFields):
-    """A non-negative mass magnitude tagged with its unit."""
+    """A non-negative mass magnitude tagged with its unit.
+
+    The magnitude must also stay finite when expressed in MeV, so `mev`
+    never overflows.
+    """
 
     __slots__ = ()
 
@@ -51,8 +60,10 @@ class MassValue(_MassFields):
         if not isinstance(unit, Unit):
             raise ValueError(f"unknown mass unit: {unit!r}")
         m = float(magnitude)
-        if not math.isfinite(m) or m < 0.0:
-            raise ValueError(f"mass magnitude must be finite and >= 0, got {magnitude!r}")
+        # a finite product also means a finite m, so one test covers both
+        if not math.isfinite(m * _TO_MEV[unit]) or m < 0.0:
+            raise ValueError(f"mass magnitude must be finite and >= 0 in MeV, "
+                             f"got {magnitude!r} {unit.value}")
         return tuple.__new__(cls, (m, unit))
 
     @property

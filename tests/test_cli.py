@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimorb import cli
 from dimorb.cli import run
 from dimorb.quantities import ModelConstants
 from dimorb.spectrum import calibrate, format_calibration
@@ -230,6 +231,57 @@ def test_sweep_rejects_bad_ranges(capsys):
                 "--steps", "2")[0] == 1
 
 
+_SWEEP_17 = ["sweep", "alpha", "--from", "0.0073", "--to", "0.0146", "--steps", "3",
+             "--digits", "17"]
+_SWEEP_17_ROWS = [
+    ["alpha", "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"],
+    ["0.0073000000000000001", "105.51079352054794", "1785.5075058493151",
+     "0.069999863013698621", "1.1305829131092953e+19", "0.029728058156235738"],
+    ["0.01095", "70.510862013698627", "1190.5086702328767",
+     "0.046666575342465752", "4.4113584172531565e+17", "0.024272857842187082"],
+    ["0.0146", "53.010896260273967", "893.00925242465746",
+     "0.034999931506849311", "44163395043331848", "0.021020911513782343"],
+]
+
+
+def test_sweep_csv_is_exact(capsys):
+    # every digit a double carries, so any reordered arithmetic shows
+    code, out, _ = _run(capsys, *_SWEEP_17, "--format", "csv")
+    assert code == 0
+    assert out == "".join(",".join(row) + "\n" for row in _SWEEP_17_ROWS)
+
+
+def test_sweep_table_is_exact(capsys):
+    code, out, _ = _run(capsys, *_SWEEP_17)
+    assert code == 0
+    assert out == (
+        "alpha                  muon_mev            tau_mev             boson_6_gev"
+        "           boson_11_gev            alpha_w\n"
+        "---------------------  ------------------  ------------------  --------------------"
+        "  ----------------------  --------------------\n"
+        "0.0073000000000000001  105.51079352054794  1785.5075058493151  0.069999863013698621"
+        "  1.1305829131092953e+19  0.029728058156235738\n"
+        "0.01095                70.510862013698627  1190.5086702328767  0.046666575342465752"
+        "  4.4113584172531565e+17  0.024272857842187082\n"
+        "0.0146                 53.010896260273967  893.00925242465746  0.034999931506849311"
+        "  44163395043331848       0.021020911513782343\n"
+    )
+
+
+def test_sweep_steps_are_capped(capsys, monkeypatch):
+    argv = ["sweep", "alpha", "--from", "0.007", "--to", "0.008"]
+    code, out, err = _run(capsys, *argv, "--steps", "100001")
+    assert code == 1
+    assert out == ""
+    assert "--steps must be at most 100000" in err
+    # the cap itself is allowed; a lowered cap keeps the check fast
+    monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 3)
+    code, out, _ = _run(capsys, *argv, "--steps", "3", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3
+    assert _run(capsys, *argv, "--steps", "4")[:2] == (1, "")
+
+
 def test_usage_errors_exit_1(capsys):
     assert _run(capsys)[0] == 1
     assert _run(capsys, "frobnicate")[0] == 1
@@ -243,6 +295,32 @@ def test_out_of_range_constants_exit_1(capsys):
     assert "alpha_e" in err
     assert _run(capsys, "bosons", "--m-electron-mev", "-1")[0] == 1
     assert _run(capsys, "bosons", "--theta-w-deg", "95")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["bosons", "--m-z-gev", "-1"], None, "m_z from --m-z-gev is out of range"),
+        (["bosons", "--m-electron-mev", "nan"], None,
+         "m_electron from --m-electron-mev is out of range"),
+        (["bosons"], "m_z_gev=-1\n", "m_z from config:{config} is out of range"),
+        # finite in GeV, but not once converted to MeV
+        (["compare", "--planck-gev", "1e306"], None, "planck_ref from --planck-gev is out of range"),
+        (["sweep", "m_z_gev", "--from", "90", "--to", "-90", "--steps", "2"], None,
+         "m_z from the sweep of m_z_gev is out of range"),
+    ],
+    ids=["flag", "flag-nan", "config", "mev-overflow", "sweep"],
+)
+def test_bad_mass_constant_names_field_and_source(argv, config, named, tmp_path, capsys,
+                                                  monkeypatch):
+    path = tmp_path / "model.conf"
+    if config is not None:
+        path.write_text(config)
+        monkeypatch.setenv("DIMORB_CONFIG", str(path))
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert named.format(config=path) in err
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,36 @@ def test_process_prints_what_run_prints(capsys):
     assert len(child.stdout.splitlines()) == 5001
 
 
+_REUSE_SCRIPT = """
+import contextlib, io, json, sys
+from dimorb.cli import run
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_one_process_runs_like_fresh_ones():
+    # run() reuses one parser per process, so an error or --help must leave
+    # nothing behind for the commands after it
+    argvs = [["bosons", "--format", "yaml"], ["--help"], ["bosons", "--closed-form"],
+             ["sweep", "theta_w_deg", "--from", "20", "--to", "40", "--steps", "4",
+              "--format", "csv", "--digits", "17"]]
+    child = _python("-c", _REUSE_SCRIPT, json.dumps(argvs))
+    assert child.returncode == 0, child.stderr
+    in_one = json.loads(child.stdout)
+    expected = [1, 0, 0, 0]
+    for argv, (code, out), want in zip(argvs, in_one, expected):
+        fresh = _dimorb(*argv)
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv
+        assert code == want
+    assert in_one[1][1].startswith("usage: dimorb")
+
+
 def test_process_writes_the_whole_calibration_file(tmp_path):
     child = _dimorb("calibrate", "--out", "cal.txt", cwd=tmp_path)
     assert child.returncode == 0

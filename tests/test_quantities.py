@@ -1,4 +1,6 @@
 import math
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,29 @@ def test_relative_error_rejects_mixed_types():
 def test_mass_value_rejects_bad_magnitudes(magnitude):
     with pytest.raises(ValueError):
         MassValue(magnitude, Unit.MEV)
+
+
+@pytest.mark.parametrize("magnitude", [1e306, 1.8e305])
+def test_mass_value_rejects_magnitudes_that_overflow_in_mev(magnitude):
+    with pytest.raises(ValueError, match=re.escape(f"in MeV, got {magnitude!r} GeV")):
+        gev(magnitude)
+
+
+def test_largest_gev_mass_stays_finite_in_mev():
+    top = gev(1.7e305)
+    assert math.isfinite(top.mev)
+    assert top.to(Unit.MEV).magnitude == top.mev
+
+
+def test_unit_members_hash_by_identity():
+    assert Unit("GeV") is Unit.GEV
+    by_unit = {unit: unit.value for unit in Unit}
+    assert by_unit[Unit("MeV")] == "MeV"
+    assert MassValue(2.0, Unit("GeV")).mev == 2000.0
+    for unit in Unit:
+        assert pickle.loads(pickle.dumps(unit)) is unit
+        assert by_unit[pickle.loads(pickle.dumps(unit))] == unit.value
+    assert pickle.loads(pickle.dumps(gev(1.5))) == gev(1.5)
 
 
 def test_mass_value_rejects_bad_unit():

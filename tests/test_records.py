@@ -96,7 +96,7 @@ def test_equal_inputs_give_equal_records(kind):
         ("MassValue", {"magnitude": 1.0, "unit": "MeV"}, "unknown mass unit"),
         ("OrbitalIndex", {"d": 12}, "integer in 5..11"),
         ("ModelConstants", {"alpha_e": 1.5}, "alpha_e"),
-        ("ModelConstants", {"m_z": gev(1e308)}, "out of range"),
+        ("ModelConstants", {"m_z": gev(1e300)}, "out of range"),
         ("LadderAlphas", {"steps": (0.5,) * 5}, "one coupling per step"),
         ("LadderAlphas", {"steps": (0.5,) * 5 + (1.0,)}, "step coupling"),
         ("ObservedRecord", {"name": "muon", "value": math.nan, "unit": ObservedUnit.MEV},
