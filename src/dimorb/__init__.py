@@ -29,10 +29,8 @@ _EXPORTS = {
         "BosonRow",
         "ElectroweakMix",
         "GaugeLabel",
-        "LadderAlphas",
         "boson_ladder",
         "closed_form_mass",
-        "dimensional_fermion_mass",
         "electroweak_mix",
         "quartic_sum",
     ),

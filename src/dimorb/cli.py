@@ -325,13 +325,12 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
     else:
         records = default_observed()
     bases = calibrate(constants).bases
-    report = compare_all(
-        full_spectrum(constants, bases),
-        boson_ladder(constants),
-        electroweak_mix(constants),
-        BARYON_SPLIT,
-        records,
-    )
+    spectrum, ladder = full_spectrum(constants, bases), boson_ladder(constants)
+    try:
+        report = compare_all(spectrum, ladder, electroweak_mix(constants), BARYON_SPLIT, records)
+    except ValueError as exc:
+        # the built-in set always compares, so only a row of the observed file gets here
+        raise ValueError(f"{args.observed}: {exc}") from None
     sys.stdout.write(render(report, args.format, sig=args.digits))
     if args.format == "json" and (report.skipped_computed or report.skipped_observed):
         # json output is a pure array, so the skip summary goes to stderr

@@ -323,6 +323,9 @@ def compare_all(
             )
         else:
             rel = abs(computed - record.value) / abs(record.value)
+            if not math.isfinite(rel):
+                raise ValueError(f"relative error for {record.name!r} overflows a float: "
+                                 f"computed {computed!r}, observed {record.value!r}")
         within = None
         if record.uncertainty is not None:
             within = abs(computed - record.value) <= record.uncertainty
@@ -337,29 +340,21 @@ def _fmt(value: float, sig: int) -> str:
     return f"{value:.{sig}g}"
 
 
-def _row_iter(report) -> tuple[Sequence[ComparisonRow], "ComparisonReport | None"]:
-    if isinstance(report, ComparisonReport):
-        return report.rows, report
-    return tuple(report), None
+def render(report: ComparisonReport, fmt: str = "markdown", sig: int = 6) -> str:
+    """Render a comparison report as markdown, csv, or json text.
 
-
-def render(report, fmt: str = "markdown", sig: int = 6) -> str:
-    """Render comparison rows as markdown, csv, or json text.
-
-    Numbers are shown with `sig` significant digits (default 6). Accepts
-    a full ComparisonReport or any iterable of ComparisonRow; skipped
-    names are listed only when a full report is given.
+    Numbers are shown with `sig` significant digits (default 6). Markdown
+    and csv also list the skipped names; json is a pure array of rows.
     """
     if fmt not in RENDER_FORMATS:
         raise ValueError(f"format must be one of {', '.join(RENDER_FORMATS)}, got {fmt!r}")
     if sig < 1:
         raise ValueError(f"need at least one significant digit, got {sig!r}")
-    rows, full = _row_iter(report)
     if fmt == "markdown":
-        return _render_markdown(rows, full, sig)
+        return _render_markdown(report, sig)
     if fmt == "csv":
-        return _render_csv(rows, full, sig)
-    return _render_json(rows, sig)
+        return _render_csv(report, sig)
+    return _render_json(report.rows, sig)
 
 
 def _within_text(within: bool | None) -> str:
@@ -368,42 +363,41 @@ def _within_text(within: bool | None) -> str:
     return "true" if within else "false"
 
 
-def _render_markdown(rows, full, sig) -> str:
+def _render_markdown(report, sig) -> str:
     lines = [
         "| name | computed | observed | unit | rel_error | within_uncertainty |",
         "| --- | --- | --- | --- | --- | --- |",
     ]
-    for row in rows:
+    for row in report.rows:
         lines.append(
             f"| {row.name} | {_fmt(row.computed, sig)} | {_fmt(row.observed, sig)} "
             f"| {row.unit.value} | {_fmt(row.rel_error, sig)} | {_within_text(row.within_uncertainty)} |"
         )
-    if full is not None and (full.skipped_computed or full.skipped_observed):
+    if report.skipped_computed or report.skipped_observed:
         lines.append("")
         lines.append("Skipped (no matching name):")
-        if full.skipped_computed:
-            lines.append(f"- computed only: {', '.join(full.skipped_computed)}")
-        if full.skipped_observed:
-            lines.append(f"- observed only: {', '.join(full.skipped_observed)}")
+        if report.skipped_computed:
+            lines.append(f"- computed only: {', '.join(report.skipped_computed)}")
+        if report.skipped_observed:
+            lines.append(f"- observed only: {', '.join(report.skipped_observed)}")
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(rows, full, sig) -> str:
+def _render_csv(report, sig) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["name", "computed", "observed", "unit", "rel_error",
                      "within_uncertainty"])
-    for row in rows:
+    for row in report.rows:
         writer.writerow([
             row.name, _fmt(row.computed, sig), _fmt(row.observed, sig),
             row.unit.value, _fmt(row.rel_error, sig),
             _within_text(row.within_uncertainty),
         ])
-    if full is not None:
-        if full.skipped_computed:
-            out.write(f"# skipped computed: {', '.join(full.skipped_computed)}\n")
-        if full.skipped_observed:
-            out.write(f"# skipped observed: {', '.join(full.skipped_observed)}\n")
+    if report.skipped_computed:
+        out.write(f"# skipped computed: {', '.join(report.skipped_computed)}\n")
+    if report.skipped_observed:
+        out.write(f"# skipped observed: {', '.join(report.skipped_observed)}\n")
     return out.getvalue()
 
 

@@ -25,17 +25,12 @@ __all__ = [
     "GaugeLabel",
     "BosonRow",
     "BosonLadder",
-    "LadderAlphas",
     "ElectroweakMix",
     "quartic_sum",
     "closed_form_mass",
     "electroweak_mix",
     "boson_ladder",
-    "dimensional_fermion_mass",
-    "ORBITAL_RANGE",
 ]
-
-ORBITAL_RANGE = range(5, 12)
 
 
 class GaugeLabel(Enum):
@@ -125,43 +120,6 @@ def electroweak_mix(constants: ModelConstants) -> ElectroweakMix:
     )
 
 
-class _LadderAlphasFields(NamedTuple):
-    steps: tuple[float, ...]
-
-
-class LadderAlphas(_LadderAlphasFields):
-    """Per-step couplings alpha_D for the recursion B_{D-1} = B_D * alpha_D**2.
-
-    Every step coupling equals alpha_e except the electroweak one, where
-    the effective value alpha_w * sqrt(cos(theta_w)) reflects the Z0
-    anchor. Indexed by the upper orbital of the step, D = 6..11.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, steps: tuple[float, ...]) -> "LadderAlphas":
-        if len(steps) != 6:
-            raise ValueError("need one coupling per step, D = 6..11")
-        for value in steps:
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"step coupling must lie in (0, 1), got {value!r}")
-        return tuple.__new__(cls, (steps,))
-
-    def alpha(self, d: int) -> float:
-        if not 6 <= int(d) <= 11:
-            raise ValueError(f"step coupling is defined for D = 6..11, got {d!r}")
-        return self.steps[int(d) - 6]
-
-    @classmethod
-    def from_constants(cls, constants: ModelConstants) -> "LadderAlphas":
-        mix = electroweak_mix(constants)
-        alpha_7 = mix.alpha_w * math.sqrt(math.cos(math.radians(constants.theta_w_deg)))
-        steps = tuple(
-            alpha_7 if d == 7 else constants.alpha_e for d in range(6, 12)
-        )
-        return cls(steps)
-
-
 def boson_ladder(constants: ModelConstants) -> BosonLadder:
     """Build the seven-row boson table from the three anchors."""
     a = constants.alpha_e
@@ -185,14 +143,3 @@ def closed_form_mass(d: int, constants: ModelConstants) -> MassValue:
     planck_gev = constants.planck_ref.to(Unit.GEV).magnitude
     return gev(planck_gev * constants.alpha_e ** (2 * (11 - n)))
 
-
-def dimensional_fermion_mass(d: int, constants: ModelConstants) -> MassValue:
-    """Mass of the fermion partner at level D, which is B_D * alpha_e.
-
-    Defined for D = 6..11; the partner at the bottom level would need the
-    level below it, which the model does not have.
-    """
-    n = int(OrbitalIndex(int(d)))
-    if n < 6:
-        raise ValueError("fermion partner mass is defined for D = 6..11 only")
-    return gev(boson_ladder(constants).mass(n).to(Unit.GEV).magnitude * constants.alpha_e)

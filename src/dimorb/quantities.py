@@ -2,8 +2,9 @@
 and the `key=value` text format that config and calibration files share.
 
 Internally the package works in MeV; `MassValue` exists so that any mass
-crossing a module boundary carries its unit with it. Adjacent units differ
-by exact factors of 10**3, so conversion chains are cheap and stable.
+crossing a module boundary carries its unit with it. The two units, MeV and
+GeV, differ by an exact factor of 10**3, so a mass that is finite in MeV
+converts to either unit without overflow.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ ALPHA_E_DEFAULT = 7.2973525693e-3  # fine structure constant
 
 
 class Unit(Enum):
-    EV = "eV"
-    KEV = "keV"
     MEV = "MeV"
     GEV = "GeV"
 
@@ -39,7 +38,7 @@ class Unit(Enum):
     __hash__ = object.__hash__
 
 
-_TO_MEV = {Unit.EV: 1e-6, Unit.KEV: 1e-3, Unit.MEV: 1.0, Unit.GEV: 1e3}
+_TO_MEV = {Unit.MEV: 1.0, Unit.GEV: 1e3}
 
 
 class _MassFields(NamedTuple):

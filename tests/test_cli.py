@@ -206,6 +206,26 @@ def test_compare_malformed_observed(tmp_path, capsys):
     assert f"{path}:2:3: unknown unit 'parsec'" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--check"]])
+def test_compare_tiny_observed_value_exits_2(extra, tmp_path, capsys):
+    # 105.5 MeV against 1e-320 MeV has a relative error beyond float range
+    path = tmp_path / "tiny.csv"
+    path.write_text("name,value,unit,uncertainty,source\nmuon,1e-320,MeV,,x\n")
+    code, out, err = _run(capsys, "compare", "--observed", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert f"{path}: relative error for 'muon' overflows a float" in err
+
+
+def test_compare_unit_kind_mismatch_names_the_file(tmp_path, capsys):
+    path = tmp_path / "angle.csv"
+    path.write_text("name,value,unit,uncertainty,source\ntheta_w,29.0,MeV,,x\n")
+    code, out, err = _run(capsys, "compare", "--observed", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}: unit kind mismatch for 'theta_w'" in err
+
+
 def test_compare_is_deterministic(capsys):
     first = _run(capsys, "compare", "--format", "csv")
     second = _run(capsys, "compare", "--format", "csv")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dimorb.compare import (
     BARYON_SPLIT,
     OBSERVED_HEADER,
+    ComparisonReport,
     ComparisonRow,
     ObservedFormatError,
     ObservedRecord,
@@ -219,18 +220,11 @@ def test_render_markdown_ladder_rows():
         ]
     ]
     report = _report(observed)
-    text = render(report.rows, "markdown")
-    lines = text.splitlines()
+    table, skips = render(report, "markdown").split("\n\n")
+    lines = table.splitlines()
     assert lines[0].startswith("| name |")
     assert len(lines) == 2 + 7
-
-
-def test_render_markdown_includes_skips_only_for_full_reports():
-    report = _report(default_observed())
-    with_skips = render(report, "markdown")
-    without = render(report.rows, "markdown")
-    assert "Skipped (no matching name):" in with_skips
-    assert "Skipped" not in without
+    assert skips.startswith("Skipped (no matching name):\n- computed only: planck_mass, ")
 
 
 def test_render_csv():
@@ -243,8 +237,6 @@ def test_render_csv():
     # rows without an uncertainty leave the verdict column empty
     assert lines[2].endswith(",")
     assert any(line.startswith("# skipped computed:") for line in lines)
-    headless = render(report.rows, "csv")
-    assert "# skipped" not in headless
 
 
 def test_render_json_shape():
@@ -269,12 +261,13 @@ def test_render_is_deterministic():
 
 def test_render_digit_override():
     row = ComparisonRow("x", 105.5488867436542, 105.6, ObservedUnit.MEV, 4.840270487e-4)
-    assert "105.549" in render([row], "markdown")
-    assert "105.54888674" in render([row], "markdown", sig=11)
+    report = ComparisonReport((row,), (), ())
+    assert "105.549" in render(report, "markdown")
+    assert "105.54888674" in render(report, "markdown", sig=11)
     with pytest.raises(ValueError):
-        render([row], "markdown", sig=0)
+        render(report, "markdown", sig=0)
 
 
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError, match="format must be one of"):
-        render([], "xml")
+        render(ComparisonReport((), (), ()), "xml")

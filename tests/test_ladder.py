@@ -1,15 +1,15 @@
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimorb import ladder as ladder_module
 from dimorb.ladder import (
     GaugeLabel,
-    LadderAlphas,
     boson_ladder,
     closed_form_mass,
-    dimensional_fermion_mass,
     electroweak_mix,
     quartic_sum,
 )
@@ -168,49 +168,17 @@ def test_mix_definition_inverts():
     assert mix.alpha_w**2 * cos_theta * MZ_GEV == pytest.approx(b6_gev, rel=1e-12)
 
 
-def test_step_couplings():
-    alphas = LadderAlphas.from_constants(C)
-    mix = electroweak_mix(C)
-    expected_7 = mix.alpha_w * math.sqrt(math.cos(math.radians(C.theta_w_deg)))
-    for d in range(6, 12):
-        coupling = alphas.alpha(d)
-        assert 0.0 < coupling < 1.0
-        if d == 7:
-            assert coupling == pytest.approx(expected_7, rel=1e-12)
-        else:
-            assert coupling == ALPHA
-    with pytest.raises(ValueError):
-        alphas.alpha(5)
-
-
-def test_step_couplings_rebuild_the_ladder():
-    # climbing from B5 with the per-step couplings lands on every row,
-    # including the Z0 anchor at the electroweak step
-    ladder = boson_ladder(C)
-    alphas = LadderAlphas.from_constants(C)
-    mass = ladder.mass(5).to(Unit.GEV).magnitude
-    for d in range(6, 12):
-        mass = mass / alphas.alpha(d) ** 2
-        assert mass == pytest.approx(ladder.mass(d).to(Unit.GEV).magnitude, rel=1e-12)
-
-
-def test_fermion_partner_masses():
-    # one alpha below the boson at the same level
-    assert dimensional_fermion_mass(6, C).mev == pytest.approx(C.m_electron.mev, rel=1e-12)
-    assert dimensional_fermion_mass(7, C).to(Unit.GEV).magnitude == pytest.approx(
-        MZ_GEV * ALPHA, rel=1e-12
-    )
-    assert dimensional_fermion_mass(7, C).to(Unit.GEV).magnitude == pytest.approx(
-        0.6653507152110661, rel=1e-12
-    )
-    assert dimensional_fermion_mass(11, C).to(Unit.GEV).magnitude == pytest.approx(
-        B11_GEV * ALPHA, rel=1e-12
-    )
-
-
-def test_fermion_partner_undefined_at_bottom_level():
-    with pytest.raises(ValueError):
-        dimensional_fermion_mass(5, C)
+def test_ladder_defines_only_what_it_exports():
+    # the ladder, its mixing view and the closed form are the whole public
+    # surface; a helper with no caller would show up here
+    module = ladder_module.__name__
+    own = {name for name, value in vars(ladder_module).items()
+           if not name.startswith("_") and not inspect.ismodule(value)
+           and getattr(value, "__module__", module) == module}
+    assert own == set(ladder_module.__all__) == {
+        "GaugeLabel", "BosonRow", "BosonLadder", "ElectroweakMix",
+        "quartic_sum", "closed_form_mass", "electroweak_mix", "boson_ladder",
+    }
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])

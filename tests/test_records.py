@@ -19,7 +19,6 @@ from dimorb import (
     ComputedClaim,
     ElectroweakMix,
     GaugeLabel,
-    LadderAlphas,
     MassValue,
     ModelConstants,
     ObservedRecord,
@@ -51,7 +50,6 @@ RECORDS = {
     "BosonRow": (lambda: BosonRow(OrbitalIndex(7), GaugeLabel.Z_L, "weak", gev(91.0)), "mass"),
     "BosonLadder": (lambda: boson_ladder(C), "rows"),
     "ElectroweakMix": (lambda: electroweak_mix(C), "alpha_w"),
-    "LadderAlphas": (lambda: LadderAlphas.from_constants(C), "steps"),
     "Coefficients": (lambda: Coefficients(1, 0, 0, 17, 0), "lepton_w"),
     "SpectrumRow": (lambda: SpectrumRow("e", "6_0", "e", Coefficients(1, 0, 0, 0, 0),
                                         mev(0.51), Unit.MEV, "given"), "note"),
@@ -97,8 +95,8 @@ def test_equal_inputs_give_equal_records(kind):
         ("OrbitalIndex", {"d": 12}, "integer in 5..11"),
         ("ModelConstants", {"alpha_e": 1.5}, "alpha_e"),
         ("ModelConstants", {"m_z": gev(1e300)}, "out of range"),
-        ("LadderAlphas", {"steps": (0.5,) * 5}, "one coupling per step"),
-        ("LadderAlphas", {"steps": (0.5,) * 5 + (1.0,)}, "step coupling"),
+        ("ModelConstants", {"theta_w_deg": 90.0}, "theta_w_deg"),
+        ("ModelConstants", {"n_orbitals": 6}, "exactly 7 orbitals"),
         ("ObservedRecord", {"name": "muon", "value": math.nan, "unit": ObservedUnit.MEV},
          "observed value must be finite"),
         ("ObservedRecord", {"name": "muon", "value": 1.0, "unit": ObservedUnit.MEV,
