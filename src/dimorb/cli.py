@@ -22,6 +22,7 @@ from .quantities import (
     KeyValueError,
     ModelConstants,
     Unit,
+    format_rows,
     gev,
     mev,
     parse_key_values,
@@ -211,44 +212,6 @@ def _resolve_constants(args) -> ModelConstants:
                              for key, (raw, source) in values.items()})
 
 
-def _cell_text(value, spec: str) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:{spec}}"
-    return str(value)
-
-
-def _emit(fmt: str, columns: list[str], rows: list[list], digits: int) -> None:
-    spec = f".{digits}g"
-    if fmt == "table":
-        texts = [[_cell_text(v, spec) for v in row] for row in rows]
-        widths = [
-            max(len(columns[i]), *(len(t[i]) for t in texts)) if texts else len(columns[i])
-            for i in range(len(columns))
-        ]
-        print("  ".join(c.ljust(widths[i]) for i, c in enumerate(columns)).rstrip())
-        print("  ".join("-" * widths[i] for i in range(len(columns))))
-        for t in texts:
-            print("  ".join(t[i].ljust(widths[i]) for i in range(len(columns))).rstrip())
-    elif fmt == "csv":
-        import csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell_text(v, spec) for v in row])
-    else:
-        import json  # only json output needs it; it is slow to import
-        from .compare import round_to_sig
-        entries = []
-        for row in rows:
-            entry = {}
-            for name, value in zip(columns, row):
-                entry[name] = round_to_sig(value, digits) if isinstance(value, float) else value
-            entries.append(entry)
-        print(json.dumps(entries, indent=2))
-
-
 def _cmd_bosons(args, constants: ModelConstants) -> int:
     ladder = boson_ladder(constants)
     columns = ["d", "gauge", "symmetry", "mass_gev"]
@@ -261,7 +224,7 @@ def _cmd_bosons(args, constants: ModelConstants) -> int:
         if args.closed_form:
             cells.append(closed_form_mass(int(row.orbital), constants).to(Unit.GEV).magnitude)
         rows.append(cells)
-    _emit(args.format, columns, rows, args.digits)
+    sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
 
@@ -277,7 +240,7 @@ def _cmd_calibrate(args, constants: ModelConstants) -> int:
         elif table_row.name in result.non_anchor_residuals:
             rows.append([table_row.name, "held-out",
                          result.non_anchor_residuals[table_row.name]])
-    _emit("table", columns, rows, args.digits)
+    sys.stdout.write(format_rows("table", columns, rows, args.digits))
     return EXIT_OK
 
 
@@ -301,7 +264,7 @@ def _cmd_fermions(args, constants: ModelConstants) -> int:
         shown = mass.to(table_row.display_unit)
         rows.append([name, table_row.orbitals, table_row.constituents,
                      shown.magnitude, table_row.display_unit.value, table_row.note])
-    _emit(args.format, columns, rows, args.digits)
+    sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
 
@@ -386,7 +349,7 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
             ladder.mass(11).to(Unit.GEV).magnitude,
             electroweak_mix(swept).alpha_w,
         ])
-    _emit(args.format, columns, rows, args.digits)
+    sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
 

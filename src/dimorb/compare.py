@@ -3,10 +3,10 @@
 Observed values arrive as CSV with the exact header
 `name,value,unit,uncertainty,source`; `#` lines and blank lines are
 ignored, `uncertainty` and `source` may be empty, and `unit` is one of
-MeV, GeV, dimensionless, degree. Computed claims are matched to observed
-rows by name, converted to the observed row's unit, and reported with a
-relative error (and a within-uncertainty verdict when an uncertainty was
-given).
+MeV, GeV, dimensionless, degree, where a mass (MeV or GeV) must not be
+negative. Computed claims are matched to observed rows by name, converted
+to the observed row's unit, and reported with a relative error (and a
+within-uncertainty verdict when an uncertainty was given).
 
 One wrinkle is deliberate: a claim the model states only to a few
 significant figures carries that precision with it, and the comparison
@@ -24,7 +24,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .ladder import BosonLadder, ElectroweakMix
-from .quantities import MassValue, Unit
+from .quantities import MassValue, Unit, format_rows, round_to_sig
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -51,6 +51,7 @@ __all__ = [
 OBSERVED_HEADER = "name,value,unit,uncertainty,source"
 
 RENDER_FORMATS = ("markdown", "csv", "json")
+_REPORT_COLUMNS = ("name", "computed", "observed", "unit", "rel_error", "within_uncertainty")
 
 # the ladder states its top entry at two significant figures
 _PLANCK_CLAIM_SIGFIGS = 2
@@ -99,6 +100,8 @@ class ObservedRecord(_ObservedFields):
             raise ValueError(f"observed value must be finite, got {value!r}")
         if not isinstance(unit, ObservedUnit):
             raise ValueError(f"unknown observed unit: {unit!r}")
+        if value < 0.0 and unit in _MASS_UNITS:
+            raise ValueError(f"observed mass must be >= 0, got {value!r} {unit.value}")
         if uncertainty is not None:
             if not math.isfinite(uncertainty) or uncertainty < 0.0:
                 raise ValueError(f"uncertainty must be finite and >= 0, got {uncertainty!r}")
@@ -146,15 +149,6 @@ def baryon_fractions() -> tuple[Fraction, Fraction]:
     from fractions import Fraction  # only this function needs it; it is slow to import
     return (Fraction(_BARYONIC_SETS, _ORBITAL_SETS),
             Fraction(_ORBITAL_SETS - _BARYONIC_SETS, _ORBITAL_SETS))
-
-
-def round_to_sig(value: float, figures: int) -> float:
-    """Round to the given number of significant figures."""
-    if figures < 1:
-        raise ValueError(f"need at least one significant figure, got {figures!r}")
-    if value == 0.0 or not math.isfinite(value):
-        return value
-    return float(f"{value:.{figures}g}")
 
 
 def parse_observed(text: str) -> list[ObservedRecord]:
@@ -211,7 +205,8 @@ def parse_observed(text: str) -> list[ObservedRecord]:
         except ValueError as exc:
             # name and unit are checked above, so only the value (column 2,
             # checked first) or the uncertainty (column 4) can be at fault
-            column = 2 if not math.isfinite(value) else 4
+            bad_value = not math.isfinite(value) or (value < 0.0 and unit in _MASS_UNITS)
+            column = 2 if bad_value else 4
             raise ObservedFormatError(lineno, column, str(exc)) from None
         seen.add(name)
         records.append(record)
@@ -336,10 +331,6 @@ def compare_all(
     return ComparisonReport(tuple(rows), skipped_computed, tuple(skipped_observed))
 
 
-def _fmt(value: float, sig: int) -> str:
-    return f"{value:.{sig}g}"
-
-
 def render(report: ComparisonReport, fmt: str = "markdown", sig: int = 6) -> str:
     """Render a comparison report as markdown, csv, or json text.
 
@@ -350,68 +341,22 @@ def render(report: ComparisonReport, fmt: str = "markdown", sig: int = 6) -> str
         raise ValueError(f"format must be one of {', '.join(RENDER_FORMATS)}, got {fmt!r}")
     if sig < 1:
         raise ValueError(f"need at least one significant digit, got {sig!r}")
-    if fmt == "markdown":
-        return _render_markdown(report, sig)
+    # a None cell is left out of a json row, so json rows carry no unit
+    is_json = fmt == "json"
+    rows = [(row.name, row.computed, row.observed, None if is_json else row.unit.value,
+             row.rel_error, row.within_uncertainty) for row in report.rows]
+    text = format_rows(fmt, _REPORT_COLUMNS, rows, sig)
+    only_computed = ", ".join(report.skipped_computed)
+    only_observed = ", ".join(report.skipped_observed)
     if fmt == "csv":
-        return _render_csv(report, sig)
-    return _render_json(report.rows, sig)
-
-
-def _within_text(within: bool | None) -> str:
-    if within is None:
-        return ""
-    return "true" if within else "false"
-
-
-def _render_markdown(report, sig) -> str:
-    lines = [
-        "| name | computed | observed | unit | rel_error | within_uncertainty |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
-    for row in report.rows:
-        lines.append(
-            f"| {row.name} | {_fmt(row.computed, sig)} | {_fmt(row.observed, sig)} "
-            f"| {row.unit.value} | {_fmt(row.rel_error, sig)} | {_within_text(row.within_uncertainty)} |"
-        )
-    if report.skipped_computed or report.skipped_observed:
-        lines.append("")
-        lines.append("Skipped (no matching name):")
-        if report.skipped_computed:
-            lines.append(f"- computed only: {', '.join(report.skipped_computed)}")
-        if report.skipped_observed:
-            lines.append(f"- observed only: {', '.join(report.skipped_observed)}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(report, sig) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "computed", "observed", "unit", "rel_error",
-                     "within_uncertainty"])
-    for row in report.rows:
-        writer.writerow([
-            row.name, _fmt(row.computed, sig), _fmt(row.observed, sig),
-            row.unit.value, _fmt(row.rel_error, sig),
-            _within_text(row.within_uncertainty),
-        ])
-    if report.skipped_computed:
-        out.write(f"# skipped computed: {', '.join(report.skipped_computed)}\n")
-    if report.skipped_observed:
-        out.write(f"# skipped observed: {', '.join(report.skipped_observed)}\n")
-    return out.getvalue()
-
-
-def _render_json(rows, sig) -> str:
-    import json  # only json output needs it; it is slow to import
-    entries = []
-    for row in rows:
-        entry = {
-            "name": row.name,
-            "computed": round_to_sig(row.computed, sig),
-            "observed": round_to_sig(row.observed, sig),
-            "rel_error": round_to_sig(row.rel_error, sig),
-        }
-        if row.within_uncertainty is not None:
-            entry["within_uncertainty"] = row.within_uncertainty
-        entries.append(entry)
-    return json.dumps(entries, indent=2) + "\n"
+        if only_computed:
+            text += f"# skipped computed: {only_computed}\n"
+        if only_observed:
+            text += f"# skipped observed: {only_observed}\n"
+    elif not is_json and (only_computed or only_observed):
+        text += "\nSkipped (no matching name):\n"
+        if only_computed:
+            text += f"- computed only: {only_computed}\n"
+        if only_observed:
+            text += f"- observed only: {only_observed}\n"
+    return text

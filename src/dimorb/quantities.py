@@ -1,5 +1,6 @@
 """Mass values with explicit units, index types, the model's input constants,
-and the `key=value` text format that config and calibration files share.
+the `key=value` text format that config and calibration files share, and the
+row writer behind every table the command line prints.
 
 Internally the package works in MeV; `MassValue` exists so that any mass
 crossing a module boundary carries its unit with it. The two units, MeV and
@@ -242,3 +243,55 @@ def parse_key_values(text: str, keys: tuple[str, ...],
         except ValueError:
             raise error(f"value for {key!r} is not a number: {value.strip()!r}", lineno) from None
     return values
+
+
+def round_to_sig(value: float, figures: int) -> float:
+    """Round to the given number of significant figures."""
+    if figures < 1:
+        raise ValueError(f"need at least one significant figure, got {figures!r}")
+    if value == 0.0 or not math.isfinite(value):
+        return value
+    return float(f"{value:.{figures}g}")
+
+
+def _cell(value) -> str:
+    # floats are formatted by the caller; None is an empty cell
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def format_rows(fmt: str, columns, rows, digits: int) -> str:
+    """Lay out rows as an aligned "table", "markdown", "csv" or "json" text.
+
+    Floats show `digits` significant digits, json rounds them to that many
+    instead; booleans read true/false, and None is an empty cell that json
+    leaves out of its row's object.
+    """
+    if fmt == "json":
+        import json  # only json output needs it; it is slow to import
+        entries = [{name: round_to_sig(value, digits) if type(value) is float else value
+                    for name, value in zip(columns, row) if value is not None}
+                   for row in rows]
+        return json.dumps(entries, indent=2) + "\n"
+    spec = f".{digits}g"
+    # a generator, so csv holds no second copy of a long sweep's cells
+    texts = ([format(value, spec) if type(value) is float else _cell(value) for value in row]
+             for row in rows)
+    if fmt == "csv":
+        import csv
+        import io
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(texts)
+        return out.getvalue()
+    texts = list(texts)
+    if fmt == "markdown":
+        lines = [columns, ["---"] * len(columns), *texts]
+        return "".join(f"| {' | '.join(line)} |\n" for line in lines)
+    widths = [max(map(len, cells)) for cells in zip(columns, *texts)]
+    lines = [columns, ["-" * width for width in widths], *texts]
+    return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)

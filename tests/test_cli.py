@@ -197,6 +197,60 @@ def test_compare_json_parses(capsys):
     assert "skipped computed:" in err
 
 
+_SKIPPED_BY_DEFAULT = (
+    "boson_5, boson_6, boson_7, boson_8, boson_9, boson_10, boson_11, alpha_w, "
+    "sin2_theta_w, dark_fraction, nu_e, e, nu_mu, nu_tau, muon, tau, u_quark, d_quark, "
+    "s_quark, c_quark, b_quark"
+)
+
+
+def test_compare_csv_is_exact(capsys):
+    assert _run(capsys, "compare", "--format", "csv") == (0, (
+        "name,computed,observed,unit,rel_error,within_uncertainty\n"
+        "top_quark,176.5,176,GeV,0.00284091,true\n"
+        "theta_w,29.69,28.7,degree,0.0344948,\n"
+        "baryon_fraction,0.142857,0.13,dimensionless,0.0989011,\n"
+        "planck_mass,1.1e+19,1.2e+19,GeV,0.0833333,\n"
+        f"# skipped computed: {_SKIPPED_BY_DEFAULT}\n"
+    ), "")
+
+
+def test_compare_json_is_exact(capsys):
+    entries = [
+        ("top_quark", "176.5", "176.0", "0.00284091", True),
+        ("theta_w", "29.69", "28.7", "0.0344948", None),
+        ("baryon_fraction", "0.142857", "0.13", "0.0989011", None),
+        ("planck_mass", "1.1e+19", "1.2e+19", "0.0833333", None),
+    ]
+    expected = ",\n".join(
+        f'  {{\n    "name": "{name}",\n    "computed": {computed},\n'
+        f'    "observed": {observed},\n    "rel_error": {rel}'
+        + (',\n    "within_uncertainty": true' if within else "") + "\n  }"
+        for name, computed, observed, rel, within in entries
+    )
+    # json output is a pure array, so the skip summary goes to stderr
+    assert _run(capsys, "compare", "--format", "json") == (
+        0, f"[\n{expected}\n]\n", f"skipped computed: {_SKIPPED_BY_DEFAULT}\n")
+
+
+def test_bosons_json_is_exact(capsys):
+    rows = [
+        (5, "A", "electromagnetic, U(1)", "3.72894e-06"),
+        (6, "pi_1/2", "strong, SU(3) -> U(1)", "0.0700253"),
+        (7, "Z_L^0", "weak (left), SU(2)_L", "91.177"),
+        (8, "X_R", "CP (right) nonconservation, U(1)_R", "1712200.0"),
+        (9, "X_L", "CP (left) nonconservation, U(1)_L", "32153200000.0"),
+        (10, "Z_R^0", "weak (right), SU(2)_R", "603800000000000.0"),
+        (11, "G", "gravity", "1.13387e+19"),
+    ]
+    expected = ",\n".join(
+        f'  {{\n    "d": {d},\n    "gauge": "{gauge}",\n    "symmetry": "{symmetry}",\n'
+        f'    "mass_gev": {mass}\n  }}'
+        for d, gauge, symmetry, mass in rows
+    )
+    assert _run(capsys, "bosons", "--format", "json") == (0, f"[\n{expected}\n]\n", "")
+
+
 def test_compare_malformed_observed(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("name,value,unit,uncertainty,source\nmuon,105.6,parsec,,x\n")
@@ -204,6 +258,16 @@ def test_compare_malformed_observed(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"{path}:2:3: unknown unit 'parsec'" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--check"]])
+def test_compare_negative_observed_mass_exits_2(extra, tmp_path, capsys):
+    path = tmp_path / "negative.csv"
+    path.write_text("name,value,unit,uncertainty,source\nmuon,-105.6,MeV,300,x\n")
+    code, out, err = _run(capsys, "compare", "--observed", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"dimorb: error: {path}:2:2: observed mass must be >= 0, got -105.6 MeV\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--check"]])

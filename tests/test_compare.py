@@ -90,6 +90,7 @@ def test_parse_observed_empty_inputs():
         ("muon,105.6,MeV,inf,x\n", 2, 4),             # non-finite uncertainty
         ("muon,nan,MeV,,\n", 2, 2),                   # non-finite value
         ("muon,-inf,MeV,,x\n", 2, 2),                 # non-finite value
+        ("muon,-105.6,MeV,300,x\n", 2, 2),            # negative mass
         ("muon,105.6,mev,,x\n", 2, 3),                # unit is case sensitive
         (",105.6,MeV,,x\n", 2, 1),                    # empty name
         ("muon,1,MeV,,x\nmuon,2,MeV,,y\n", 3, 1),     # duplicate name
@@ -119,10 +120,17 @@ def test_observed_csv_write_read_write_is_stable():
 _NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_,"
 
 
+def _record(name, value, unit, uncertainty, source):
+    # a mass is never negative; dimensionless and degree rows keep their sign
+    if unit in (ObservedUnit.MEV, ObservedUnit.GEV):
+        value = abs(value)
+    return ObservedRecord(name, value, unit, uncertainty, source)
+
+
 @given(
     records=st.lists(
         st.builds(
-            ObservedRecord,
+            _record,
             name=st.text(alphabet=_NAME_ALPHABET, min_size=1, max_size=12),
             value=st.floats(min_value=-1e12, max_value=1e12),
             unit=st.sampled_from(list(ObservedUnit)),
@@ -225,6 +233,26 @@ def test_render_markdown_ladder_rows():
     assert lines[0].startswith("| name |")
     assert len(lines) == 2 + 7
     assert skips.startswith("Skipped (no matching name):\n- computed only: planck_mass, ")
+
+
+def test_render_markdown_with_both_skip_lists_is_exact():
+    report = _report(default_observed() + [
+        ObservedRecord("zzz_unknown", 1.0, ObservedUnit.MEV, None, ""),
+    ])
+    assert render(report, "markdown") == (
+        "| name | computed | observed | unit | rel_error | within_uncertainty |\n"
+        "| --- | --- | --- | --- | --- | --- |\n"
+        "| top_quark | 176.5 | 176 | GeV | 0.00284091 | true |\n"
+        "| theta_w | 29.69 | 28.7 | degree | 0.0344948 |  |\n"
+        "| baryon_fraction | 0.142857 | 0.13 | dimensionless | 0.0989011 |  |\n"
+        "| planck_mass | 1.1e+19 | 1.2e+19 | GeV | 0.0833333 |  |\n"
+        "\n"
+        "Skipped (no matching name):\n"
+        "- computed only: boson_5, boson_6, boson_7, boson_8, boson_9, boson_10, boson_11, "
+        "alpha_w, sin2_theta_w, dark_fraction, nu_e, e, nu_mu, nu_tau, muon, tau, u_quark, "
+        "d_quark, s_quark, c_quark, b_quark\n"
+        "- observed only: zzz_unknown\n"
+    )
 
 
 def test_render_csv():

@@ -55,6 +55,7 @@ def _dimorb(*argv, cwd=None):
         (["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps", "3"],
          {"dimorb.compare", "fractions", "decimal", "numbers"}),
         (["compare"], {"fractions", "decimal", "numbers"}),
+        (["bosons", "--format", "json"], {"dimorb.compare"}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, absent, tmp_path):

@@ -101,6 +101,8 @@ def test_equal_inputs_give_equal_records(kind):
          "observed value must be finite"),
         ("ObservedRecord", {"name": "muon", "value": 1.0, "unit": ObservedUnit.MEV,
                             "uncertainty": -1.0}, "uncertainty"),
+        ("ObservedRecord", {"name": "top_quark", "value": -176.0, "unit": ObservedUnit.GEV},
+         "observed mass must be >= 0"),
     ],
 )
 def test_validated_records_reject_bad_keywords(kind, kwargs, message):
