@@ -22,6 +22,7 @@ from .quantities import (
     KeyValueError,
     ModelConstants,
     Unit,
+    _convert,
     format_rows,
     gev,
     mev,
@@ -30,15 +31,14 @@ from .quantities import (
 from .spectrum import (
     ANCHOR_CHOICES,
     TABLE,
-    AuxBaseSet,
     CalibrationError,
     CalibrationFileError,
     calibrate,
-    composition,
-    fermion_mass,
+    evaluate,
     format_calibration,
     full_spectrum,
     load_bases,
+    spectrum_row,
 )
 
 ENV_CONFIG = "DIMORB_CONFIG"
@@ -261,9 +261,9 @@ def _cmd_fermions(args, constants: ModelConstants) -> int:
     columns = ["name", "orbitals", "constituents", "mass", "unit", "note"]
     rows = []
     for (name, mass), table_row in zip(spectrum, TABLE):
-        shown = mass.to(table_row.display_unit)
         rows.append([name, table_row.orbitals, table_row.constituents,
-                     shown.magnitude, table_row.display_unit.value, table_row.note])
+                     _convert(mass, table_row.display_unit), table_row.display_unit.value,
+                     table_row.note])
     sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
@@ -328,7 +328,7 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
         points = [args.start + i * step for i in range(args.steps)]
     field = _CONSTANT_FIELDS[args.param][0]
     source = f"the sweep of {args.param}"
-    mu, tau = composition("mu"), composition("tau")
+    mu, tau = (TABLE.index(spectrum_row(name)) for name in ("mu", "tau"))
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
     rows = []
     fixed = constants._asdict()
@@ -339,16 +339,10 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
         except ValueError as exc:
             print(f"dimorb: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        bases = AuxBaseSet.lepton_only(swept)
-        ladder = boson_ladder(swept)
-        rows.append([
-            point,
-            fermion_mass(mu, bases, swept).mev,
-            fermion_mass(tau, bases, swept).mev,
-            ladder.mass(6).to(Unit.GEV).magnitude,
-            ladder.mass(11).to(Unit.GEV).magnitude,
-            electroweak_mix(swept).alpha_w,
-        ])
+        # uncalibrated, so a point the quark rows cannot be calibrated at still prints
+        ev = evaluate(swept)
+        rows.append([point, ev.rows[mu], ev.rows[tau], ev.ladder_gev[1], ev.ladder_gev[6],
+                     ev.alpha_w])
     sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .ladder import BosonLadder, ElectroweakMix
-from .quantities import MassValue, Unit, format_rows, round_to_sig
+from .quantities import MassValue, Unit, _convert, format_rows, round_to_sig
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -257,12 +257,12 @@ def computed_claims(
 ) -> list[ComputedClaim]:
     """Everything the model claims, keyed by stable comparison names."""
     claims = [
-        ComputedClaim(f"boson_{int(row.orbital)}", row.mass.to(Unit.GEV).magnitude,
+        ComputedClaim(f"boson_{int(row.orbital)}", _convert(row.mass, Unit.GEV),
                       ObservedUnit.GEV)
         for row in ladder
     ]
     claims.append(ComputedClaim(
-        "planck_mass", ladder.mass(11).to(Unit.GEV).magnitude,
+        "planck_mass", _convert(ladder.mass(11), Unit.GEV),
         ObservedUnit.GEV, printed_sigfigs=_PLANCK_CLAIM_SIGFIGS,
     ))
     claims.append(ComputedClaim("theta_w", mix.theta_w_deg, ObservedUnit.DEGREE))
@@ -274,7 +274,7 @@ def computed_claims(
     for name, mass in spectrum:
         claim_name = _SPECTRUM_CLAIM_NAMES.get(name, name)
         if name == "t":
-            claims.append(ComputedClaim(claim_name, mass.to(Unit.GEV).magnitude,
+            claims.append(ComputedClaim(claim_name, _convert(mass, Unit.GEV),
                                         ObservedUnit.GEV))
         else:
             claims.append(ComputedClaim(claim_name, mass.mev, ObservedUnit.MEV))
@@ -305,9 +305,8 @@ def compare_all(
                 f"observed in {record.unit.value}"
             )
         computed = claim.value
-        if claim.unit in _MASS_UNITS and claim.unit is not record.unit:
-            computed = MassValue(computed, _MASS_UNITS[claim.unit]) \
-                .to(_MASS_UNITS[record.unit]).magnitude
+        if claim.unit in _MASS_UNITS:
+            computed = _convert((computed, _MASS_UNITS[claim.unit]), _MASS_UNITS[record.unit])
         if claim.printed_sigfigs is not None:
             computed = round_to_sig(computed, claim.printed_sigfigs)
         if computed == 0.0 and record.value == 0.0:

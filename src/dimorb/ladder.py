@@ -19,7 +19,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .quantities import MassValue, ModelConstants, OrbitalIndex, Unit, gev
+from .quantities import MassValue, ModelConstants, OrbitalIndex, Unit, _convert, gev
 
 __all__ = [
     "GaugeLabel",
@@ -109,24 +109,35 @@ class ElectroweakMix(NamedTuple):
     sin2_theta_w: float
 
 
+def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> list[float]:
+    """The seven ladder masses B5..B11 in GeV, from the three anchors."""
+    step = alpha_e * alpha_e  # each level above B7 divides by it once
+    b8 = mz_gev / step
+    b9 = b8 / step
+    b10 = b9 / step
+    return [alpha_e * me_gev, me_gev / alpha_e, mz_gev, b8, b9, b10, b10 / step]
+
+
+def _ladder_of(constants: ModelConstants) -> list[float]:
+    return _ladder_gev(constants.alpha_e, _convert(constants.m_electron, Unit.GEV),
+                       _convert(constants.m_z, Unit.GEV))
+
+
+def _mix(ladder_gev, theta_w_deg: float) -> tuple[float, float]:
+    """alpha_w and sin**2(theta_w), from B6 and B7 = M_Z of the ladder."""
+    theta = math.radians(theta_w_deg)
+    return (math.sqrt(ladder_gev[1] / (ladder_gev[2] * math.cos(theta))),
+            math.sin(theta) ** 2)
+
+
 def electroweak_mix(constants: ModelConstants) -> ElectroweakMix:
-    theta = math.radians(constants.theta_w_deg)
-    b6_gev = constants.m_electron.to(Unit.GEV).magnitude / constants.alpha_e
-    alpha_w = math.sqrt(b6_gev / (constants.m_z.to(Unit.GEV).magnitude * math.cos(theta)))
-    return ElectroweakMix(
-        alpha_w=alpha_w,
-        theta_w_deg=constants.theta_w_deg,
-        sin2_theta_w=math.sin(theta) ** 2,
-    )
+    alpha_w, sin2_theta_w = _mix(_ladder_of(constants), constants.theta_w_deg)
+    return ElectroweakMix(alpha_w, constants.theta_w_deg, sin2_theta_w)
 
 
 def boson_ladder(constants: ModelConstants) -> BosonLadder:
     """Build the seven-row boson table from the three anchors."""
-    a = constants.alpha_e
-    me_gev = constants.m_electron.to(Unit.GEV).magnitude
-    masses = [a * me_gev, me_gev / a, constants.m_z.to(Unit.GEV).magnitude]
-    for _ in range(8, 12):
-        masses.append(masses[-1] / (a * a))
+    masses = _ladder_of(constants)
     return BosonLadder([BosonRow(orbital, gauge, symmetry, gev(mass))
                         for (orbital, gauge, symmetry), mass in zip(_LEVELS, masses)])
 
@@ -140,6 +151,5 @@ def closed_form_mass(d: int, constants: ModelConstants) -> MassValue:
     order of magnitude below the electroweak level.
     """
     n = int(OrbitalIndex(int(d)))
-    planck_gev = constants.planck_ref.to(Unit.GEV).magnitude
-    return gev(planck_gev * constants.alpha_e ** (2 * (11 - n)))
+    return gev(_convert(constants.planck_ref, Unit.GEV) * constants.alpha_e ** (2 * (11 - n)))
 

@@ -2,10 +2,11 @@
 the `key=value` text format that config and calibration files share, and the
 row writer behind every table the command line prints.
 
-Internally the package works in MeV; `MassValue` exists so that any mass
-crossing a module boundary carries its unit with it. The two units, MeV and
-GeV, differ by an exact factor of 10**3, so a mass that is finite in MeV
-converts to either unit without overflow.
+Internally the package computes in plain floats, mostly in MeV; a
+`MassValue` is built only for a mass that a public function takes or
+returns, so it carries its unit with it. The two units, MeV and GeV, differ
+by an exact factor of 10**3, so a mass that is finite in MeV converts to
+either unit without overflow.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ class Unit(Enum):
 _TO_MEV = {Unit.MEV: 1.0, Unit.GEV: 1e3}
 
 
+def _convert(mass, target: Unit) -> float:
+    """`mass.to(target).magnitude` bit for bit, building no MassValue; `mass`
+    may also be a (magnitude, unit) pair."""
+    magnitude, unit = mass
+    return magnitude if target is unit else magnitude * _TO_MEV[unit] / _TO_MEV[target]
+
+
 class _MassFields(NamedTuple):
     magnitude: float
     unit: Unit
@@ -74,7 +82,7 @@ class MassValue(_MassFields):
     def to(self, target: Unit) -> "MassValue":
         if target is self.unit:
             return self
-        return MassValue(self.magnitude * _TO_MEV[self.unit] / _TO_MEV[target], target)
+        return MassValue(_convert(self, target), target)
 
     def __str__(self) -> str:
         return f"{self.magnitude:.6g} {self.unit.value}"
@@ -178,28 +186,35 @@ class ModelConstants(_ConstantsFields):
 
 
 def _check_derived_range(alpha_e, m_electron, m_z, theta_w_deg) -> None:
-    # Each value is computed with the same operations, in the same order, as
-    # the ladder, spectrum and electroweak code compute it, so a set passes
-    # exactly when those stay finite (and divide by no underflowed zero).
-    # The tau row bounds every lepton row and B6; the top bounds the ladder,
-    # taken in MeV because compare converts a boson row to an observed MeV.
+    # The ladder top (in MeV, as compare converts a boson row to an observed
+    # MeV), the tau row (which bounds every lepton row and B6) and alpha_w come
+    # from the helpers every output uses, so a set passes exactly when those
+    # stay finite and divide by no underflowed zero. Both modules import this
+    # one, so they are imported here, in the form that costs least per call.
+    import dimorb.ladder as ladder
+    import dimorb.spectrum as spectrum
+
     def out_of_range(what: str, **named) -> ValueError:
         values = ", ".join(f"{key} = {value}" for key, value in named.items())
         return ValueError(f"constants out of range: {what} overflows a float ({values})")
 
-    me_gev = m_electron.to(Unit.GEV).magnitude
-    mz_gev = m_z.to(Unit.GEV).magnitude
-    step = alpha_e * alpha_e
-    if step == 0.0 or not math.isfinite(
-            mz_gev / step / step / step / step * _TO_MEV[Unit.GEV] / _TO_MEV[Unit.MEV]):
+    me = m_electron.mev
+    top = tau = alpha_w = math.inf
+    try:
+        masses = ladder._ladder_gev(alpha_e, _convert(m_electron, Unit.GEV),
+                                    _convert(m_z, Unit.GEV))
+        top = _convert((masses[-1], Unit.GEV), Unit.MEV)
+        tau = spectrum._row(spectrum._TAU, me, spectrum._lepton_base(me, alpha_e), None, None)
+        alpha_w = ladder._mix(masses, theta_w_deg)[0]
+    except ZeroDivisionError:  # alpha_e**2 or m_z * cos(theta_w) underflowed
+        pass
+    if not math.isfinite(top):
         raise out_of_range("the top boson mass m_z / alpha_e**8 in MeV",
                            m_z=m_z, alpha_e=alpha_e)
-    me = m_electron.mev
-    if not math.isfinite(me + 17 * (1.5 * me / alpha_e)):
+    if not math.isfinite(tau):
         raise out_of_range("the tau mass m_electron * (1 + 25.5 / alpha_e)",
                            m_electron=m_electron, alpha_e=alpha_e)
-    denominator = mz_gev * math.cos(math.radians(theta_w_deg))
-    if denominator == 0.0 or not math.isfinite(me_gev / alpha_e / denominator):
+    if not math.isfinite(alpha_w):  # as is alpha_w**2, since sqrt keeps finiteness
         raise out_of_range("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
                            m_electron=m_electron, alpha_e=alpha_e, m_z=m_z,
                            theta_w_deg=theta_w_deg)
@@ -271,11 +286,24 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
     leaves out of its row's object.
     """
     if fmt == "json":
-        import json  # only json output needs it; it is slow to import
-        entries = [{name: round_to_sig(value, digits) if type(value) is float else value
-                    for name, value in zip(columns, row) if value is not None}
-                   for row in rows]
-        return json.dumps(entries, indent=2) + "\n"
+        # the bytes of json.dumps(rows as objects, indent=2) + "\n", written
+        # here because under indent json.dumps runs its pure-Python encoder
+        from json.encoder import encode_basestring_ascii as quote  # slow to import
+
+        def text(value) -> str:
+            if type(value) is not float:
+                return quote(value) if isinstance(value, str) else _cell(value)
+            number = round_to_sig(value, digits)  # which can round up to inf
+            if math.isfinite(number):
+                return repr(number)
+            # spelled as json.dumps spells them
+            return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(number)]
+
+        keys = [quote(name) for name in columns]
+        objects = [",\n".join(f"    {key}: {text(value)}" for key, value in zip(keys, row)
+                              if value is not None) for row in rows]
+        body = ",\n".join(f"  {{\n{fields}\n  }}" if fields else "  {}" for fields in objects)
+        return f"[\n{body}\n]\n" if objects else "[]\n"
     spec = f".{digits}g"
     # a generator, so csv holds no second copy of a long sweep's cells
     texts = ([format(value, spec) if type(value) is float else _cell(value) for value in row]

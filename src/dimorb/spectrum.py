@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .ladder import _ladder_of, _mix
 from .quantities import (
     KeyValueError,
     MassValue,
@@ -93,7 +94,11 @@ def lepton_aux_base(constants: ModelConstants) -> MassValue:
 
     B6 = M_e / alpha_e, so this needs no calibration at all.
     """
-    return mev(1.5 * constants.m_electron.mev / constants.alpha_e)
+    return mev(_lepton_base(constants.m_electron.mev, constants.alpha_e))
+
+
+def _lepton_base(me_mev: float, alpha_e: float) -> float:
+    return 1.5 * me_mev / alpha_e
 
 
 class AuxBaseSet(NamedTuple):
@@ -136,6 +141,8 @@ TABLE: tuple[SpectrumRow, ...] = (
 )
 
 _BY_NAME = {row.name: row for row in TABLE}
+_COEFFICIENTS = tuple(row.composition for row in TABLE)
+_TAU = _BY_NAME["tau"].composition
 
 # rows eligible to anchor the quark-base solve; the top is excluded because
 # its row also contains the lump
@@ -159,29 +166,30 @@ def _calibrated(base: MassValue | None, what: str) -> float:
     return base.mev
 
 
-def _row_mev(comp: Coefficients, bases: AuxBaseSet, constants: ModelConstants) -> float:
+def _row(comp: Coefficients, me: float, lepton: float, quark, lump) -> float:
     # the summation order is part of the output contract: it reproduces the
-    # stated masses and the calibration files bit for bit
-    me = constants.m_electron.mev
-    lepton = bases.lepton_base_7.mev
+    # stated masses and the calibration files bit for bit; a base with a
+    # zero weight is never read, so it may be None
     total = 0.0
     if comp.electrons:
         total += comp.electrons * me
     if comp.muons:
         total += comp.muons * (me + lepton)
     if comp.lump:
-        total += comp.lump * _calibrated(bases.top_lump_8, "the lumped level-8 term")
+        total += comp.lump * lump
     if comp.lepton_w:
         total += comp.lepton_w * lepton
     if comp.quark_w:
-        total += comp.quark_w * _calibrated(bases.quark_base_7, "the quark base at level 7")
+        total += comp.quark_w * quark
     return total
 
 
 def fermion_mass(comp: Coefficients, bases: AuxBaseSet,
                  constants: ModelConstants) -> MassValue:
     """Evaluate one coefficient row against the auxiliary bases."""
-    return mev(_row_mev(comp, bases, constants))
+    lump = _calibrated(bases.top_lump_8, "the lumped level-8 term") if comp.lump else None
+    quark = _calibrated(bases.quark_base_7, "the quark base at level 7") if comp.quark_w else None
+    return mev(_row(comp, constants.m_electron.mev, bases.lepton_base_7.mev, quark, lump))
 
 
 def _inconsistent(what: str, constants: ModelConstants) -> CalibrationError:
@@ -190,31 +198,73 @@ def _inconsistent(what: str, constants: ModelConstants) -> CalibrationError:
                             f"m_electron = {constants.m_electron})")
 
 
+def _quark_base(constants: ModelConstants, anchor: str) -> float:
+    if anchor not in ANCHOR_CHOICES:
+        raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
+    row = _BY_NAME[anchor]
+    me = constants.m_electron.mev
+    fixed = _row(row.composition._replace(quark_w=0), me, _lepton_base(me, constants.alpha_e),
+                 None, None)
+    base = (row.table_mass.mev - fixed) / row.composition.quark_w
+    if base <= 0.0:
+        raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
+    return base
+
+
+def _top_lump(constants: ModelConstants, quark: float) -> float:
+    row = _BY_NAME["t"]
+    me = constants.m_electron.mev
+    lump = row.table_mass.mev - _row(row.composition._replace(lump=0), me,
+                                     _lepton_base(me, constants.alpha_e), quark, None)
+    if lump <= 0.0:
+        raise _inconsistent("the solved top lump is not positive", constants)
+    return lump
+
+
 def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> MassValue:
     """Solve the level-7 quark base exactly from one anchor row.
 
     The anchor row is linear in the base with integer weight
     quartic_sum(a), so the solve is a single division.
     """
-    if anchor not in ANCHOR_CHOICES:
-        raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
-    row = spectrum_row(anchor)
-    comp = row.composition
-    fixed = _row_mev(comp._replace(quark_w=0), AuxBaseSet.lepton_only(constants), constants)
-    base = (row.table_mass.mev - fixed) / comp.quark_w
-    if base <= 0.0:
-        raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
-    return mev(base)
+    return mev(_quark_base(constants, anchor))
 
 
 def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> MassValue:
     """Solve the top's lumped level-8 contribution from its table row."""
-    row = spectrum_row("t")
-    bases = AuxBaseSet(lepton_aux_base(constants), quark_base_7)
-    lump = row.table_mass.mev - _row_mev(row.composition._replace(lump=0), bases, constants)
-    if lump <= 0.0:
-        raise _inconsistent("the solved top lump is not positive", constants)
-    return mev(lump)
+    return mev(_top_lump(constants, quark_base_7.mev))
+
+
+class Evaluation(NamedTuple):
+    """Every number of one constant set as floats, in MeV unless named; rows follow TABLE."""
+
+    ladder_gev: tuple[float, ...]
+    electron: float
+    lepton_base: float
+    quark_base: float | None
+    top_lump: float | None
+    rows: tuple[float | None, ...]
+    alpha_w: float
+    sin2_theta_w: float
+
+
+def evaluate(constants: ModelConstants, anchor: str | None = None) -> Evaluation:
+    """Evaluate the whole model once; Q and the lump are solved from `anchor`.
+
+    Without an anchor they and the quark rows are None, so constants the
+    table cannot be calibrated with still give the ladder and the leptons.
+    """
+    ladder = _ladder_of(constants)
+    alpha_w, sin2_theta_w = _mix(ladder, constants.theta_w_deg)
+    me = constants.m_electron.mev
+    lepton = _lepton_base(me, constants.alpha_e)
+    quark = lump = None
+    if anchor is not None:
+        quark = _quark_base(constants, anchor)
+        lump = _top_lump(constants, quark)
+    rows = tuple([None if quark is None and (comp.quark_w or comp.lump)
+                  else _row(comp, me, lepton, quark, lump) for comp in _COEFFICIENTS])
+    return Evaluation(tuple(ladder), me, lepton, quark, lump, rows, alpha_w, sin2_theta_w)
 
 
 class CalibrationResult(NamedTuple):
@@ -230,20 +280,19 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
     `non_anchor_residuals` holds the held-out rows, which is where the
     model's actual predictive claim lives.
     """
-    quark_base = calibrate_quark_base_7(constants, anchor)
-    lump = calibrate_top_lump(constants, quark_base)
-    bases = AuxBaseSet(lepton_aux_base(constants), quark_base, lump)
+    ev = evaluate(constants, anchor)
     residuals: dict[str, float] = {}
     held_out: dict[str, float] = {}
-    for row in TABLE:
-        if row.table_mass.mev == 0.0 or row.note == "given":
+    for row, computed in zip(TABLE, ev.rows):
+        table_mass = row.table_mass.mev
+        if table_mass == 0.0 or row.note == "given":
             continue
-        computed = fermion_mass(row.composition, bases, constants)
-        err = relative_error(computed, row.table_mass)
+        err = relative_error(computed, table_mass)
         if row.name in (anchor, "t"):
             residuals[row.name] = err
         else:
             held_out[row.name] = err
+    bases = AuxBaseSet(mev(ev.lepton_base), mev(ev.quark_base), mev(ev.top_lump))
     return CalibrationResult(bases, residuals, held_out)
 
 

@@ -352,6 +352,71 @@ def test_sweep_table_is_exact(capsys):
     )
 
 
+def _json_rows(columns, rows):
+    # json.dumps(..., indent=2) layout; each cell is given as its json text
+    return "[\n" + ",\n".join(
+        "  {\n" + ",\n".join(f'    "{name}": {cell}' for name, cell in zip(columns, row))
+        + "\n  }" for row in rows) + "\n]\n"
+
+
+_SWEEP_JSON_COLUMNS = ["muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
+
+
+@pytest.mark.parametrize("param, start, stop, rows", [
+    ("alpha", "0.0073", "0.0146", [
+        ["0.0073", "105.51079352054794", "1785.507505849315", "0.06999986301369862",
+         "1.1305829131092953e+19", "0.029728058156235738"],
+        ["0.01095", "70.51086201369863", "1190.5086702328767", "0.04666657534246575",
+         "4.4113584172531565e+17", "0.024272857842187082"],
+        ["0.0146", "53.01089626027397", "893.0092524246575", "0.03499993150684931",
+         "4.416339504333185e+16", "0.021020911513782343"],
+    ]),
+    ("m_z_gev", "80", "100", [
+        ["80.0", "105.5488867436542", "1786.1550906421214", "0.07002525849576946",
+         "9.94872326182178e+18", "0.031742634096902776"],
+        ["90.0", "105.5488867436542", "1786.1550906421214", "0.07002525849576946",
+         "1.11923136695495e+19", "0.029927242430191032"],
+        ["100.0", "105.5488867436542", "1786.1550906421214", "0.07002525849576946",
+         "1.2435904077277225e+19", "0.028391475050230902"],
+    ]),
+])
+def test_sweep_json_is_exact(param, start, stop, rows, capsys):
+    argv = ["sweep", param, "--from", start, "--to", stop, "--steps", "3",
+            "--format", "json", "--digits", "17"]
+    expected = _json_rows([param, *_SWEEP_JSON_COLUMNS], rows)
+    assert _run(capsys, *argv) == (0, expected, "")
+
+
+_FERMION_JSON_COLUMNS = ["name", "orbitals", "constituents", "mass", "unit", "note"]
+# (name, orbitals, constituents, unit, note, mass at --digits 6, mass at --digits 17)
+_FERMION_JSON_ROWS = [
+    ("nu_e", "5_0", "nu_e", "MeV", "massless", "0.0", "0.0"),
+    ("e", "6_0", "e", "MeV", "given", "0.510999", "0.510999"),
+    ("nu_mu", "7_0", "nu_mu", "MeV", "massless", "0.0", "0.0"),
+    ("nu_tau", "8_0", "nu_tau", "MeV", "massless", "0.0", "0.0"),
+    ("mu", "6_0 + 7_0 + 7_1", "e + nu_mu + mu_7", "MeV", "", "105.549", "105.5488867436542"),
+    ("tau", "6_0 + 7_0 + 7_2", "e + nu_mu + tau_7", "MeV", "", "1786.16",
+     "1786.1550906421214"),
+    ("u", "5_0 + 7_0 + 7_1", "u_5 + q_7 + u_7", "MeV", "", "330.767", "330.767003"),
+    ("d", "6_0 + 7_0 + 7_1", "d_6 + q_7 + d_7", "MeV", "", "332.3", "332.3"),
+    ("s", "6_0 + 7_0 + 7_2", "d_6 + q_7 + s_7", "MeV", "", "558.225", "558.2254843045982"),
+    ("c", "5_0 + 7_0 + 7_3", "u_5 + q_7 + c_7", "MeV", "", "1700.44", "1700.4402515966271"),
+    ("b", "6_0 + 7_0 + 7_4", "d_6 + q_7 + b_7", "MeV", "", "5316.78", "5316.7809974701995"),
+    ("t", "5_0 + 7_0 + 7_5 + 8_0 + 8_2", "u_5 + q_7 + t_7 + q_8 + t_8", "GeV", "",
+     "176.5", "176.5"),
+]
+
+
+@pytest.mark.parametrize("digits, mass_at", [("6", 5), ("17", 6)])
+def test_fermions_json_is_exact(digits, mass_at, capsys):
+    rows = [[f'"{row[0]}"', f'"{row[1]}"', f'"{row[2]}"', row[mass_at], f'"{row[3]}"',
+             f'"{row[4]}"'] for row in _FERMION_JSON_ROWS]
+    argv = ["fermions", "--calibrate", "--format", "json"]
+    if digits != "6":
+        argv += ["--digits", digits]
+    assert _run(capsys, *argv) == (0, _json_rows(_FERMION_JSON_COLUMNS, rows), "")
+
+
 def test_sweep_steps_are_capped(capsys, monkeypatch):
     argv = ["sweep", "alpha", "--from", "0.007", "--to", "0.008"]
     code, out, err = _run(capsys, *argv, "--steps", "100001")

@@ -1,5 +1,7 @@
+import json
 import math
 import pickle
+import random
 import re
 
 import pytest
@@ -12,9 +14,11 @@ from dimorb.quantities import (
     ModelConstants,
     OrbitalIndex,
     Unit,
+    format_rows,
     gev,
     mev,
     relative_error,
+    round_to_sig,
 )
 
 UNITS = list(Unit)
@@ -206,3 +210,41 @@ def test_orbital_index_bounds():
     with pytest.raises(ValueError):
         OrbitalIndex(True)
 
+
+
+# quotes, backslashes, control characters, non-ASCII (one outside the BMP)
+# and the separators JavaScript treats as line ends
+_CORPUS_CHARS = 'ab Z09"\\/\n\r\t\b\f\x00\x1f\x7f\u00e9\u4e2d\u2028\U0001f600'
+_CORPUS_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, 123456789.0,
+                  1e16, 1e-5, math.nan, math.inf, -math.inf)
+
+
+def _corpus_text(rng):
+    return "".join(rng.choice(_CORPUS_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def _corpus_cell(rng):
+    kind = rng.randrange(7)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return _corpus_text(rng)
+    if kind == 2:
+        return rng.choice((True, False, 0, -1, 7, 10**25, -(10**25)))
+    if kind == 3:
+        return rng.choice(_CORPUS_FLOATS)
+    # exponent form at both ends of the range, and plain decimals between
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.0, 308.0)
+
+
+def test_json_rows_match_json_dumps_byte_for_byte():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        columns = [f"{_corpus_text(rng)}{i}" for i in range(rng.randint(0, 4))]
+        rows = [[None] * len(columns) if rng.random() < 0.1
+                else [_corpus_cell(rng) for _ in columns] for _ in range(rng.randint(0, 4))]
+        digits = rng.randint(1, 17)
+        entries = [{name: round_to_sig(value, digits) if type(value) is float else value
+                    for name, value in zip(columns, row) if value is not None} for row in rows]
+        expected = json.dumps(entries, indent=2) + "\n"
+        assert format_rows("json", columns, rows, digits) == expected, (columns, rows, digits)

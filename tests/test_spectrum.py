@@ -1,9 +1,14 @@
+import contextlib
+import io
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dimorb.ladder import boson_ladder, quartic_sum
-from dimorb.quantities import ModelConstants, Unit, gev, mev, relative_error
+from dimorb.cli import run
+from dimorb.ladder import boson_ladder, electroweak_mix, quartic_sum
+from dimorb.quantities import MassValue, ModelConstants, Unit, gev, mev, relative_error
 from dimorb.spectrum import (
     ANCHOR_CHOICES,
     TABLE,
@@ -15,6 +20,7 @@ from dimorb.spectrum import (
     calibrate_quark_base_7,
     calibrate_top_lump,
     composition,
+    evaluate,
     fermion_mass,
     format_calibration,
     full_spectrum,
@@ -259,3 +265,84 @@ def test_calibration_file_preserves_every_bit(quark, lump):
     rebuilt = load_bases(format_calibration(bases), C)
     assert rebuilt.quark_base_7.mev == quark
     assert rebuilt.top_lump_8.to(Unit.GEV).magnitude == lump
+
+
+def _log_uniform(low, high):
+    return st.floats(min_value=low, max_value=high).map(lambda e: 10.0 ** e)
+
+
+# (alpha_e, m_electron, m_z): wide draws span far-off magnitudes, narrow ones
+# stay near the defaults, where about a third of the anchors calibrate
+_LADDER_INPUTS = st.one_of(
+    st.tuples(_log_uniform(-12.0, -1e-9), _log_uniform(-30.0, 30.0), _log_uniform(-30.0, 30.0)),
+    st.tuples(_log_uniform(-3.0, -1.3), _log_uniform(-2.0, 0.3), _log_uniform(1.0, 3.0)),
+)
+_SWEPT = {"alpha": 0, "m_electron_mev": 1, "m_z_gev": 2, "theta_w_deg": 3, "planck_gev": 4}
+
+
+@given(
+    inputs=_LADDER_INPUTS,
+    units=st.tuples(st.sampled_from(Unit), st.sampled_from(Unit)),
+    theta=_log_uniform(-3.0, 1.95),
+    planck=_log_uniform(-30.0, 30.0),
+    anchor=st.sampled_from(ANCHOR_CHOICES),
+    param=st.sampled_from(sorted(_SWEPT)),
+)
+@settings(max_examples=200, deadline=None)
+def test_evaluate_equals_every_public_path_bit_for_bit(inputs, units, theta, planck, anchor,
+                                                       param):
+    alpha, electron, z = inputs
+    try:
+        c = ModelConstants(alpha, MassValue(electron, units[0]), MassValue(z, units[1]), theta,
+                           gev(planck))
+    except ValueError:
+        assume(False)
+    ev = evaluate(c)
+    assert list(ev.ladder_gev) == [row.mass.magnitude for row in boson_ladder(c)]
+    mix = electroweak_mix(c)
+    assert (ev.alpha_w, ev.sin2_theta_w) == (mix.alpha_w, mix.sin2_theta_w)
+    assert (ev.electron, ev.lepton_base) == (c.m_electron.mev, lepton_aux_base(c).mev)
+    assert (ev.quark_base, ev.top_lump) == (None, None)
+    lepton_only = AuxBaseSet.lepton_only(c)
+    for row, mass in zip(TABLE, ev.rows):
+        if mass is None:
+            assert row.composition.quark_w
+            with pytest.raises(UncalibratedBaseError):
+                fermion_mass(row.composition, lepton_only, c)
+        else:
+            assert mass == fermion_mass(row.composition, lepton_only, c).mev
+
+    # the six numbers a one-point sweep prints at 17 digits, which round-trip
+    values = [alpha, c.m_electron.mev, c.m_z.to(Unit.GEV).magnitude, theta, planck]
+    flags = ["--alpha", "--m-electron-mev", "--m-z-gev", "--theta-w-deg", "--planck-gev"]
+    point = repr(values[_SWEPT[param]])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["sweep", param, "--from", point, "--to", point, "--steps", "1",
+                    "--digits", "17", "--format", "csv",
+                    *(text for pair in zip(flags, map(repr, values)) for text in pair)])
+    # the command line holds the masses in MeV and GeV
+    swept = ModelConstants(alpha, mev(values[1]), gev(values[2]), theta, gev(planck))
+    assert code == 0
+    cli = evaluate(swept)
+    mu, tau = TABLE.index(spectrum_row("mu")), TABLE.index(spectrum_row("tau"))
+    assert [float(cell) for cell in out.getvalue().splitlines()[1].split(",")] == [
+        values[_SWEPT[param]], cli.rows[mu], cli.rows[tau], cli.ladder_gev[1],
+        cli.ladder_gev[6], cli.alpha_w]
+
+    try:
+        cal = calibrate(c, anchor)
+    except CalibrationError as exc:
+        with pytest.raises(CalibrationError, match=re.escape(str(exc))):
+            evaluate(c, anchor)
+        return
+    ev = evaluate(c, anchor)
+    assert (ev.lepton_base, ev.quark_base, ev.top_lump) == tuple(b.mev for b in cal.bases)
+    assert ev.quark_base == calibrate_quark_base_7(c, anchor).mev
+    assert ev.top_lump == calibrate_top_lump(c, cal.bases.quark_base_7).mev
+    assert list(ev.rows) == [mass.mev for _, mass in full_spectrum(c, cal.bases)]
+    expected = {row.name: abs(mass - row.table_mass.mev) / row.table_mass.mev
+                for row, mass in zip(TABLE, ev.rows)
+                if row.table_mass.mev != 0.0 and row.note != "given"}
+    assert {**cal.residuals, **cal.non_anchor_residuals} == expected
+    assert set(cal.residuals) == {anchor, "t"}
