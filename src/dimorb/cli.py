@@ -5,6 +5,11 @@ fermion table cannot be calibrated with), 2 unreadable or malformed data
 (config, calibration, observed CSV), 3 tolerance breach under
 `compare --check`. Data goes to stdout, diagnostics to stderr, and output is
 deterministic: same inputs, same bytes.
+
+Handlers raise and `run()` alone reports: it prints the one `dimorb: error:`
+line and picks the exit code. Arguments are checked before any output. Every
+input file goes through `_load`, so one that cannot be read, decoded as UTF-8,
+parsed or used exits 2 and names its path.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from pathlib import Path
 from .ladder import boson_ladder, closed_form_mass, electroweak_mix
 from .quantities import (
     ALPHA_E_DEFAULT,
-    KeyValueError,
     ModelConstants,
     Unit,
     _convert,
@@ -32,7 +36,6 @@ from .spectrum import (
     ANCHOR_CHOICES,
     TABLE,
     CalibrationError,
-    CalibrationFileError,
     calibrate,
     evaluate,
     format_calibration,
@@ -50,7 +53,15 @@ EXIT_TOLERANCE = 3
 
 MAX_SWEEP_STEPS = 100000
 
-_CONFIG_KEYS = ("alpha", "m_electron_mev", "m_z_gev", "theta_w_deg", "planck_gev")
+# config key (the flag is "--" plus the key with "-" for "_"):
+# (ModelConstants field, wrapper, --help text)
+_CONSTANTS = {
+    "alpha": ("alpha_e", float, f"fine structure constant (default {ALPHA_E_DEFAULT})"),
+    "m_electron_mev": ("m_electron", mev, "electron mass in MeV (default 0.510999)"),
+    "m_z_gev": ("m_z", gev, "Z0 mass in GeV (default 91.177)"),
+    "theta_w_deg": ("theta_w_deg", float, "mixing angle in degrees (default 29.69)"),
+    "planck_gev": ("planck_ref", gev, "Planck-scale reference in GeV (default 1.2e19)"),
+}
 
 _EPILOG = """examples:
   dimorb bosons --closed-form
@@ -61,8 +72,8 @@ _EPILOG = """examples:
 """
 
 
-class ConfigError(ValueError):
-    """Config file named by the environment could not be used."""
+class _UsageError(ValueError):
+    """A bad argument or constant: exit 1, where other `ValueError`s exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,16 +86,8 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("model constants (override config and defaults)")
-    g.add_argument("--alpha", type=float, metavar="X",
-                   help=f"fine structure constant (default {ALPHA_E_DEFAULT})")
-    g.add_argument("--m-electron-mev", type=float, metavar="X",
-                   help="electron mass in MeV (default 0.510999)")
-    g.add_argument("--m-z-gev", type=float, metavar="X",
-                   help="Z0 mass in GeV (default 91.177)")
-    g.add_argument("--theta-w-deg", type=float, metavar="X",
-                   help="mixing angle in degrees (default 29.69)")
-    g.add_argument("--planck-gev", type=float, metavar="X",
-                   help="Planck-scale reference in GeV (default 1.2e19)")
+    for key, (_, _, text) in _CONSTANTS.items():
+        g.add_argument("--" + key.replace("_", "-"), type=float, metavar="X", help=text)
     p.add_argument("--digits", type=int, default=6, metavar="N",
                    help="significant digits in rendered numbers (default 6)")
     return p
@@ -139,7 +142,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("sweep", parents=[common],
                        help="recompute key outputs while one constant sweeps a range")
-    s.add_argument("param", choices=_CONFIG_KEYS, help="constant to sweep")
+    s.add_argument("param", choices=tuple(_CONSTANTS), help="constant to sweep")
     s.add_argument("--from", dest="start", type=float, required=True, metavar="X",
                    help="first value (inclusive)")
     s.add_argument("--to", dest="stop", type=float, required=True, metavar="Y",
@@ -158,42 +161,41 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-def _located(path: str, exc: KeyValueError) -> str:
-    """Name the file and line of a `key=value` error: "<path>:<line>: <reason>"."""
-    return f"{path}:{exc.line}: {exc.reason}" if exc.line else f"{path}: {exc.reason}"
+def _load(path: str, what: str, parse):
+    """`parse` of the UTF-8 text of the `what` file at `path`.
 
-
-def _read_config(path: str) -> dict[str, float]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    try:
-        return parse_key_values(text, _CONFIG_KEYS)
-    except KeyValueError as exc:
-        raise ConfigError(_located(path, exc)) from None
-
-
-_CONSTANT_FIELDS = {
-    "alpha": ("alpha_e", float),
-    "m_electron_mev": ("m_electron", mev),
-    "m_z_gev": ("m_z", gev),
-    "theta_w_deg": ("theta_w_deg", float),
-    "planck_gev": ("planck_ref", gev),
-}
-
-
-def _constant(key: str, raw: float, source: str):
-    """The `ModelConstants` field value for config key `key`.
-
-    A value the field rejects raises a `ValueError` that names the field and
-    `source`: the flag, `config:<path>` or the sweep.
+    Any failure to read, decode or parse raises a `ValueError` naming the
+    path, as "<path>[:<line>[:<column>]]: <reason>" for a parse error.
     """
-    field, wrap = _CONSTANT_FIELDS[key]
     try:
-        return wrap(raw)
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {what} file {path!r}: {exc}") from None
+    try:
+        return parse(text)
     except ValueError as exc:
-        raise ValueError(f"{field} from {source} is out of range: {exc}") from None
+        where = "".join(f":{n}" for n in (getattr(exc, "line", 0), getattr(exc, "column", 0))
+                        if n)
+        raise ValueError(f"{path}{where}: {getattr(exc, 'reason', exc)}") from None
+
+
+def _constants(fields: dict, values: dict[str, tuple[float, str]]) -> ModelConstants:
+    """`ModelConstants(**fields)` once each config-key `(value, source)` is set in `fields`.
+
+    Any value the constants reject raises a `_UsageError`; one a field
+    rejects names the field and its source: the flag, `config:<path>` or the
+    sweep.
+    """
+    for key, (raw, source) in values.items():
+        field, wrap, _ = _CONSTANTS[key]
+        try:
+            fields[field] = wrap(raw)
+        except ValueError as exc:
+            raise _UsageError(f"{field} from {source} is out of range: {exc}") from None
+    try:
+        return ModelConstants(**fields)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
 
 def _resolve_constants(args) -> ModelConstants:
@@ -201,15 +203,14 @@ def _resolve_constants(args) -> ModelConstants:
     values: dict[str, tuple[float, str]] = {}
     config_path = os.environ.get(ENV_CONFIG)
     if config_path:
-        source = f"config:{config_path}"
-        for key, raw in _read_config(config_path).items():
-            values[key] = (raw, source)
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+        config = _load(config_path, "config",
+                       lambda text: parse_key_values(text, tuple(_CONSTANTS)))
+        values.update((key, (raw, f"config:{config_path}")) for key, raw in config.items())
+    for key in _CONSTANTS:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = (flag, "--" + key.replace("_", "-"))
-    return ModelConstants(**{_CONSTANT_FIELDS[key][0]: _constant(key, raw, source)
-                             for key, (raw, source) in values.items()})
+    return _constants({}, values)
 
 
 def _cmd_bosons(args, constants: ModelConstants) -> int:
@@ -246,18 +247,13 @@ def _cmd_calibrate(args, constants: ModelConstants) -> int:
 
 def _cmd_fermions(args, constants: ModelConstants) -> int:
     if args.calibration:
-        text = Path(args.calibration).read_text()
-        try:
-            bases = load_bases(text, constants)
-        except CalibrationFileError as exc:
-            raise CalibrationFileError(_located(args.calibration, exc)) from None
+        # the spectrum is built in the loader, so a base it cannot use names the file
+        spectrum = _load(args.calibration, "calibration",
+                         lambda text: full_spectrum(constants, load_bases(text, constants)))
     elif args.calibrate:
-        bases = calibrate(constants).bases
+        spectrum = full_spectrum(constants, calibrate(constants).bases)
     else:
-        print("dimorb: error: fermions needs --calibration FILE or --calibrate",
-              file=sys.stderr)
-        return EXIT_DATA
-    spectrum = full_spectrum(constants, bases)
+        raise ValueError("fermions needs --calibration FILE or --calibrate")
     columns = ["name", "orbitals", "constituents", "mass", "unit", "note"]
     rows = []
     for (name, mass), table_row in zip(spectrum, TABLE):
@@ -269,22 +265,11 @@ def _cmd_fermions(args, constants: ModelConstants) -> int:
 
 
 def _cmd_compare(args, constants: ModelConstants) -> int:
-    from .compare import (
-        BARYON_SPLIT,
-        ObservedFormatError,
-        compare_all,
-        default_observed,
-        parse_observed,
-        render,
-    )
+    from .compare import BARYON_SPLIT, compare_all, default_observed, parse_observed, render
+    if args.check and not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise _UsageError("--tol must be a finite positive number")
     if args.observed:
-        text = Path(args.observed).read_text()
-        try:
-            records = parse_observed(text)
-        except ObservedFormatError as exc:
-            print(f"dimorb: error: {args.observed}:{exc.line}:{exc.column}: {exc.reason}",
-                  file=sys.stderr)
-            return EXIT_DATA
+        records = _load(args.observed, "observed", parse_observed)
     else:
         records = default_observed()
     bases = calibrate(constants).bases
@@ -302,9 +287,6 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
         if report.skipped_observed:
             print(f"skipped observed: {', '.join(report.skipped_observed)}", file=sys.stderr)
     if args.check:
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
-            print("dimorb: error: --tol must be a finite positive number", file=sys.stderr)
-            return EXIT_USAGE
         breaches = [row.name for row in report.rows if row.rel_error > args.tol]
         if breaches:
             print(f"tolerance check failed at {args.tol:g}: {', '.join(breaches)}",
@@ -315,30 +297,24 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
 
 def _cmd_sweep(args, constants: ModelConstants) -> int:
     if args.steps < 1:
-        print("dimorb: error: --steps must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--steps must be at least 1")
     if args.steps > MAX_SWEEP_STEPS:
         # every row is held until the table is laid out, so memory grows with steps
-        print(f"dimorb: error: --steps must be at most {MAX_SWEEP_STEPS}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     if args.steps == 1:
         points = [args.start]
     else:
         step = (args.stop - args.start) / (args.steps - 1)
         points = [args.start + i * step for i in range(args.steps)]
-    field = _CONSTANT_FIELDS[args.param][0]
     source = f"the sweep of {args.param}"
     mu, tau = (TABLE.index(spectrum_row(name)) for name in ("mu", "tau"))
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
     rows = []
-    fixed = constants._asdict()
+    fields = constants._asdict()
     for point in points:
-        try:
-            # a constructor call, not _replace, so the swept value is validated
-            swept = ModelConstants(**{**fixed, field: _constant(args.param, point, source)})
-        except ValueError as exc:
-            print(f"dimorb: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        # a constructor call, not _replace, so the swept value is validated; each
+        # point overwrites the same one of `fields`
+        swept = _constants(fields, {args.param: (point, source)})
         # uncalibrated, so a point the quark rows cannot be calibrated at still prints
         ev = evaluate(swept)
         rows.append([point, ev.rows[mu], ev.rows[tau], ev.ladder_gev[1], ev.ladder_gev[6],
@@ -352,26 +328,14 @@ def run(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "digits", 6) < 1:
-        print("dimorb: error: --digits must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        constants = _resolve_constants(args)
-    except ConfigError as exc:
-        print(f"dimorb: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"dimorb: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.handler(args, constants)
-    except CalibrationError as exc:
-        # the table is built in, so only out-of-range constants get here
-        print(f"dimorb: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.digits < 1:
+            raise _UsageError("--digits must be at least 1")
+        return args.handler(args, _resolve_constants(args))
     except (ValueError, OSError) as exc:
         print(f"dimorb: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        # the table is built in, so a CalibrationError means out-of-range constants
+        return EXIT_USAGE if isinstance(exc, (_UsageError, CalibrationError)) else EXIT_DATA
 
 
 def main() -> None:

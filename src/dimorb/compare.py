@@ -167,7 +167,10 @@ def parse_observed(text: str) -> list[ObservedRecord]:
                 )
             header_done = True
             continue
-        fields = next(csv.reader([raw]))
+        try:
+            fields = next(csv.reader([raw]))
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
+            raise ObservedFormatError(lineno, 1, str(exc)) from None
         if len(fields) != 5:
             raise ObservedFormatError(
                 lineno, len(fields), f"expected 5 fields, got {len(fields)}"

@@ -322,11 +322,15 @@ def format_calibration(bases: AuxBaseSet) -> str:
 
 def parse_calibration(text: str) -> dict[str, float]:
     values = parse_key_values(text, _CAL_KEYS, CalibrationFileError)
-    for key in _CAL_KEYS:
+    for key, mass in ((_CAL_QUARK_KEY, mev), (_CAL_LUMP_KEY, gev)):
         if key not in values:
             raise CalibrationFileError(f"missing key {key!r}")
         if not values[key] > 0.0:
             raise CalibrationFileError(f"{key} must be positive, got {values[key]!r}")
+        try:
+            mass(values[key])  # a value no MassValue can hold, such as inf
+        except ValueError as exc:
+            raise CalibrationFileError(f"{key} is out of range: {exc}") from None
     return values
 
 

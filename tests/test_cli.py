@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -183,10 +185,16 @@ def test_compare_check_lepton_rows_pass(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_compare_check_rejects_bad_tolerance(tol, capsys):
-    code, _, err = _run(capsys, "compare", "--check", "--tol", tol)
+def test_compare_check_rejects_bad_tolerance(tol, tmp_path, capsys):
+    code, out, err = _run(capsys, "compare", "--check", "--tol", tol)
     assert code == 1
+    assert out == ""
     assert "--tol" in err
+    # the argument is checked before the observed file is read
+    code, out, err = _run(capsys, "compare", "--check", "--tol", tol,
+                          "--observed", str(tmp_path / "absent.csv"))
+    assert (code, out) == (1, "")
+    assert err == "dimorb: error: --tol must be a finite positive number\n"
 
 
 def test_compare_json_parses(capsys):
@@ -517,7 +525,7 @@ def _run_quiet(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 _LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
@@ -541,7 +549,7 @@ def test_extreme_constants_exit_0_or_1_and_print_only_finite_numbers(values, par
         ["bosons", "--closed-form", *flags],
         ["sweep", param, "--from", repr(start), "--to", repr(stop), "--steps", "2", *flags],
     ):
-        code, out = _run_quiet(argv)
+        code, out, _ = _run_quiet(argv)
         assert code in (0, 1), argv
         assert not _NON_FINITE.search(out), argv
         if code == 1:
@@ -590,6 +598,90 @@ def test_config_file_errors(tmp_path, capsys, monkeypatch):
     out_of_range.write_text("alpha=2\n")
     monkeypatch.setenv("DIMORB_CONFIG", str(out_of_range))
     assert _run(capsys, "bosons")[0] == 1
+
+
+# each input file: the command that reads it and a text its parser rejects
+_INPUT_FILES = {
+    "config": (["bosons"], "m_z_gev ninety\n"),
+    "calibration": (["fermions", "--calibration"], "quark_base_7_mev=14.5\nbogus\n"),
+    "observed": (["compare", "--observed"], "name,value\n"),
+}
+
+
+def _run_reading(kind, path):
+    """Run the command that reads `path` as its `kind` input file, in-process."""
+    argv, _ = _INPUT_FILES[kind]
+    if kind == "config":
+        with mock.patch.dict(os.environ, {"DIMORB_CONFIG": str(path)}):
+            return _run_quiet(argv)
+    return _run_quiet([*argv, str(path)])
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8", "malformed"])
+@pytest.mark.parametrize("kind", sorted(_INPUT_FILES))
+def test_unusable_input_file_exits_2_and_names_it(kind, fault, tmp_path):
+    path = tmp_path / f"{kind}.txt"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not_utf8":
+        path.write_bytes(b"# \xff\xfe\n")
+    elif fault == "malformed":
+        path.write_text(_INPUT_FILES[kind][1])
+    code, out, err = _run_reading(kind, path)
+    assert (code, out) == (2, "")
+    assert err.startswith("dimorb: error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("quark_base_7_mev=inf\ntop_lump_8_gev=162\n", "quark_base_7_mev"),
+    ("quark_base_7_mev=14.5\ntop_lump_8_gev=1e306\n", "top_lump_8_gev"),
+    # a valid mass, but the b row built from it overflows
+    ("quark_base_7_mev=1e306\ntop_lump_8_gev=162\n", None),
+])
+def test_calibration_values_the_spectrum_cannot_use_name_their_source(text, key, tmp_path,
+                                                                         capsys):
+    path = tmp_path / "cal.txt"
+    path.write_text(text)
+    code, out, err = _run(capsys, "fermions", "--calibration", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dimorb: error: {path}: ")
+    if key:
+        assert key in err
+
+
+_NUMBER_TEXT = st.one_of(st.floats().map(repr), st.text(max_size=6),
+                         st.sampled_from(["inf", "nan", "1e306", "1e-320", "0", "-1", ""]))
+_KEY_VALUE_LINE = st.tuples(
+    st.sampled_from([*_SWEEP_PARAMS, "quark_base_7_mev", "top_lump_8_gev", "bogus"]),
+    _NUMBER_TEXT).map("=".join)
+_OBSERVED_LINE = st.tuples(
+    st.sampled_from(["muon", "tau", "top_quark", "theta_w", "alpha_w", "boson_5", ""]),
+    _NUMBER_TEXT, st.sampled_from(["MeV", "GeV", "dimensionless", "degree", "parsec"]),
+    _NUMBER_TEXT, st.text(max_size=4)).map(",".join)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.one_of(_KEY_VALUE_LINE, _OBSERVED_LINE, st.text(max_size=20),
+                       st.just("name,value,unit,uncertainty,source")),
+             max_size=6).map(lambda lines: "\n".join(lines).encode()),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(_INPUT_FILES))
+@given(data=_FILE_BYTES)
+@settings(max_examples=150, deadline=None)
+def test_any_input_file_bytes_end_in_a_documented_exit(kind, data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}.txt"
+    path.write_bytes(data)
+    code, out, err = _run_reading(kind, path)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert not _NON_FINITE.search(out)
+    if code != 0:
+        assert out == ""
+    if code == 2:
+        assert str(path) in err
 
 
 def test_help_exits_zero(capsys):

@@ -1,3 +1,4 @@
+import csv
 import json
 from fractions import Fraction
 
@@ -94,6 +95,9 @@ def test_parse_observed_empty_inputs():
         ("muon,105.6,mev,,x\n", 2, 3),                # unit is case sensitive
         (",105.6,MeV,,x\n", 2, 1),                    # empty name
         ("muon,1,MeV,,x\nmuon,2,MeV,,y\n", 3, 1),     # duplicate name
+        # a csv.Error, which is no ValueError, is reported at column 1
+        pytest.param(f"muon,{'1' * (csv.field_size_limit() + 1)},MeV,,x\n", 2, 1,
+                     id="field-over-csv-limit"),
     ],
 )
 def test_parse_observed_reports_line_and_column(body, line, column):

@@ -243,6 +243,9 @@ def test_calibration_file_tolerates_comments():
         ("quark_base_7_mev=14.5\nquark_base_7_mev=14.5\ntop_lump_8_gev=162\n", "duplicate"),
         ("quark_base_7_mev\ntop_lump_8_gev=162\n", "key=value"),
         ("quark_base_7_mev=-1\ntop_lump_8_gev=162\n", "positive"),
+        ("quark_base_7_mev=inf\ntop_lump_8_gev=162\n", "quark_base_7_mev is out of range"),
+        # finite in GeV, but not in MeV
+        ("quark_base_7_mev=14.5\ntop_lump_8_gev=1e306\n", "top_lump_8_gev is out of range"),
     ],
 )
 def test_calibration_file_rejects_malformed_text(text, match):
