@@ -7,9 +7,10 @@ fermion table cannot be calibrated with), 2 unreadable or malformed data
 deterministic: same inputs, same bytes.
 
 Handlers raise and `run()` alone reports: it prints the one `dimorb: error:`
-line and picks the exit code. Arguments are checked before any output. Every
-input file goes through `_load`, so one that cannot be read, decoded as UTF-8,
-parsed or used exits 2 and names its path.
+line and picks the exit code. Arguments are checked before any file is read or
+output written. Every input file goes through `_load`, so one that cannot be
+read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed or used
+exits 2 and names its path.
 """
 
 from __future__ import annotations
@@ -162,13 +163,13 @@ def _shared_parser() -> _Parser:
 
 
 def _load(path: str, what: str, parse):
-    """`parse` of the UTF-8 text of the `what` file at `path`.
+    """`parse` of the UTF-8 text of the `what` file at `path`, less any leading BOM.
 
     Any failure to read, decode or parse raises a `ValueError` naming the
     path, as "<path>[:<line>[:<column>]]: <reason>" for a parse error.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {what} file {path!r}: {exc}") from None
     try:
@@ -266,8 +267,6 @@ def _cmd_fermions(args, constants: ModelConstants) -> int:
 
 def _cmd_compare(args, constants: ModelConstants) -> int:
     from .compare import BARYON_SPLIT, compare_all, default_observed, parse_observed, render
-    if args.check and not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise _UsageError("--tol must be a finite positive number")
     if args.observed:
         records = _load(args.observed, "observed", parse_observed)
     else:
@@ -296,11 +295,6 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
 
 
 def _cmd_sweep(args, constants: ModelConstants) -> int:
-    if args.steps < 1:
-        raise _UsageError("--steps must be at least 1")
-    if args.steps > MAX_SWEEP_STEPS:
-        # every row is held until the table is laid out, so memory grows with steps
-        raise _UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     if args.steps == 1:
         points = [args.start]
     else:
@@ -329,8 +323,17 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        # the flags argparse cannot check, before the config file is read
         if args.digits < 1:
             raise _UsageError("--digits must be at least 1")
+        if args.command == "sweep" and args.steps < 1:
+            raise _UsageError("--steps must be at least 1")
+        if args.command == "sweep" and args.steps > MAX_SWEEP_STEPS:
+            # every row is held until the table is laid out, so memory grows with steps
+            raise _UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
+        if args.command == "compare" and args.check and not (
+                math.isfinite(args.tol) and args.tol > 0.0):
+            raise _UsageError("--tol must be a finite positive number")
         return args.handler(args, _resolve_constants(args))
     except (ValueError, OSError) as exc:
         print(f"dimorb: error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ two significant figures.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -218,18 +217,10 @@ def parse_observed(text: str) -> list[ObservedRecord]:
 
 def format_observed_csv(records: Iterable[ObservedRecord]) -> str:
     """Canonical observed CSV; parse(format(parse(x))) is byte stable."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    out.write(OBSERVED_HEADER + "\n")
-    for record in records:
-        writer.writerow([
-            record.name,
-            repr(record.value),
-            record.unit.value,
-            "" if record.uncertainty is None else repr(record.uncertainty),
-            record.source,
-        ])
-    return out.getvalue()
+    rows = [(record.name, repr(record.value), record.unit.value,
+             "" if record.uncertainty is None else repr(record.uncertainty), record.source)
+            for record in records]
+    return format_rows("csv", OBSERVED_HEADER.split(","), rows, 1)
 
 
 def default_observed() -> list[ObservedRecord]:
@@ -243,11 +234,9 @@ def default_observed() -> list[ObservedRecord]:
     ]
 
 
-# composition-table symbol -> comparison claim name
+# composition-table symbol -> comparison claim name, where the two differ
 _SPECTRUM_CLAIM_NAMES = {
-    "nu_e": "nu_e", "e": "e", "nu_mu": "nu_mu", "nu_tau": "nu_tau",
-    "mu": "muon", "tau": "tau",
-    "u": "u_quark", "d": "d_quark", "s": "s_quark", "c": "c_quark",
+    "mu": "muon", "u": "u_quark", "d": "d_quark", "s": "s_quark", "c": "c_quark",
     "b": "b_quark", "t": "top_quark",
 }
 

@@ -82,13 +82,6 @@ class BosonLadder(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, rows: tuple[BosonRow, ...]) -> "BosonLadder":
-        return tuple.__new__(cls, rows)
-
-    @property
-    def rows(self) -> tuple[BosonRow, ...]:
-        return tuple(self)
-
     def row(self, d: int) -> BosonRow:
         return self[int(d) - 5]
 

@@ -298,8 +298,16 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
 
 def full_spectrum(constants: ModelConstants,
                   bases: AuxBaseSet) -> list[tuple[str, MassValue]]:
-    """All twelve rows in table order as (name, mass in MeV)."""
-    return [(row.name, fermion_mass(row.composition, bases, constants)) for row in TABLE]
+    """All twelve rows in table order as (name, mass in MeV); an overflow names its row."""
+    spectrum = []
+    for row in TABLE:
+        try:
+            spectrum.append((row.name, fermion_mass(row.composition, bases, constants)))
+        except UncalibratedBaseError:
+            raise
+        except ValueError as exc:
+            raise ValueError(f"row {row.name!r}: {exc}") from None
+    return spectrum
 
 
 # calibration file format: one key=value per line, '#' comments allowed,

@@ -600,6 +600,22 @@ def test_config_file_errors(tmp_path, capsys, monkeypatch):
     assert _run(capsys, "bosons")[0] == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bosons", "--digits", "0"], "--digits must be at least 1"),
+    (["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps", "0"],
+     "--steps must be at least 1"),
+    (["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps", "100001"],
+     "--steps must be at most 100000"),
+    (["compare", "--check", "--tol", "0"], "--tol must be a finite positive number"),
+])
+def test_bad_flag_wins_over_a_malformed_config(argv, message, tmp_path, capsys, monkeypatch):
+    # every flag is checked before the config file is read
+    bad = tmp_path / "bad.conf"
+    bad.write_text("m_z_gev ninety\n")
+    monkeypatch.setenv("DIMORB_CONFIG", str(bad))
+    assert _run(capsys, *argv) == (1, "", f"dimorb: error: {message}\n")
+
+
 # each input file: the command that reads it and a text its parser rejects
 _INPUT_FILES = {
     "config": (["bosons"], "m_z_gev ninety\n"),
@@ -638,7 +654,7 @@ def test_unusable_input_file_exits_2_and_names_it(kind, fault, tmp_path):
     ("quark_base_7_mev=inf\ntop_lump_8_gev=162\n", "quark_base_7_mev"),
     ("quark_base_7_mev=14.5\ntop_lump_8_gev=1e306\n", "top_lump_8_gev"),
     # a valid mass, but the b row built from it overflows
-    ("quark_base_7_mev=1e306\ntop_lump_8_gev=162\n", None),
+    ("quark_base_7_mev=1e306\ntop_lump_8_gev=162\n", "row 'b'"),
 ])
 def test_calibration_values_the_spectrum_cannot_use_name_their_source(text, key, tmp_path,
                                                                          capsys):
@@ -647,8 +663,26 @@ def test_calibration_values_the_spectrum_cannot_use_name_their_source(text, key,
     code, out, err = _run(capsys, "fermions", "--calibration", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"dimorb: error: {path}: ")
-    if key:
-        assert key in err
+    assert key in err
+
+
+# each input file: a text its command accepts
+_USABLE_FILES = {
+    "config": "m_z_gev=90\n",
+    "calibration": format_calibration(calibrate(ModelConstants()).bases),
+    "observed": LEPTON_CSV,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_USABLE_FILES))
+def test_input_file_may_start_with_a_byte_order_mark(kind, tmp_path):
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(_USABLE_FILES[kind], encoding="utf-8")
+    plain = _run_reading(kind, path)
+    assert plain[0] == 0
+    path.write_text(_USABLE_FILES[kind], encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert _run_reading(kind, path) == plain
 
 
 _NUMBER_TEXT = st.one_of(st.floats().map(repr), st.text(max_size=6),
