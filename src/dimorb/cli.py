@@ -122,7 +122,7 @@ def build_parser() -> _Parser:
 
     f = sub.add_parser("fermions", parents=[common],
                        help="print the twelve-row fermion spectrum")
-    mode = f.add_mutually_exclusive_group()
+    mode = f.add_mutually_exclusive_group(required=True)
     mode.add_argument("--calibration", metavar="FILE",
                       help="read calibrated bases from FILE")
     mode.add_argument("--calibrate", action="store_true",
@@ -163,13 +163,14 @@ def _shared_parser() -> _Parser:
 
 
 def _load(path: str, what: str, parse):
-    """`parse` of the UTF-8 text of the `what` file at `path`, less any leading BOM.
+    """`parse` of the UTF-8 text of the `what` file at `path`, less one leading BOM.
 
-    Any failure to read, decode or parse raises a `ValueError` naming the
-    path, as "<path>[:<line>[:<column>]]: <reason>" for a parse error.
+    Any failure to read, decode (at a position counted from the file's first
+    byte) or parse raises a `ValueError` naming the path, as
+    "<path>[:<line>[:<column>]]: <reason>" for a parse error.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {what} file {path!r}: {exc}") from None
     try:
@@ -251,10 +252,8 @@ def _cmd_fermions(args, constants: ModelConstants) -> int:
         # the spectrum is built in the loader, so a base it cannot use names the file
         spectrum = _load(args.calibration, "calibration",
                          lambda text: full_spectrum(constants, load_bases(text, constants)))
-    elif args.calibrate:
-        spectrum = full_spectrum(constants, calibrate(constants).bases)
     else:
-        raise ValueError("fermions needs --calibration FILE or --calibrate")
+        spectrum = full_spectrum(constants, calibrate(constants).bases)
     columns = ["name", "orbitals", "constituents", "mass", "unit", "note"]
     rows = []
     for (name, mass), table_row in zip(spectrum, TABLE):

@@ -62,6 +62,9 @@ class ObservedUnit(Enum):
     DIMENSIONLESS = "dimensionless"
     DEGREE = "degree"
 
+    # by identity, as Unit hashes, so `unit in _MASS_UNITS` stays in C
+    __hash__ = object.__hash__
+
 
 _MASS_UNITS = {ObservedUnit.MEV: Unit.MEV, ObservedUnit.GEV: Unit.GEV}
 

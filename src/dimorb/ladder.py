@@ -102,16 +102,16 @@ class ElectroweakMix(NamedTuple):
     sin2_theta_w: float
 
 
-def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> list[float]:
+def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> tuple[float, ...]:
     """The seven ladder masses B5..B11 in GeV, from the three anchors."""
     step = alpha_e * alpha_e  # each level above B7 divides by it once
     b8 = mz_gev / step
     b9 = b8 / step
     b10 = b9 / step
-    return [alpha_e * me_gev, me_gev / alpha_e, mz_gev, b8, b9, b10, b10 / step]
+    return (alpha_e * me_gev, me_gev / alpha_e, mz_gev, b8, b9, b10, b10 / step)
 
 
-def _ladder_of(constants: ModelConstants) -> list[float]:
+def _ladder_of(constants: ModelConstants) -> tuple[float, ...]:
     return _ladder_gev(constants.alpha_e, _convert(constants.m_electron, Unit.GEV),
                        _convert(constants.m_z, Unit.GEV))
 

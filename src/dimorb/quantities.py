@@ -179,45 +179,12 @@ class ModelConstants(_ConstantsFields):
             )
         if n_orbitals != 7:
             raise ValueError(f"the model has exactly 7 orbitals per set, got {n_orbitals!r}")
-        _check_derived_range(alpha_e, m_electron, m_z, theta_w_deg)
-        return tuple.__new__(
+        constants = tuple.__new__(
             cls, (alpha_e, m_electron, m_z, theta_w_deg, planck_ref, n_orbitals)
         )
-
-
-def _check_derived_range(alpha_e, m_electron, m_z, theta_w_deg) -> None:
-    # The ladder top (in MeV, as compare converts a boson row to an observed
-    # MeV), the tau row (which bounds every lepton row and B6) and alpha_w come
-    # from the helpers every output uses, so a set passes exactly when those
-    # stay finite and divide by no underflowed zero. Both modules import this
-    # one, so they are imported here, in the form that costs least per call.
-    import dimorb.ladder as ladder
-    import dimorb.spectrum as spectrum
-
-    def out_of_range(what: str, **named) -> ValueError:
-        values = ", ".join(f"{key} = {value}" for key, value in named.items())
-        return ValueError(f"constants out of range: {what} overflows a float ({values})")
-
-    me = m_electron.mev
-    top = tau = alpha_w = math.inf
-    try:
-        masses = ladder._ladder_gev(alpha_e, _convert(m_electron, Unit.GEV),
-                                    _convert(m_z, Unit.GEV))
-        top = _convert((masses[-1], Unit.GEV), Unit.MEV)
-        tau = spectrum._row(spectrum._TAU, me, spectrum._lepton_base(me, alpha_e), None, None)
-        alpha_w = ladder._mix(masses, theta_w_deg)[0]
-    except ZeroDivisionError:  # alpha_e**2 or m_z * cos(theta_w) underflowed
-        pass
-    if not math.isfinite(top):
-        raise out_of_range("the top boson mass m_z / alpha_e**8 in MeV",
-                           m_z=m_z, alpha_e=alpha_e)
-    if not math.isfinite(tau):
-        raise out_of_range("the tau mass m_electron * (1 + 25.5 / alpha_e)",
-                           m_electron=m_electron, alpha_e=alpha_e)
-    if not math.isfinite(alpha_w):  # as is alpha_w**2, since sqrt keeps finiteness
-        raise out_of_range("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
-                           m_electron=m_electron, alpha_e=alpha_e, m_z=m_z,
-                           theta_w_deg=theta_w_deg)
+        import dimorb.spectrum as spectrum  # which imports this module, so not at the top
+        spectrum._core(constants)  # raises for a set out of range; evaluate reuses its result
+        return constants
 
 
 def _finite(x) -> bool:
@@ -293,14 +260,15 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
         def text(value) -> str:
             if type(value) is not float:
                 return quote(value) if isinstance(value, str) else _cell(value)
-            number = round_to_sig(value, digits)  # which can round up to inf
+            # 17 significant digits round-trip every float; fewer can round up to inf
+            number = value if digits >= 17 else round_to_sig(value, digits)
             if math.isfinite(number):
                 return repr(number)
             # spelled as json.dumps spells them
             return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(number)]
 
-        keys = [quote(name) for name in columns]
-        objects = [",\n".join(f"    {key}: {text(value)}" for key, value in zip(keys, row)
+        prefixes = [f"    {quote(name)}: " for name in columns]
+        objects = [",\n".join(prefix + text(value) for prefix, value in zip(prefixes, row)
                               if value is not None) for row in rows]
         body = ",\n".join(f"  {{\n{fields}\n  }}" if fields else "  {}" for fields in objects)
         return f"[\n{body}\n]\n" if objects else "[]\n"

@@ -17,6 +17,7 @@ constants: each is solved exactly from one anchor row of the table.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .ladder import _ladder_of, _mix
@@ -248,23 +249,62 @@ class Evaluation(NamedTuple):
     sin2_theta_w: float
 
 
+# `_core`'s last (constants, result), one tuple so that a thread reads a matching pair
+_LAST: tuple = (None, None)
+
+
+def _out_of_range(what: str, **named) -> ValueError:
+    values = ", ".join(f"{key} = {value}" for key, value in named.items())
+    return ValueError(f"constants out of range: {what} overflows a float ({values})")
+
+
+def _core(constants: ModelConstants) -> tuple:
+    """(ladder in GeV, alpha_w, sin**2(theta_w), Me, L); ModelConstants rejects a set with it.
+
+    A set fails, naming its constants, when the ladder top in MeV (compare's unit for a
+    boson row), the tau row (which bounds every lepton row and B6) or alpha_w leaves float range.
+    """
+    global _LAST
+    alpha_e, m_electron, m_z, theta_w_deg = constants[:4]
+    me = m_electron.mev
+    lepton = _lepton_base(me, alpha_e)
+    top = alpha_w = math.inf
+    try:
+        ladder = _ladder_of(constants)
+        top = ladder[-1] * 1e3
+        alpha_w, sin2_theta_w = _mix(ladder, theta_w_deg)
+    except ZeroDivisionError:  # alpha_e**2 or m_z * cos(theta_w) underflowed
+        pass
+    if not math.isfinite(top):
+        raise _out_of_range("the top boson mass m_z / alpha_e**8 in MeV",
+                            m_z=m_z, alpha_e=alpha_e)
+    if not math.isfinite(_row(_TAU, me, lepton, None, None)):
+        raise _out_of_range("the tau mass m_electron * (1 + 25.5 / alpha_e)",
+                            m_electron=m_electron, alpha_e=alpha_e)
+    if not math.isfinite(alpha_w):  # as is alpha_w**2, since sqrt keeps finiteness
+        raise _out_of_range("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
+                            m_electron=m_electron, alpha_e=alpha_e, m_z=m_z,
+                            theta_w_deg=theta_w_deg)
+    result = (ladder, alpha_w, sin2_theta_w, me, lepton)
+    _LAST = (constants, result)
+    return result
+
+
 def evaluate(constants: ModelConstants, anchor: str | None = None) -> Evaluation:
     """Evaluate the whole model once; Q and the lump are solved from `anchor`.
 
     Without an anchor they and the quark rows are None, so constants the
     table cannot be calibrated with still give the ladder and the leptons.
     """
-    ladder = _ladder_of(constants)
-    alpha_w, sin2_theta_w = _mix(ladder, constants.theta_w_deg)
-    me = constants.m_electron.mev
-    lepton = _lepton_base(me, constants.alpha_e)
+    last, core = _LAST
+    ladder, alpha_w, sin2_theta_w, me, lepton = core if last is constants else _core(constants)
     quark = lump = None
     if anchor is not None:
         quark = _quark_base(constants, anchor)
         lump = _top_lump(constants, quark)
     rows = tuple([None if quark is None and (comp.quark_w or comp.lump)
                   else _row(comp, me, lepton, quark, lump) for comp in _COEFFICIENTS])
-    return Evaluation(tuple(ladder), me, lepton, quark, lump, rows, alpha_w, sin2_theta_w)
+    return Evaluation(ladder, me, lepton, quark, lump, rows, alpha_w, sin2_theta_w)
 
 
 class CalibrationResult(NamedTuple):

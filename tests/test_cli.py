@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimorb import cli
+from dimorb import cli, ladder, spectrum
 from dimorb.cli import run
 from dimorb.quantities import ModelConstants
 from dimorb.spectrum import calibrate, format_calibration
@@ -96,8 +96,9 @@ def test_calibrate_alternate_anchor(tmp_path, capsys):
 
 def test_fermions_needs_a_calibration_source(capsys):
     code, _, err = _run(capsys, "fermions")
-    assert code == 2
+    assert code == 1
     assert "--calibration" in err and "--calibrate" in err
+    assert "(--calibration FILE | --calibrate)" in err
 
 
 def test_fermions_in_memory_calibration(capsys):
@@ -556,6 +557,21 @@ def test_extreme_constants_exit_0_or_1_and_print_only_finite_numbers(values, par
             assert out == ""
 
 
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_a_sweep_evaluates_each_point_once(steps, capsys, monkeypatch):
+    # once per point, and once for the constants the sweep starts from
+    calls = {"core": 0, "ladder": 0}
+    for module, name, key in ((spectrum, "_core", "core"), (ladder, "_ladder_gev", "ladder")):
+        def counted(*args, _wrapped=getattr(module, name), _key=key):
+            calls[_key] += 1
+            return _wrapped(*args)
+        monkeypatch.setattr(module, name, counted)
+    code, out, _ = _run(capsys, "sweep", "alpha", "--from", "0.007", "--to", "0.008",
+                        "--steps", str(steps), "--format", "csv")
+    assert (code, len(out.splitlines())) == (0, 1 + steps)
+    assert calls == {"core": steps + 1, "ladder": steps + 1}
+
+
 def test_digits_flag(capsys):
     code, out, _ = _run(capsys, "fermions", "--calibrate", "--digits", "10")
     assert code == 0
@@ -683,6 +699,16 @@ def test_input_file_may_start_with_a_byte_order_mark(kind, tmp_path):
     path.write_text(_USABLE_FILES[kind], encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
     assert _run_reading(kind, path) == plain
+
+
+def test_decode_error_after_a_byte_order_mark_counts_from_the_first_byte(tmp_path, capsys,
+                                                                        monkeypatch):
+    path = tmp_path / "model.conf"
+    path.write_bytes(b"\xef\xbb\xbf# \xff\n")
+    monkeypatch.setenv("DIMORB_CONFIG", str(path))
+    code, out, err = _run(capsys, "bosons")
+    assert (code, out) == (2, "")
+    assert "can't decode byte 0xff in position 5" in err
 
 
 _NUMBER_TEXT = st.one_of(st.floats().map(repr), st.text(max_size=6),

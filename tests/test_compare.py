@@ -1,5 +1,6 @@
 import csv
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,18 @@ def test_baryon_fractions_are_exact():
     assert baryonic + dark == 1
     # the float split the command line uses is bit-identical to the exact one
     assert BARYON_SPLIT == (float(baryonic), float(dark))
+
+
+def test_observed_unit_members_hash_by_identity():
+    assert ObservedUnit("degree") is ObservedUnit.DEGREE
+    by_unit = {unit: unit.value for unit in ObservedUnit}
+    assert by_unit[ObservedUnit("dimensionless")] == "dimensionless"
+    assert ObservedUnit("GeV") in {ObservedUnit.GEV: None}
+    for unit in ObservedUnit:
+        assert pickle.loads(pickle.dumps(unit)) is unit
+        assert by_unit[pickle.loads(pickle.dumps(unit))] == unit.value
+    record = ObservedRecord("muon", 105.6, ObservedUnit("MeV"))
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_round_to_sig():

@@ -1,0 +1,89 @@
+"""The `dimorb` command's exit codes and json output, checked in a fresh process.
+
+The command is the one in DIMORB_BIN, split as a shell would split it, or
+`python -m dimorb` when that is unset; so the same checks cover the installed
+console script (`DIMORB_BIN=dimorb`) and a source checkout.
+"""
+
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dimorb
+
+SRC = str(Path(dimorb.__file__).resolve().parents[1])
+ENV = {key: value for key, value in os.environ.items() if key != "DIMORB_CONFIG"}
+ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+PYTHON_M_DIMORB = [sys.executable, "-m", "dimorb"]
+COMMAND = shlex.split(os.environ.get("DIMORB_BIN", "")) or PYTHON_M_DIMORB
+
+CONFIGS = {
+    "not-utf8.conf": b"alpha=0.0073\xff\n",
+    "bad.conf": b"m_z_gev ninety\n",
+    "bom.conf": b"\xef\xbb\xbfm_z_gev=90\n",
+    "bom-then-not-utf8.conf": b"\xef\xbb\xbf# \xff\n",
+}
+
+
+def _dimorb(argv, cwd, config=None, command=COMMAND):
+    env = dict(ENV)
+    if config is not None:
+        (cwd / config).write_bytes(CONFIGS[config])
+        env["DIMORB_CONFIG"] = config
+    return subprocess.run([*command, *argv], env=env, cwd=cwd, capture_output=True)
+
+
+def test_python_m_dimorb_prints_the_spectrum(tmp_path):
+    child = _dimorb(["fermions", "--calibrate"], tmp_path, command=PYTHON_M_DIMORB)
+    assert child.returncode == 0, child.stderr
+    assert len(child.stdout.splitlines()) == 2 + 12
+
+
+@pytest.mark.parametrize("argv", [
+    "bosons",
+    "fermions --calibrate",
+    "compare",
+    "sweep alpha --from 0.0073 --to 0.0146 --steps 3",
+])
+def test_json_output_parses(argv, tmp_path):
+    # dimorb writes its json itself, so each Python parses it
+    child = _dimorb([*argv.split(), "--format", "json"], tmp_path)
+    assert child.returncode == 0, child.stderr
+    assert isinstance(json.loads(child.stdout), list)
+
+
+@pytest.mark.parametrize("code, config, argv", [
+    (0, None, "bosons"),
+    (1, None, "bosons --alpha 2"),
+    (2, None, "fermions --calibration missing.txt"),
+    (3, None, "compare --check"),
+    # a config file that is not valid UTF-8 is unreadable data, not a usage error
+    (2, "not-utf8.conf", "bosons"),
+    # a bad flag is rejected before a malformed config file is read
+    (1, "bad.conf", "sweep alpha --from 0.007 --to 0.008 --steps 0"),
+    (1, "bad.conf", "compare --check --tol 0"),
+    # a leading UTF-8 byte-order mark is accepted
+    (0, "bom.conf", "bosons"),
+    # a bad --tol is rejected before the report is written
+    (1, None, "compare --check --tol 0"),
+    # a missing calibration source is a usage error like any other
+    (1, None, "fermions"),
+    (2, "bom-then-not-utf8.conf", "bosons"),
+])
+def test_exit_code(code, config, argv, tmp_path):
+    assert _dimorb(argv.split(), tmp_path, config).returncode == code
+
+
+def test_a_bad_tol_writes_nothing_to_stdout(tmp_path):
+    assert _dimorb(["compare", "--check", "--tol", "0"], tmp_path).stdout == b""
+
+
+def test_a_decode_error_after_a_byte_order_mark_names_the_file_offset(tmp_path):
+    child = _dimorb(["bosons"], tmp_path, "bom-then-not-utf8.conf")
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert b"can't decode byte 0xff in position 5" in child.stderr

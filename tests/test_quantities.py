@@ -177,6 +177,33 @@ def test_constants_reject_out_of_range_fields(kwargs):
         ModelConstants(**kwargs)
 
 
+_OVERFLOWS = "constants out of range: {} overflows a float ({})"
+
+
+@pytest.mark.parametrize("kwargs, what, values", [
+    ({"m_z": gev(1e300)}, "the top boson mass m_z / alpha_e**8 in MeV",
+     "m_z = 1e+300 GeV, alpha_e = 0.0072973525693"),
+    # alpha_e**2 underflows to zero
+    ({"alpha_e": 1e-200}, "the top boson mass m_z / alpha_e**8 in MeV",
+     "m_z = 91.177 GeV, alpha_e = 1e-200"),
+    ({"m_electron": mev(1e306)}, "the tau mass m_electron * (1 + 25.5 / alpha_e)",
+     "m_electron = 1e+306 MeV, alpha_e = 0.0072973525693"),
+    ({"m_electron": mev(1e300), "m_z": gev(1e-10)},
+     "alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
+     "m_electron = 1e+300 MeV, alpha_e = 0.0072973525693, m_z = 1e-10 GeV, "
+     "theta_w_deg = 29.69"),
+    # m_z * cos(theta_w) underflows to zero
+    ({"m_z": gev(5e-324), "theta_w_deg": 89.9999},
+     "alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
+     "m_electron = 0.510999 MeV, alpha_e = 0.0072973525693, m_z = 4.94066e-324 GeV, "
+     "theta_w_deg = 89.9999"),
+], ids=["top", "top-underflow", "tau", "alpha_w", "alpha_w-underflow"])
+def test_constants_out_of_float_range_name_the_constants_involved(kwargs, what, values):
+    with pytest.raises(ValueError) as info:
+        ModelConstants(**kwargs)
+    assert str(info.value) == _OVERFLOWS.format(what, values)
+
+
 @given(
     alpha=st.floats(allow_nan=True, allow_infinity=True).filter(
         lambda x: not (0.0 < x < 1.0)
@@ -237,13 +264,28 @@ def _corpus_cell(rng):
     return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.0, 308.0)
 
 
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 1.7976931348623157e308,
+                                   -1.7976931348623157e308])
+def test_json_edge_floats_match_json_dumps_at_every_digits(value):
+    for digits in range(1, 21):
+        expected = json.dumps([{"x": round_to_sig(value, digits)}], indent=2) + "\n"
+        assert format_rows("json", ["x"], [[value]], digits) == expected, digits
+
+
+def test_json_spells_a_float_that_rounds_up_to_inf_as_json_dumps_does():
+    assert format_rows("json", ["x", "y"], [[1.7976931348623157e308, -1.7e308]], 1) == (
+        '[\n  {\n    "x": Infinity,\n    "y": -Infinity\n  }\n]\n')
+    assert format_rows("json", ["x"], [[1.7976931348623157e308]], 17) == (
+        '[\n  {\n    "x": 1.7976931348623157e+308\n  }\n]\n')
+
+
 def test_json_rows_match_json_dumps_byte_for_byte():
     rng = random.Random(20261018)
     for _ in range(3000):
         columns = [f"{_corpus_text(rng)}{i}" for i in range(rng.randint(0, 4))]
         rows = [[None] * len(columns) if rng.random() < 0.1
                 else [_corpus_cell(rng) for _ in columns] for _ in range(rng.randint(0, 4))]
-        digits = rng.randint(1, 17)
+        digits = rng.randint(1, 20)
         entries = [{name: round_to_sig(value, digits) if type(value) is float else value
                     for name, value in zip(columns, row) if value is not None} for row in rows]
         expected = json.dumps(entries, indent=2) + "\n"

@@ -283,6 +283,24 @@ _LADDER_INPUTS = st.one_of(
 _SWEPT = {"alpha": 0, "m_electron_mev": 1, "m_z_gev": 2, "theta_w_deg": 3, "planck_gev": 4}
 
 
+def test_evaluate_reuses_the_core_only_for_the_instance_just_built(monkeypatch):
+    from dimorb import spectrum
+    calls = []
+    core = spectrum._core
+    monkeypatch.setattr(spectrum, "_core", lambda c: calls.append(c) or core(c))
+    twin = ModelConstants(m_z=gev(90.0))
+    built = ModelConstants(m_z=gev(90.0))
+    assert twin == built and twin is not built
+    assert calls == [twin, built]
+    reused = evaluate(built)
+    assert len(calls) == 2
+    # an equal but distinct instance recomputes, and gets the same floats
+    assert evaluate(twin) == reused
+    assert len(calls) == 3 and calls[2] is twin
+    assert evaluate(built, "d").rows[1:6] == reused.rows[1:6]
+    assert len(calls) == 4
+
+
 @given(
     inputs=_LADDER_INPUTS,
     units=st.tuples(st.sampled_from(Unit), st.sampled_from(Unit)),
