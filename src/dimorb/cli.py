@@ -28,6 +28,7 @@ from .quantities import (
     ModelConstants,
     Unit,
     _convert,
+    _LocatedError,
     format_rows,
     gev,
     mev,
@@ -175,10 +176,11 @@ def _load(path: str, what: str, parse):
         raise ValueError(f"cannot read {what} file {path!r}: {exc}") from None
     try:
         return parse(text)
+    except _LocatedError as exc:
+        where = "".join(f":{n}" for n in (exc.line, exc.column) if n)
+        raise ValueError(f"{path}{where}: {exc.reason}") from None
     except ValueError as exc:
-        where = "".join(f":{n}" for n in (getattr(exc, "line", 0), getattr(exc, "column", 0))
-                        if n)
-        raise ValueError(f"{path}{where}: {getattr(exc, 'reason', exc)}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _constants(fields: dict, values: dict[str, tuple[float, str]]) -> ModelConstants:

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .ladder import BosonLadder, ElectroweakMix
-from .quantities import MassValue, Unit, _convert, format_rows, round_to_sig
+from .quantities import MassValue, Unit, _convert, _LocatedError, format_rows, round_to_sig
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -73,14 +73,8 @@ def _unit_kind(unit: ObservedUnit) -> str:
     return "mass" if unit in _MASS_UNITS else unit.value
 
 
-class ObservedFormatError(ValueError):
-    """Malformed observed CSV; carries the offending line and column."""
-
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-        self.reason = message
+class ObservedFormatError(_LocatedError):
+    """Malformed observed CSV, at the offending line and column."""
 
 
 class _ObservedFields(NamedTuple):
@@ -165,28 +159,28 @@ def parse_observed(text: str) -> list[ObservedRecord]:
         if not header_done:
             if stripped != OBSERVED_HEADER:
                 raise ObservedFormatError(
-                    lineno, 1, f"expected header {OBSERVED_HEADER!r}, got {stripped!r}"
+                    f"expected header {OBSERVED_HEADER!r}, got {stripped!r}", lineno, 1
                 )
             header_done = True
             continue
         try:
             fields = next(csv.reader([raw]))
         except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
-            raise ObservedFormatError(lineno, 1, str(exc)) from None
+            raise ObservedFormatError(str(exc), lineno, 1) from None
         if len(fields) != 5:
             raise ObservedFormatError(
-                lineno, len(fields), f"expected 5 fields, got {len(fields)}"
+                f"expected 5 fields, got {len(fields)}", lineno, len(fields)
             )
         name = fields[0].strip()
         if not name:
-            raise ObservedFormatError(lineno, 1, "empty name")
+            raise ObservedFormatError("empty name", lineno, 1)
         if name in seen:
-            raise ObservedFormatError(lineno, 1, f"duplicate name {name!r}")
+            raise ObservedFormatError(f"duplicate name {name!r}", lineno, 1)
         try:
             value = float(fields[1])
         except ValueError:
             raise ObservedFormatError(
-                lineno, 2, f"value is not a number: {fields[1]!r}"
+                f"value is not a number: {fields[1]!r}", lineno, 2
             ) from None
         unit_text = fields[2].strip()
         try:
@@ -194,7 +188,7 @@ def parse_observed(text: str) -> list[ObservedRecord]:
         except ValueError:
             choices = ", ".join(u.value for u in ObservedUnit)
             raise ObservedFormatError(
-                lineno, 3, f"unknown unit {unit_text!r} (expected one of: {choices})"
+                f"unknown unit {unit_text!r} (expected one of: {choices})", lineno, 3
             ) from None
         unc_text = fields[3].strip()
         uncertainty = None
@@ -203,7 +197,7 @@ def parse_observed(text: str) -> list[ObservedRecord]:
                 uncertainty = float(unc_text)
             except ValueError:
                 raise ObservedFormatError(
-                    lineno, 4, f"uncertainty is not a number: {unc_text!r}"
+                    f"uncertainty is not a number: {unc_text!r}", lineno, 4
                 ) from None
         try:
             record = ObservedRecord(name, value, unit, uncertainty, fields[4].strip())
@@ -212,7 +206,7 @@ def parse_observed(text: str) -> list[ObservedRecord]:
             # checked first) or the uncertainty (column 4) can be at fault
             bad_value = not math.isfinite(value) or (value < 0.0 and unit in _MASS_UNITS)
             column = 2 if bad_value else 4
-            raise ObservedFormatError(lineno, column, str(exc)) from None
+            raise ObservedFormatError(str(exc), lineno, column) from None
         seen.add(name)
         records.append(record)
     return records
@@ -333,8 +327,6 @@ def render(report: ComparisonReport, fmt: str = "markdown", sig: int = 6) -> str
     """
     if fmt not in RENDER_FORMATS:
         raise ValueError(f"format must be one of {', '.join(RENDER_FORMATS)}, got {fmt!r}")
-    if sig < 1:
-        raise ValueError(f"need at least one significant digit, got {sig!r}")
     # a None cell is left out of a json row, so json rows carry no unit
     is_json = fmt == "json"
     rows = [(row.name, row.computed, row.observed, None if is_json else row.unit.value,

@@ -1,10 +1,13 @@
-"""Gauge-boson mass ladder over the seven main orbitals D = 5..11.
+"""Records and views of the gauge-boson ladder over the main orbitals D = 5..11.
 
 The ladder is anchored in three places: the bottom two levels at the
 electron mass (B5 = alpha_e * M_e and B6 = M_e / alpha_e), and the
 electroweak level at the observed Z0 mass (B7 = M_Z). Above that each
 step multiplies by 1 / alpha_e**2, so the mass climbs geometrically to
 the gravity level B11, which lands near the Planck scale.
+
+That arithmetic is in `spectrum`'s float core; this module holds the boson
+table's records, its views of the core's floats, and the closed form.
 
 A closed-form power law (planck_ref * alpha_e**(2 * (11 - D))) describes
 the same hierarchy from the top down. It is an approximation only: the
@@ -15,11 +18,11 @@ the ladder; `boson_ladder` is the authoritative path.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import NamedTuple
 
 from .quantities import MassValue, ModelConstants, OrbitalIndex, Unit, _convert, gev
+from .spectrum import _core_of
 
 __all__ = [
     "GaugeLabel",
@@ -102,35 +105,14 @@ class ElectroweakMix(NamedTuple):
     sin2_theta_w: float
 
 
-def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> tuple[float, ...]:
-    """The seven ladder masses B5..B11 in GeV, from the three anchors."""
-    step = alpha_e * alpha_e  # each level above B7 divides by it once
-    b8 = mz_gev / step
-    b9 = b8 / step
-    b10 = b9 / step
-    return (alpha_e * me_gev, me_gev / alpha_e, mz_gev, b8, b9, b10, b10 / step)
-
-
-def _ladder_of(constants: ModelConstants) -> tuple[float, ...]:
-    return _ladder_gev(constants.alpha_e, _convert(constants.m_electron, Unit.GEV),
-                       _convert(constants.m_z, Unit.GEV))
-
-
-def _mix(ladder_gev, theta_w_deg: float) -> tuple[float, float]:
-    """alpha_w and sin**2(theta_w), from B6 and B7 = M_Z of the ladder."""
-    theta = math.radians(theta_w_deg)
-    return (math.sqrt(ladder_gev[1] / (ladder_gev[2] * math.cos(theta))),
-            math.sin(theta) ** 2)
-
-
 def electroweak_mix(constants: ModelConstants) -> ElectroweakMix:
-    alpha_w, sin2_theta_w = _mix(_ladder_of(constants), constants.theta_w_deg)
+    _, alpha_w, sin2_theta_w, _, _ = _core_of(constants)
     return ElectroweakMix(alpha_w, constants.theta_w_deg, sin2_theta_w)
 
 
 def boson_ladder(constants: ModelConstants) -> BosonLadder:
-    """Build the seven-row boson table from the three anchors."""
-    masses = _ladder_of(constants)
+    """The seven-row boson table of the float core's ladder."""
+    masses = _core_of(constants)[0]
     return BosonLadder([BosonRow(orbital, gauge, symmetry, gev(mass))
                         for (orbital, gauge, symmetry), mass in zip(_LEVELS, masses)])
 

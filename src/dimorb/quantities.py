@@ -183,7 +183,7 @@ class ModelConstants(_ConstantsFields):
             cls, (alpha_e, m_electron, m_z, theta_w_deg, planck_ref, n_orbitals)
         )
         import dimorb.spectrum as spectrum  # which imports this module, so not at the top
-        spectrum._core(constants)  # raises for a set out of range; evaluate reuses its result
+        spectrum._core(constants)  # raises for a set out of range; its readers reuse the result
         return constants
 
 
@@ -191,13 +191,19 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-class KeyValueError(ValueError):
-    """Unusable `key=value` text; `line` is 1-based, or 0 when no one line is at fault."""
+class _LocatedError(ValueError):
+    """Unusable input text: `reason` at a 1-based `line` and `column`, each 0 when unknown."""
 
-    def __init__(self, reason: str, line: int = 0) -> None:
-        super().__init__(f"line {line}: {reason}" if line else reason)
+    def __init__(self, reason: str, line: int = 0, column: int = 0) -> None:
+        where = f"line {line}, column {column}" if column else f"line {line}"
+        super().__init__(f"{where}: {reason}" if line else reason)
         self.reason = reason
         self.line = line
+        self.column = column
+
+
+class KeyValueError(_LocatedError):
+    """Unusable `key=value` text; a line is at fault unless `line` is 0."""
 
 
 def parse_key_values(text: str, keys: tuple[str, ...],
@@ -252,6 +258,8 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
     instead; booleans read true/false, and None is an empty cell that json
     leaves out of its row's object.
     """
+    if digits < 1:
+        raise ValueError(f"need at least one significant digit, got {digits!r}")
     if fmt == "json":
         # the bytes of json.dumps(rows as objects, indent=2) + "\n", written
         # here because under indent json.dumps runs its pure-Python encoder

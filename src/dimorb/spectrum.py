@@ -13,6 +13,10 @@ row's auxiliary index a, so the three generations climb steeply with a.
 L = (3/2) * B6 is fixed by the ladder itself and never calibrated. Q and
 the top's lumped level-8 contribution are the model's only two calibrated
 constants: each is solved exactly from one anchor row of the table.
+
+The float core is here too, since its range check reads the tau row: `_core`
+computes the ladder, alpha_w, Me and L once per constant set, and every public
+function, here and in `ladder`, reads them through `_core_of`.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .ladder import _ladder_of, _mix
 from .quantities import (
     KeyValueError,
     MassValue,
     ModelConstants,
     Unit,
+    _convert,
     gev,
     mev,
     parse_key_values,
@@ -95,11 +99,7 @@ def lepton_aux_base(constants: ModelConstants) -> MassValue:
 
     B6 = M_e / alpha_e, so this needs no calibration at all.
     """
-    return mev(_lepton_base(constants.m_electron.mev, constants.alpha_e))
-
-
-def _lepton_base(me_mev: float, alpha_e: float) -> float:
-    return 1.5 * me_mev / alpha_e
+    return mev(_core_of(constants)[4])
 
 
 class AuxBaseSet(NamedTuple):
@@ -190,7 +190,7 @@ def fermion_mass(comp: Coefficients, bases: AuxBaseSet,
     """Evaluate one coefficient row against the auxiliary bases."""
     lump = _calibrated(bases.top_lump_8, "the lumped level-8 term") if comp.lump else None
     quark = _calibrated(bases.quark_base_7, "the quark base at level 7") if comp.quark_w else None
-    return mev(_row(comp, constants.m_electron.mev, bases.lepton_base_7.mev, quark, lump))
+    return mev(_row(comp, _core_of(constants)[3], bases.lepton_base_7.mev, quark, lump))
 
 
 def _inconsistent(what: str, constants: ModelConstants) -> CalibrationError:
@@ -203,9 +203,8 @@ def _quark_base(constants: ModelConstants, anchor: str) -> float:
     if anchor not in ANCHOR_CHOICES:
         raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
     row = _BY_NAME[anchor]
-    me = constants.m_electron.mev
-    fixed = _row(row.composition._replace(quark_w=0), me, _lepton_base(me, constants.alpha_e),
-                 None, None)
+    _, _, _, me, lepton = _core_of(constants)
+    fixed = _row(row.composition._replace(quark_w=0), me, lepton, None, None)
     base = (row.table_mass.mev - fixed) / row.composition.quark_w
     if base <= 0.0:
         raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
@@ -214,9 +213,8 @@ def _quark_base(constants: ModelConstants, anchor: str) -> float:
 
 def _top_lump(constants: ModelConstants, quark: float) -> float:
     row = _BY_NAME["t"]
-    me = constants.m_electron.mev
-    lump = row.table_mass.mev - _row(row.composition._replace(lump=0), me,
-                                     _lepton_base(me, constants.alpha_e), quark, None)
+    _, _, _, me, lepton = _core_of(constants)
+    lump = row.table_mass.mev - _row(row.composition._replace(lump=0), me, lepton, quark, None)
     if lump <= 0.0:
         raise _inconsistent("the solved top lump is not positive", constants)
     return lump
@@ -249,6 +247,15 @@ class Evaluation(NamedTuple):
     sin2_theta_w: float
 
 
+def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> tuple[float, ...]:
+    """The seven ladder masses B5..B11 in GeV, from the three anchors."""
+    step = alpha_e * alpha_e  # each level above B7 divides by it once
+    b8 = mz_gev / step
+    b9 = b8 / step
+    b10 = b9 / step
+    return (alpha_e * me_gev, me_gev / alpha_e, mz_gev, b8, b9, b10, b10 / step)
+
+
 # `_core`'s last (constants, result), one tuple so that a thread reads a matching pair
 _LAST: tuple = (None, None)
 
@@ -267,12 +274,14 @@ def _core(constants: ModelConstants) -> tuple:
     global _LAST
     alpha_e, m_electron, m_z, theta_w_deg = constants[:4]
     me = m_electron.mev
-    lepton = _lepton_base(me, alpha_e)
+    lepton = 1.5 * me / alpha_e  # L = (3/2) * B6, in MeV
     top = alpha_w = math.inf
     try:
-        ladder = _ladder_of(constants)
+        ladder = _ladder_gev(alpha_e, _convert(m_electron, Unit.GEV), _convert(m_z, Unit.GEV))
         top = ladder[-1] * 1e3
-        alpha_w, sin2_theta_w = _mix(ladder, theta_w_deg)
+        theta = math.radians(theta_w_deg)
+        alpha_w = math.sqrt(ladder[1] / (ladder[2] * math.cos(theta)))  # from B6 and B7 = M_Z
+        sin2_theta_w = math.sin(theta) ** 2
     except ZeroDivisionError:  # alpha_e**2 or m_z * cos(theta_w) underflowed
         pass
     if not math.isfinite(top):
@@ -290,14 +299,19 @@ def _core(constants: ModelConstants) -> tuple:
     return result
 
 
+def _core_of(constants: ModelConstants) -> tuple:
+    """`_core(constants)`, reused for the set evaluated last, so `_replace` sets are checked too."""
+    last, core = _LAST
+    return core if last is constants else _core(constants)
+
+
 def evaluate(constants: ModelConstants, anchor: str | None = None) -> Evaluation:
     """Evaluate the whole model once; Q and the lump are solved from `anchor`.
 
     Without an anchor they and the quark rows are None, so constants the
     table cannot be calibrated with still give the ladder and the leptons.
     """
-    last, core = _LAST
-    ladder, alpha_w, sin2_theta_w, me, lepton = core if last is constants else _core(constants)
+    ladder, alpha_w, sin2_theta_w, me, lepton = _core_of(constants)
     quark = lump = None
     if anchor is not None:
         quark = _quark_base(constants, anchor)
@@ -339,6 +353,7 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
 def full_spectrum(constants: ModelConstants,
                   bases: AuxBaseSet) -> list[tuple[str, MassValue]]:
     """All twelve rows in table order as (name, mass in MeV); an overflow names its row."""
+    _core_of(constants)  # a set out of range fails as a whole, before its first row
     spectrum = []
     for row in TABLE:
         try:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimorb import cli, ladder, spectrum
+from dimorb import cli, spectrum
 from dimorb.cli import run
 from dimorb.quantities import ModelConstants
 from dimorb.spectrum import calibrate, format_calibration
@@ -557,19 +557,35 @@ def test_extreme_constants_exit_0_or_1_and_print_only_finite_numbers(values, par
             assert out == ""
 
 
+def _count_core_calls(monkeypatch) -> dict[str, int]:
+    # `_core` computes Me and L, `_ladder_gev` the ladder that alpha_w is read from
+    calls = {"core": 0, "ladder": 0}
+    for name, key in (("_core", "core"), ("_ladder_gev", "ladder")):
+        def counted(*args, _wrapped=getattr(spectrum, name), _key=key):
+            calls[_key] += 1
+            return _wrapped(*args)
+        monkeypatch.setattr(spectrum, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("steps", [1, 2, 7])
 def test_a_sweep_evaluates_each_point_once(steps, capsys, monkeypatch):
     # once per point, and once for the constants the sweep starts from
-    calls = {"core": 0, "ladder": 0}
-    for module, name, key in ((spectrum, "_core", "core"), (ladder, "_ladder_gev", "ladder")):
-        def counted(*args, _wrapped=getattr(module, name), _key=key):
-            calls[_key] += 1
-            return _wrapped(*args)
-        monkeypatch.setattr(module, name, counted)
+    calls = _count_core_calls(monkeypatch)
     code, out, _ = _run(capsys, "sweep", "alpha", "--from", "0.007", "--to", "0.008",
                         "--steps", str(steps), "--format", "csv")
     assert (code, len(out.splitlines())) == (0, 1 + steps)
     assert calls == {"core": steps + 1, "ladder": steps + 1}
+
+
+@pytest.mark.parametrize("argv", [["bosons", "--closed-form"], ["calibrate", "--out"],
+                                  ["fermions", "--calibrate"], ["compare"]])
+def test_each_command_computes_the_core_once(argv, capsys, monkeypatch, tmp_path):
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "cal.txt")]
+    calls = _count_core_calls(monkeypatch)
+    assert _run(capsys, *argv)[0] == 0
+    assert calls == {"core": 1, "ladder": 1}
 
 
 def test_digits_flag(capsys):

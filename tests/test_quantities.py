@@ -290,3 +290,10 @@ def test_json_rows_match_json_dumps_byte_for_byte():
                     for name, value in zip(columns, row) if value is not None} for row in rows]
         expected = json.dumps(entries, indent=2) + "\n"
         assert format_rows("json", columns, rows, digits) == expected, (columns, rows, digits)
+
+
+@pytest.mark.parametrize("digits", [0, -1])
+@pytest.mark.parametrize("fmt", ["table", "markdown", "csv", "json"])
+def test_every_format_rejects_fewer_than_one_digit_alike(fmt, digits):
+    with pytest.raises(ValueError, match=f"^need at least one significant digit, got {digits}$"):
+        format_rows(fmt, ["x"], [[1.5]], digits)

@@ -301,6 +301,24 @@ def test_evaluate_reuses_the_core_only_for_the_instance_just_built(monkeypatch):
     assert len(calls) == 4
 
 
+
+@pytest.mark.parametrize("fields", [
+    {"alpha_e": 1e-300},
+    {"m_z": gev(1e-320)},
+    {"m_electron": mev(1e300), "alpha_e": 1e-10},
+], ids=["top", "alpha_w", "tau"])
+def test_a_replace_built_set_is_checked_when_it_is_read(fields):
+    # _replace skips ModelConstants' check, so each reader meets the core's own
+    with pytest.raises(ValueError) as rejected:
+        ModelConstants(**fields)
+    message = str(rejected.value)
+    assert message.startswith("constants out of range: ") and "inf" not in message
+    unchecked = C._replace(**fields)
+    for read in (boson_ladder, electroweak_mix, lepton_aux_base, calibrate):
+        with pytest.raises(ValueError) as raised:
+            read(unchecked)
+        assert type(raised.value) is ValueError and str(raised.value) == message, read
+
 @given(
     inputs=_LADDER_INPUTS,
     units=st.tuples(st.sampled_from(Unit), st.sampled_from(Unit)),
