@@ -28,6 +28,7 @@ from .quantities import (
     ModelConstants,
     Unit,
     _convert,
+    _FieldError,
     _LocatedError,
     format_rows,
     gev,
@@ -186,18 +187,22 @@ def _load(path: str, what: str, parse):
 def _constants(fields: dict, values: dict[str, tuple[float, str]]) -> ModelConstants:
     """`ModelConstants(**fields)` once each config-key `(value, source)` is set in `fields`.
 
-    Any value the constants reject raises a `_UsageError`; one a field
-    rejects names the field and its source: the flag, `config:<path>` or the
-    sweep.
+    Any value the constants reject raises a `_UsageError`; one outside its
+    field's own range names the field and its source: the flag,
+    `config:<path>` or the sweep.
     """
+    sources = {}
     for key, (raw, source) in values.items():
         field, wrap, _ = _CONSTANTS[key]
+        sources[field] = source
         try:
             fields[field] = wrap(raw)
         except ValueError as exc:
             raise _UsageError(f"{field} from {source} is out of range: {exc}") from None
     try:
         return ModelConstants(**fields)
+    except _FieldError as exc:
+        raise _UsageError(f"{exc.field} from {sources[exc.field]} is out of range: {exc}") from None
     except ValueError as exc:
         raise _UsageError(exc) from None
 
@@ -307,8 +312,8 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     rows = []
     fields = constants._asdict()
     for point in points:
-        # a constructor call, not _replace, so the swept value is validated; each
-        # point overwrites the same one of `fields`
+        # through `_constants`, so a rejected value names the sweep as its source;
+        # each point overwrites the same one of `fields`
         swept = _constants(fields, {args.param: (point, source)})
         # uncalibrated, so a point the quark rows cannot be calibrated at still prints
         ev = evaluate(swept)

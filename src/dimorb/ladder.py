@@ -22,7 +22,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .quantities import MassValue, ModelConstants, OrbitalIndex, Unit, _convert, gev
-from .spectrum import _core_of
+from .spectrum import evaluate
 
 __all__ = [
     "GaugeLabel",
@@ -80,15 +80,20 @@ class BosonRow(NamedTuple):
     mass: MassValue
 
 
+def _orbital(d: int | OrbitalIndex) -> int:
+    # OrbitalIndex's own check, so a bool, a float or a level off the ladder raises
+    return d.d if isinstance(d, OrbitalIndex) else OrbitalIndex(d).d
+
+
 class BosonLadder(tuple):
     """The seven boson rows, bottom (D=5) to top (D=11)."""
 
     __slots__ = ()
 
-    def row(self, d: int) -> BosonRow:
-        return self[int(d) - 5]
+    def row(self, d: int | OrbitalIndex) -> BosonRow:
+        return self[_orbital(d) - 5]
 
-    def mass(self, d: int) -> MassValue:
+    def mass(self, d: int | OrbitalIndex) -> MassValue:
         return self.row(d).mass
 
 
@@ -106,18 +111,18 @@ class ElectroweakMix(NamedTuple):
 
 
 def electroweak_mix(constants: ModelConstants) -> ElectroweakMix:
-    _, alpha_w, sin2_theta_w, _, _ = _core_of(constants)
-    return ElectroweakMix(alpha_w, constants.theta_w_deg, sin2_theta_w)
+    ev = evaluate(constants)
+    return ElectroweakMix(ev.alpha_w, constants.theta_w_deg, ev.sin2_theta_w)
 
 
 def boson_ladder(constants: ModelConstants) -> BosonLadder:
     """The seven-row boson table of the float core's ladder."""
-    masses = _core_of(constants)[0]
+    masses = evaluate(constants).ladder_gev
     return BosonLadder([BosonRow(orbital, gauge, symmetry, gev(mass))
                         for (orbital, gauge, symmetry), mass in zip(_LEVELS, masses)])
 
 
-def closed_form_mass(d: int, constants: ModelConstants) -> MassValue:
+def closed_form_mass(d: int | OrbitalIndex, constants: ModelConstants) -> MassValue:
     """Power-law approximation of the level-D boson mass.
 
     Descends from the Planck-scale reference as alpha_e**(2 * (11 - D)).
@@ -125,6 +130,6 @@ def closed_form_mass(d: int, constants: ModelConstants) -> MassValue:
     construction, this is a cross-check that only tracks it to within an
     order of magnitude below the electroweak level.
     """
-    n = int(OrbitalIndex(int(d)))
-    return gev(_convert(constants.planck_ref, Unit.GEV) * constants.alpha_e ** (2 * (11 - n)))
+    power = 2 * (11 - _orbital(d))
+    return gev(_convert(constants.planck_ref, Unit.GEV) * constants.alpha_e ** power)
 

@@ -135,6 +135,14 @@ class OrbitalIndex(_OrbitalFields):
         return self.d
 
 
+class _FieldError(ValueError):
+    """A constant outside its own range, read as "<field> <reason>"."""
+
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"{field} {reason}")
+        self.field = field
+
+
 class _ConstantsFields(NamedTuple):
     alpha_e: float
     m_electron: MassValue
@@ -154,10 +162,15 @@ class ModelConstants(_ConstantsFields):
 
     Besides each constant's own range, a set is rejected when it would
     drive the top of the ladder, the tau row or alpha_w out of float range;
-    the message names the constants involved.
+    the message names the constants involved. A set built by `_replace`,
+    `_make`, `copy` or `pickle` is checked the same way.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> "ModelConstants":
+        return cls(*super()._make(iterable))
 
     def __new__(cls, alpha_e: float = ALPHA_E_DEFAULT,
                 m_electron: MassValue = MassValue(0.510999, Unit.MEV),
@@ -166,17 +179,16 @@ class ModelConstants(_ConstantsFields):
                 planck_ref: MassValue = MassValue(1.2e19, Unit.GEV),
                 n_orbitals: int = 7) -> "ModelConstants":
         if not _finite(alpha_e) or not 0.0 < float(alpha_e) < 1.0:
-            raise ValueError(f"alpha_e must lie strictly inside (0, 1), got {alpha_e!r}")
+            raise _FieldError("alpha_e", f"must lie strictly inside (0, 1), got {alpha_e!r}")
         for name, value in (("m_electron", m_electron), ("m_z", m_z),
                             ("planck_ref", planck_ref)):
             if not isinstance(value, MassValue):
-                raise ValueError(f"{name} must be a MassValue, got {value!r}")
+                raise _FieldError(name, f"must be a MassValue, got {value!r}")
             if value.magnitude <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+                raise _FieldError(name, f"must be positive, got {value}")
         if not _finite(theta_w_deg) or not 0.0 < float(theta_w_deg) < 90.0:
-            raise ValueError(
-                f"theta_w_deg must lie strictly inside (0, 90), got {theta_w_deg!r}"
-            )
+            raise _FieldError("theta_w_deg",
+                              f"must lie strictly inside (0, 90), got {theta_w_deg!r}")
         if n_orbitals != 7:
             raise ValueError(f"the model has exactly 7 orbitals per set, got {n_orbitals!r}")
         constants = tuple.__new__(

@@ -15,8 +15,8 @@ the top's lumped level-8 contribution are the model's only two calibrated
 constants: each is solved exactly from one anchor row of the table.
 
 The float core is here too, since its range check reads the tau row: `_core`
-computes the ladder, alpha_w, Me and L once per constant set, and every public
-function, here and in `ladder`, reads them through `_core_of`.
+computes each set's uncalibrated `Evaluation` when the set is built, and every
+public function, here and in `ladder`, reads it through `evaluate`.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def lepton_aux_base(constants: ModelConstants) -> MassValue:
 
     B6 = M_e / alpha_e, so this needs no calibration at all.
     """
-    return mev(_core_of(constants)[4])
+    return mev(evaluate(constants).lepton_base)
 
 
 class AuxBaseSet(NamedTuple):
@@ -143,7 +143,7 @@ TABLE: tuple[SpectrumRow, ...] = (
 
 _BY_NAME = {row.name: row for row in TABLE}
 _COEFFICIENTS = tuple(row.composition for row in TABLE)
-_TAU = _BY_NAME["tau"].composition
+_TAU = TABLE.index(_BY_NAME["tau"])
 
 # rows eligible to anchor the quark-base solve; the top is excluded because
 # its row also contains the lump
@@ -190,7 +190,7 @@ def fermion_mass(comp: Coefficients, bases: AuxBaseSet,
     """Evaluate one coefficient row against the auxiliary bases."""
     lump = _calibrated(bases.top_lump_8, "the lumped level-8 term") if comp.lump else None
     quark = _calibrated(bases.quark_base_7, "the quark base at level 7") if comp.quark_w else None
-    return mev(_row(comp, _core_of(constants)[3], bases.lepton_base_7.mev, quark, lump))
+    return mev(_row(comp, evaluate(constants).electron, bases.lepton_base_7.mev, quark, lump))
 
 
 def _inconsistent(what: str, constants: ModelConstants) -> CalibrationError:
@@ -199,39 +199,31 @@ def _inconsistent(what: str, constants: ModelConstants) -> CalibrationError:
                             f"m_electron = {constants.m_electron})")
 
 
-def _quark_base(constants: ModelConstants, anchor: str) -> float:
-    if anchor not in ANCHOR_CHOICES:
-        raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
-    row = _BY_NAME[anchor]
-    _, _, _, me, lepton = _core_of(constants)
-    fixed = _row(row.composition._replace(quark_w=0), me, lepton, None, None)
-    base = (row.table_mass.mev - fixed) / row.composition.quark_w
-    if base <= 0.0:
-        raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
-    return base
-
-
-def _top_lump(constants: ModelConstants, quark: float) -> float:
-    row = _BY_NAME["t"]
-    _, _, _, me, lepton = _core_of(constants)
-    lump = row.table_mass.mev - _row(row.composition._replace(lump=0), me, lepton, quark, None)
-    if lump <= 0.0:
-        raise _inconsistent("the solved top lump is not positive", constants)
-    return lump
-
-
 def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> MassValue:
     """Solve the level-7 quark base exactly from one anchor row.
 
     The anchor row is linear in the base with integer weight
     quartic_sum(a), so the solve is a single division.
     """
-    return mev(_quark_base(constants, anchor))
+    if anchor not in ANCHOR_CHOICES:
+        raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
+    row = _BY_NAME[anchor]
+    ev = evaluate(constants)
+    fixed = _row(row.composition._replace(quark_w=0), ev.electron, ev.lepton_base, None, None)
+    base = (row.table_mass.mev - fixed) / row.composition.quark_w
+    if base <= 0.0:
+        raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
+    return mev(base)
 
 
 def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> MassValue:
     """Solve the top's lumped level-8 contribution from its table row."""
-    return mev(_top_lump(constants, quark_base_7.mev))
+    row, ev = _BY_NAME["t"], evaluate(constants)
+    lump = row.table_mass.mev - _row(row.composition._replace(lump=0), ev.electron,
+                                     ev.lepton_base, quark_base_7.mev, None)
+    if lump <= 0.0:
+        raise _inconsistent("the solved top lump is not positive", constants)
+    return mev(lump)
 
 
 class Evaluation(NamedTuple):
@@ -265,8 +257,8 @@ def _out_of_range(what: str, **named) -> ValueError:
     return ValueError(f"constants out of range: {what} overflows a float ({values})")
 
 
-def _core(constants: ModelConstants) -> tuple:
-    """(ladder in GeV, alpha_w, sin**2(theta_w), Me, L); ModelConstants rejects a set with it.
+def _core(constants: ModelConstants) -> Evaluation:
+    """The uncalibrated `Evaluation`; ModelConstants rejects a set with it.
 
     A set fails, naming its constants, when the ladder top in MeV (compare's unit for a
     boson row), the tau row (which bounds every lepton row and B6) or alpha_w leaves float range.
@@ -287,22 +279,18 @@ def _core(constants: ModelConstants) -> tuple:
     if not math.isfinite(top):
         raise _out_of_range("the top boson mass m_z / alpha_e**8 in MeV",
                             m_z=m_z, alpha_e=alpha_e)
-    if not math.isfinite(_row(_TAU, me, lepton, None, None)):
+    rows = tuple([None if comp.quark_w or comp.lump else _row(comp, me, lepton, None, None)
+                  for comp in _COEFFICIENTS])
+    if not math.isfinite(rows[_TAU]):
         raise _out_of_range("the tau mass m_electron * (1 + 25.5 / alpha_e)",
                             m_electron=m_electron, alpha_e=alpha_e)
     if not math.isfinite(alpha_w):  # as is alpha_w**2, since sqrt keeps finiteness
         raise _out_of_range("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
                             m_electron=m_electron, alpha_e=alpha_e, m_z=m_z,
                             theta_w_deg=theta_w_deg)
-    result = (ladder, alpha_w, sin2_theta_w, me, lepton)
+    result = Evaluation(ladder, me, lepton, None, None, rows, alpha_w, sin2_theta_w)
     _LAST = (constants, result)
     return result
-
-
-def _core_of(constants: ModelConstants) -> tuple:
-    """`_core(constants)`, reused for the set evaluated last, so `_replace` sets are checked too."""
-    last, core = _LAST
-    return core if last is constants else _core(constants)
 
 
 def evaluate(constants: ModelConstants, anchor: str | None = None) -> Evaluation:
@@ -310,15 +298,18 @@ def evaluate(constants: ModelConstants, anchor: str | None = None) -> Evaluation
 
     Without an anchor they and the quark rows are None, so constants the
     table cannot be calibrated with still give the ladder and the leptons.
+    The set evaluated last is not evaluated again.
     """
-    ladder, alpha_w, sin2_theta_w, me, lepton = _core_of(constants)
-    quark = lump = None
-    if anchor is not None:
-        quark = _quark_base(constants, anchor)
-        lump = _top_lump(constants, quark)
-    rows = tuple([None if quark is None and (comp.quark_w or comp.lump)
-                  else _row(comp, me, lepton, quark, lump) for comp in _COEFFICIENTS])
-    return Evaluation(ladder, me, lepton, quark, lump, rows, alpha_w, sin2_theta_w)
+    last, ev = _LAST
+    if last is not constants:
+        ev = _core(constants)
+    if anchor is None:
+        return ev
+    quark_base = calibrate_quark_base_7(constants, anchor)
+    quark, lump = quark_base.mev, calibrate_top_lump(constants, quark_base).mev
+    rows = tuple([_row(comp, ev.electron, ev.lepton_base, quark, lump) if mass is None else mass
+                  for comp, mass in zip(_COEFFICIENTS, ev.rows)])
+    return ev._replace(quark_base=quark, top_lump=lump, rows=rows)
 
 
 class CalibrationResult(NamedTuple):
@@ -353,7 +344,6 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
 def full_spectrum(constants: ModelConstants,
                   bases: AuxBaseSet) -> list[tuple[str, MassValue]]:
     """All twelve rows in table order as (name, mass in MeV); an overflow names its row."""
-    _core_of(constants)  # a set out of range fails as a whole, before its first row
     spectrum = []
     for row in TABLE:
         try:

@@ -466,8 +466,21 @@ def test_out_of_range_constants_exit_1(capsys):
         (["compare", "--planck-gev", "1e306"], None, "planck_ref from --planck-gev is out of range"),
         (["sweep", "m_z_gev", "--from", "90", "--to", "-90", "--steps", "2"], None,
          "m_z from the sweep of m_z_gev is out of range"),
+        # values the constructor's own field check rejects, past the mass wrappers
+        (["bosons", "--alpha", "2"], None, "alpha_e from --alpha is out of range: "
+         "alpha_e must lie strictly inside (0, 1), got 2.0\n"),
+        (["bosons"], "alpha=2\n", "alpha_e from config:{config} is out of range: "
+         "alpha_e must lie strictly inside (0, 1), got 2.0\n"),
+        (["bosons"], "theta_w_deg=95\n", "theta_w_deg from config:{config} is out of range: "
+         "theta_w_deg must lie strictly inside (0, 90), got 95.0\n"),
+        (["bosons", "--m-z-gev", "0"], None,
+         "m_z from --m-z-gev is out of range: m_z must be positive, got 0 GeV\n"),
+        (["sweep", "theta_w_deg", "--from", "10", "--to", "95", "--steps", "2"], None,
+         "theta_w_deg from the sweep of theta_w_deg is out of range: "
+         "theta_w_deg must lie strictly inside (0, 90), got 95.0\n"),
     ],
-    ids=["flag", "flag-nan", "config", "mev-overflow", "sweep"],
+    ids=["flag", "flag-nan", "config", "mev-overflow", "sweep", "field-flag", "field-config",
+         "field-config-angle", "field-zero-mass", "field-sweep"],
 )
 def test_bad_mass_constant_names_field_and_source(argv, config, named, tmp_path, capsys,
                                                   monkeypatch):

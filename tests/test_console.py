@@ -7,6 +7,7 @@ console script (`DIMORB_BIN=dimorb`) and a source checkout.
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,12 +16,19 @@ from pathlib import Path
 import pytest
 
 import dimorb
+from dimorb.compare import default_observed, format_observed_csv
 
 SRC = str(Path(dimorb.__file__).resolve().parents[1])
 ENV = {key: value for key, value in os.environ.items() if key != "DIMORB_CONFIG"}
 ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 PYTHON_M_DIMORB = [sys.executable, "-m", "dimorb"]
 COMMAND = shlex.split(os.environ.get("DIMORB_BIN", "")) or PYTHON_M_DIMORB
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+# the `dimorb ...` lines of the README's shell blocks, comments dropped
+README_LINES = [shlex.split(line, comments=True)[1:] for block in
+                re.findall(r"^```sh\n(.*?)^```$", README, re.S | re.M)
+                for line in block.splitlines() if line.startswith("dimorb ")]
 
 CONFIGS = {
     "not-utf8.conf": b"alpha=0.0073\xff\n",
@@ -87,3 +95,14 @@ def test_a_decode_error_after_a_byte_order_mark_names_the_file_offset(tmp_path):
     child = _dimorb(["bosons"], tmp_path, "bom-then-not-utf8.conf")
     assert (child.returncode, child.stdout) == (2, b"")
     assert b"can't decode byte 0xff in position 5" in child.stderr
+
+
+def test_the_readme_command_lines_run_in_order(tmp_path):
+    # one directory, so the file `calibrate --out` writes is the one read after it
+    (tmp_path / "my.csv").write_text(format_observed_csv(default_observed()))
+    assert len(README_LINES) >= 8
+    for argv in README_LINES:
+        child = _dimorb(argv, tmp_path)
+        # the built-in reference set misses the tolerance on some rows
+        assert child.returncode == (3 if "--check" in argv else 0), (argv, child.stderr)
+        assert b"Traceback" not in child.stderr, argv

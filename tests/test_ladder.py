@@ -149,6 +149,25 @@ def test_closed_form_rejects_out_of_range_levels():
         closed_form_mass(12, C)
 
 
+@pytest.mark.parametrize("d", [4, 12, -2, True, 7.9, 7.0, "7"])
+def test_every_reader_rejects_what_is_not_an_orbital_number(d):
+    # an orbital number, not a tuple index: -2 and 4 would index D=5 and D=11
+    ladder = boson_ladder(C)
+    message = f"orbital number must be an integer in 5..11, got {d!r}"
+    for read in (ladder.row, ladder.mass, lambda d: closed_form_mass(d, C)):
+        with pytest.raises(ValueError) as rejected:
+            read(d)
+        assert str(rejected.value) == message
+
+
+def test_rows_are_read_by_int_or_by_orbital_index():
+    ladder = boson_ladder(C)
+    for d, row in zip(range(5, 12), ladder):
+        assert ladder.row(d) is ladder.row(row.orbital) is row
+        assert ladder.mass(row.orbital) is row.mass
+        assert closed_form_mass(row.orbital, C) == closed_form_mass(d, C)
+
+
 def test_electroweak_mix_against_direct_formula():
     mix = electroweak_mix(C)
     cos_theta = math.cos(math.radians(29.69))

@@ -1,6 +1,11 @@
 import contextlib
+import copy
 import io
+import math
+import operator
+import pickle
 import re
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -306,18 +311,38 @@ def test_evaluate_reuses_the_core_only_for_the_instance_just_built(monkeypatch):
     {"alpha_e": 1e-300},
     {"m_z": gev(1e-320)},
     {"m_electron": mev(1e300), "alpha_e": 1e-10},
-], ids=["top", "alpha_w", "tau"])
+    {"alpha_e": -0.5},
+    {"alpha_e": 2.0},
+], ids=["top", "alpha_w", "tau", "alpha_e-negative", "alpha_e-above-1"])
 def test_a_replace_built_set_is_checked_when_it_is_read(fields):
-    # _replace skips ModelConstants' check, so each reader meets the core's own
+    # _replace and _make build through the constructor, so they raise its
+    # message, each field's own check included
     with pytest.raises(ValueError) as rejected:
         ModelConstants(**fields)
-    message = str(rejected.value)
-    assert message.startswith("constants out of range: ") and "inf" not in message
-    unchecked = C._replace(**fields)
-    for read in (boson_ladder, electroweak_mix, lepton_aux_base, calibrate):
+    for build in (lambda: C._replace(**fields),
+                  lambda: ModelConstants._make({**C._asdict(), **fields}.values())):
         with pytest.raises(ValueError) as raised:
-            read(unchecked)
-        assert type(raised.value) is ValueError and str(raised.value) == message, read
+            build()
+        assert type(raised.value) is type(rejected.value)
+        assert str(raised.value) == str(rejected.value)
+
+
+def test_copies_are_built_by_the_constructor(monkeypatch):
+    from dimorb import spectrum
+    built = ModelConstants(alpha_e=0.0074, m_z=gev(90.0))
+    checked = []
+    core = spectrum._core
+    monkeypatch.setattr(spectrum, "_core", lambda c: checked.append(c) or core(c))
+    copies = [copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built)),
+              built._replace(theta_w_deg=built.theta_w_deg), ModelConstants._make(built)]
+    assert all(type(c) is ModelConstants and c == built for c in copies)
+    assert len(checked) == len(copies) and all(map(operator.is_, checked, copies))
+    # the NamedTuple errors are unchanged
+    with pytest.raises(TypeError):
+        ModelConstants._make(list(built)[:5])
+    with pytest.raises(ValueError, match="unexpected field names"):
+        built._replace(bogus=1)
+
 
 @given(
     inputs=_LADDER_INPUTS,
@@ -385,3 +410,29 @@ def test_evaluate_equals_every_public_path_bit_for_bit(inputs, units, theta, pla
                 if row.table_mass.mev != 0.0 and row.note != "given"}
     assert {**cal.residuals, **cal.non_anchor_residuals} == expected
     assert set(cal.residuals) == {anchor, "t"}
+
+
+def _masses(ev) -> list[float]:
+    return [*ev.ladder_gev, ev.electron, ev.lepton_base, *(m for m in ev.rows if m is not None)]
+
+
+@given(inputs=_LADDER_INPUTS, theta=_log_uniform(-3.0, 1.95),
+       k=st.integers(min_value=-20, max_value=20))
+@settings(max_examples=300, deadline=None)
+def test_a_power_of_two_on_both_masses_scales_every_mass_exactly(inputs, theta, k):
+    # each mass is built from terms that carry one power of the two input
+    # masses, so a power of two passes through every rounding unchanged while
+    # the numbers stay normal; a term that does not scale breaks this
+    alpha, electron, z = inputs
+    try:
+        base = evaluate(ModelConstants(alpha, mev(electron), gev(z), theta))
+        scaled = evaluate(ModelConstants(alpha, mev(math.ldexp(electron, k)),
+                                         gev(math.ldexp(z, k)), theta))
+    except ValueError:
+        assume(False)
+    assume(all(m == 0.0 or sys.float_info.min <= m < math.inf
+               for m in _masses(base) + _masses(scaled)))
+    assert _masses(scaled) == [math.ldexp(m, k) for m in _masses(base)]
+    assert scaled.rows.count(None) == base.rows.count(None)
+    # the couplings are ratios of masses, so they do not move at all
+    assert (scaled.alpha_w, scaled.sin2_theta_w) == (base.alpha_w, base.sin2_theta_w)
