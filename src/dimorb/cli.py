@@ -191,10 +191,8 @@ def _constants(fields: dict, values: dict[str, tuple[float, str]]) -> ModelConst
     field's own range names the field and its source: the flag,
     `config:<path>` or the sweep.
     """
-    sources = {}
     for key, (raw, source) in values.items():
         field, wrap, _ = _CONSTANTS[key]
-        sources[field] = source
         try:
             fields[field] = wrap(raw)
         except ValueError as exc:
@@ -202,7 +200,9 @@ def _constants(fields: dict, values: dict[str, tuple[float, str]]) -> ModelConst
     try:
         return ModelConstants(**fields)
     except _FieldError as exc:
-        raise _UsageError(f"{exc.field} from {sources[exc.field]} is out of range: {exc}") from None
+        source = next(where for key, (_, where) in values.items()
+                      if _CONSTANTS[key][0] == exc.field)
+        raise _UsageError(f"{exc.field} from {source} is out of range: {exc}") from None
     except ValueError as exc:
         raise _UsageError(exc) from None
 

@@ -23,7 +23,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .ladder import BosonLadder, ElectroweakMix
-from .quantities import MassValue, Unit, _convert, _LocatedError, format_rows, round_to_sig
+from .quantities import (MassValue, Unit, _Checked, _convert, _LocatedError, format_rows,
+                         round_to_sig)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -67,10 +68,7 @@ class ObservedUnit(Enum):
 
 
 _MASS_UNITS = {ObservedUnit.MEV: Unit.MEV, ObservedUnit.GEV: Unit.GEV}
-
-
-def _unit_kind(unit: ObservedUnit) -> str:
-    return "mass" if unit in _MASS_UNITS else unit.value
+_UNITS_BY_TEXT = {unit.value: unit for unit in ObservedUnit}
 
 
 class ObservedFormatError(_LocatedError):
@@ -85,7 +83,7 @@ class _ObservedFields(NamedTuple):
     source: str
 
 
-class ObservedRecord(_ObservedFields):
+class ObservedRecord(_Checked, _ObservedFields):
     __slots__ = ()
 
     def __new__(cls, name: str, value: float, unit: ObservedUnit,
@@ -183,13 +181,10 @@ def parse_observed(text: str) -> list[ObservedRecord]:
                 f"value is not a number: {fields[1]!r}", lineno, 2
             ) from None
         unit_text = fields[2].strip()
-        try:
-            unit = ObservedUnit(unit_text)
-        except ValueError:
-            choices = ", ".join(u.value for u in ObservedUnit)
-            raise ObservedFormatError(
-                f"unknown unit {unit_text!r} (expected one of: {choices})", lineno, 3
-            ) from None
+        unit = _UNITS_BY_TEXT.get(unit_text)
+        if unit is None:
+            raise ObservedFormatError(f"unknown unit {unit_text!r} "
+                                      f"(expected one of: {', '.join(_UNITS_BY_TEXT)})", lineno, 3)
         unc_text = fields[3].strip()
         uncertainty = None
         if unc_text:
@@ -231,6 +226,9 @@ def default_observed() -> list[ObservedRecord]:
     ]
 
 
+# the ladder's claim names, bottom to top
+_BOSON_CLAIM_NAMES = tuple(f"boson_{d}" for d in range(5, 12))
+
 # composition-table symbol -> comparison claim name, where the two differ
 _SPECTRUM_CLAIM_NAMES = {
     "mu": "muon", "u": "u_quark", "d": "d_quark", "s": "s_quark", "c": "c_quark",
@@ -245,28 +243,27 @@ def computed_claims(
     fractions: tuple[Fraction | float, Fraction | float],
 ) -> list[ComputedClaim]:
     """Everything the model claims, keyed by stable comparison names."""
-    claims = [
-        ComputedClaim(f"boson_{int(row.orbital)}", _convert(row.mass, Unit.GEV),
-                      ObservedUnit.GEV)
-        for row in ladder
-    ]
-    claims.append(ComputedClaim(
-        "planck_mass", _convert(ladder.mass(11), Unit.GEV),
-        ObservedUnit.GEV, printed_sigfigs=_PLANCK_CLAIM_SIGFIGS,
-    ))
-    claims.append(ComputedClaim("theta_w", mix.theta_w_deg, ObservedUnit.DEGREE))
-    claims.append(ComputedClaim("alpha_w", mix.alpha_w, ObservedUnit.DIMENSIONLESS))
-    claims.append(ComputedClaim("sin2_theta_w", mix.sin2_theta_w, ObservedUnit.DIMENSIONLESS))
+    return [ComputedClaim._make(claim) for claim in _claims(spectrum, ladder, mix, fractions)]
+
+
+def _claims(spectrum, ladder, mix, fractions) -> list[tuple]:
+    # computed_claims as (name, value, unit, printed_sigfigs) tuples, for compare_all
+    gev, dimensionless = ObservedUnit.GEV, ObservedUnit.DIMENSIONLESS
     baryonic, dark = fractions
-    claims.append(ComputedClaim("baryon_fraction", float(baryonic), ObservedUnit.DIMENSIONLESS))
-    claims.append(ComputedClaim("dark_fraction", float(dark), ObservedUnit.DIMENSIONLESS))
+    claims = [(name, _convert(row.mass, Unit.GEV), gev, None)
+              for name, row in zip(_BOSON_CLAIM_NAMES, ladder)]
+    claims += [("planck_mass", _convert(ladder[-1].mass, Unit.GEV), gev, _PLANCK_CLAIM_SIGFIGS),
+               ("theta_w", mix.theta_w_deg, ObservedUnit.DEGREE, None),
+               ("alpha_w", mix.alpha_w, dimensionless, None),
+               ("sin2_theta_w", mix.sin2_theta_w, dimensionless, None),
+               ("baryon_fraction", float(baryonic), dimensionless, None),
+               ("dark_fraction", float(dark), dimensionless, None)]
     for name, mass in spectrum:
         claim_name = _SPECTRUM_CLAIM_NAMES.get(name, name)
         if name == "t":
-            claims.append(ComputedClaim(claim_name, _convert(mass, Unit.GEV),
-                                        ObservedUnit.GEV))
+            claims.append((claim_name, _convert(mass, Unit.GEV), gev, None))
         else:
-            claims.append(ComputedClaim(claim_name, mass.mev, ObservedUnit.MEV))
+            claims.append((claim_name, mass.mev, ObservedUnit.MEV, None))
     return claims
 
 
@@ -278,8 +275,8 @@ def compare_all(
     observed: Sequence[ObservedRecord],
 ) -> ComparisonReport:
     """Match claims to observed rows by name, in observed input order."""
-    claims = computed_claims(spectrum, ladder, mix, fractions)
-    by_name = {claim.name: claim for claim in claims}
+    claims = _claims(spectrum, ladder, mix, fractions)
+    by_name = {claim[0]: claim for claim in claims}
     rows: list[ComparisonRow] = []
     matched: set[str] = set()
     skipped_observed: list[str] = []
@@ -288,16 +285,17 @@ def compare_all(
         if claim is None:
             skipped_observed.append(record.name)
             continue
-        if _unit_kind(claim.unit) != _unit_kind(record.unit):
-            raise ValueError(
-                f"unit kind mismatch for {record.name!r}: computed in {claim.unit.value}, "
-                f"observed in {record.unit.value}"
-            )
-        computed = claim.value
-        if claim.unit in _MASS_UNITS:
-            computed = _convert((computed, _MASS_UNITS[claim.unit]), _MASS_UNITS[record.unit])
-        if claim.printed_sigfigs is not None:
-            computed = round_to_sig(computed, claim.printed_sigfigs)
+        _, computed, unit, printed_sigfigs = claim
+        if unit is not record.unit:
+            # only the two mass units convert into each other
+            if unit not in _MASS_UNITS or record.unit not in _MASS_UNITS:
+                raise ValueError(
+                    f"unit kind mismatch for {record.name!r}: computed in {unit.value}, "
+                    f"observed in {record.unit.value}"
+                )
+            computed = _convert((computed, _MASS_UNITS[unit]), _MASS_UNITS[record.unit])
+        if printed_sigfigs is not None:
+            computed = round_to_sig(computed, printed_sigfigs)
         if computed == 0.0 and record.value == 0.0:
             rel = 0.0
         elif record.value == 0.0:
@@ -315,7 +313,7 @@ def compare_all(
         rows.append(ComparisonRow(record.name, computed, record.value,
                                   record.unit, rel, within))
         matched.add(record.name)
-    skipped_computed = tuple(c.name for c in claims if c.name not in matched)
+    skipped_computed = tuple(claim[0] for claim in claims if claim[0] not in matched)
     return ComparisonReport(tuple(rows), skipped_computed, tuple(skipped_observed))
 
 

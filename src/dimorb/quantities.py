@@ -50,12 +50,22 @@ def _convert(mass, target: Unit) -> float:
     return magnitude if target is unit else magnitude * _TO_MEV[unit] / _TO_MEV[target]
 
 
+class _Checked:
+    """Base of a checked NamedTuple: `_make`, and so `_replace`, builds through its constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))
+
+
 class _MassFields(NamedTuple):
     magnitude: float
     unit: Unit
 
 
-class MassValue(_MassFields):
+class MassValue(_Checked, _MassFields):
     """A non-negative mass magnitude tagged with its unit.
 
     The magnitude must also stay finite when expressed in MeV, so `mev`
@@ -118,7 +128,7 @@ class _OrbitalFields(NamedTuple):
     d: int
 
 
-class OrbitalIndex(_OrbitalFields):
+class OrbitalIndex(_Checked, _OrbitalFields):
     """Main orbital number D; the model's mass levels live at D = 5..11."""
 
     __slots__ = ()
@@ -152,7 +162,7 @@ class _ConstantsFields(NamedTuple):
     n_orbitals: int
 
 
-class ModelConstants(_ConstantsFields):
+class ModelConstants(_Checked, _ConstantsFields):
     """Input constants that fix every output of the model.
 
     alpha_e, the electron mass, the Z0 mass and the orbital count drive the
@@ -168,17 +178,13 @@ class ModelConstants(_ConstantsFields):
 
     __slots__ = ()
 
-    @classmethod
-    def _make(cls, iterable) -> "ModelConstants":
-        return cls(*super()._make(iterable))
-
     def __new__(cls, alpha_e: float = ALPHA_E_DEFAULT,
                 m_electron: MassValue = MassValue(0.510999, Unit.MEV),
                 m_z: MassValue = MassValue(91.177, Unit.GEV),
                 theta_w_deg: float = 29.69,
                 planck_ref: MassValue = MassValue(1.2e19, Unit.GEV),
                 n_orbitals: int = 7) -> "ModelConstants":
-        if not _finite(alpha_e) or not 0.0 < float(alpha_e) < 1.0:
+        if not _number(alpha_e) or not 0.0 < alpha_e < 1.0:
             raise _FieldError("alpha_e", f"must lie strictly inside (0, 1), got {alpha_e!r}")
         for name, value in (("m_electron", m_electron), ("m_z", m_z),
                             ("planck_ref", planck_ref)):
@@ -186,7 +192,7 @@ class ModelConstants(_ConstantsFields):
                 raise _FieldError(name, f"must be a MassValue, got {value!r}")
             if value.magnitude <= 0.0:
                 raise _FieldError(name, f"must be positive, got {value}")
-        if not _finite(theta_w_deg) or not 0.0 < float(theta_w_deg) < 90.0:
+        if not _number(theta_w_deg) or not 0.0 < theta_w_deg < 90.0:
             raise _FieldError("theta_w_deg",
                               f"must lie strictly inside (0, 90), got {theta_w_deg!r}")
         if n_orbitals != 7:
@@ -199,8 +205,9 @@ class ModelConstants(_ConstantsFields):
         return constants
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+def _number(x) -> bool:
+    # the range comparisons after it reject nan and inf, and compare a huge int exactly
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 class _LocatedError(ValueError):

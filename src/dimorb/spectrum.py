@@ -2,13 +2,18 @@
 
 Once the ladder is known, every row of the fermion table is
 
-    mass = ((electrons*Me + muons*mu) + lump*top_lump) + w*base
+    mass = electrons*Me + muons*(Me + L) + lump*top_lump + lepton_w*L + quark_w*Q
 
-with small integer coefficients, zero terms skipped. Me is the electron
-mass and mu = Me + L is the computed muon. The base is the level-7
-auxiliary base of the row's family, L for charged leptons and Q for
-quarks, and its weight w = quartic_sum(a) = sum(k**4 for k = 0..a) for the
-row's auxiliary index a, so the three generations climb steeply with a.
+added left to right. Me is the electron mass, Me + L the computed muon, and L
+and Q the level-7 auxiliary bases of the charged leptons and the quarks, each
+weighted by quartic_sum(a) = sum(k**4 for k = 0..a) for the row's auxiliary
+index a, so the three generations climb steeply with a.
+
+`_row` has no branch: every value it reads is finite and >= 0 (the constructor,
+the range check and `MassValue` see to that; a base of weight 0 is passed as
+0.0), so a zero-weight term adds an exact +0.0, as if skipped. It does not use
+`sum()`, which compensates its rounding from Python 3.12 on. (A hand-built
+`AuxBaseSet` whose lepton base takes Me + L past the float range gives NaN.)
 
 L = (3/2) * B6 is fixed by the ladder itself and never calibrated. Q and
 the top's lumped level-8 contribution are the model's only two calibrated
@@ -33,7 +38,6 @@ from .quantities import (
     gev,
     mev,
     parse_key_values,
-    relative_error,
 )
 
 __all__ = [
@@ -142,7 +146,8 @@ TABLE: tuple[SpectrumRow, ...] = (
 )
 
 _BY_NAME = {row.name: row for row in TABLE}
-_COEFFICIENTS = tuple(row.composition for row in TABLE)
+# plain tuples, which unpack faster than the NamedTuples
+_COEFFICIENTS = tuple(tuple(row.composition) for row in TABLE)
 _TAU = TABLE.index(_BY_NAME["tau"])
 
 # rows eligible to anchor the quark-base solve; the top is excluded because
@@ -167,29 +172,18 @@ def _calibrated(base: MassValue | None, what: str) -> float:
     return base.mev
 
 
-def _row(comp: Coefficients, me: float, lepton: float, quark, lump) -> float:
-    # the summation order is part of the output contract: it reproduces the
-    # stated masses and the calibration files bit for bit; a base with a
-    # zero weight is never read, so it may be None
-    total = 0.0
-    if comp.electrons:
-        total += comp.electrons * me
-    if comp.muons:
-        total += comp.muons * (me + lepton)
-    if comp.lump:
-        total += comp.lump * lump
-    if comp.lepton_w:
-        total += comp.lepton_w * lepton
-    if comp.quark_w:
-        total += comp.quark_w * quark
-    return total
+def _row(comp: tuple[int, ...], me: float, lepton: float, quark: float, lump: float) -> float:
+    # the term order is part of the output contract; the module docstring says why no branch
+    electrons, muons, lump_w, lepton_w, quark_w = comp
+    return (electrons * me + muons * (me + lepton) + lump_w * lump + lepton_w * lepton
+            + quark_w * quark)
 
 
 def fermion_mass(comp: Coefficients, bases: AuxBaseSet,
                  constants: ModelConstants) -> MassValue:
     """Evaluate one coefficient row against the auxiliary bases."""
-    lump = _calibrated(bases.top_lump_8, "the lumped level-8 term") if comp.lump else None
-    quark = _calibrated(bases.quark_base_7, "the quark base at level 7") if comp.quark_w else None
+    lump = _calibrated(bases.top_lump_8, "the lumped level-8 term") if comp.lump else 0.0
+    quark = _calibrated(bases.quark_base_7, "the quark base at level 7") if comp.quark_w else 0.0
     return mev(_row(comp, evaluate(constants).electron, bases.lepton_base_7.mev, quark, lump))
 
 
@@ -209,7 +203,8 @@ def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> Mass
         raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
     row = _BY_NAME[anchor]
     ev = evaluate(constants)
-    fixed = _row(row.composition._replace(quark_w=0), ev.electron, ev.lepton_base, None, None)
+    # 0.0 for the unknown base, so its term adds nothing
+    fixed = _row(row.composition, ev.electron, ev.lepton_base, 0.0, 0.0)
     base = (row.table_mass.mev - fixed) / row.composition.quark_w
     if base <= 0.0:
         raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
@@ -219,8 +214,8 @@ def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> Mass
 def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> MassValue:
     """Solve the top's lumped level-8 contribution from its table row."""
     row, ev = _BY_NAME["t"], evaluate(constants)
-    lump = row.table_mass.mev - _row(row.composition._replace(lump=0), ev.electron,
-                                     ev.lepton_base, quark_base_7.mev, None)
+    lump = row.table_mass.mev - _row(row.composition, ev.electron, ev.lepton_base,
+                                     quark_base_7.mev, 0.0)
     if lump <= 0.0:
         raise _inconsistent("the solved top lump is not positive", constants)
     return mev(lump)
@@ -279,7 +274,8 @@ def _core(constants: ModelConstants) -> Evaluation:
     if not math.isfinite(top):
         raise _out_of_range("the top boson mass m_z / alpha_e**8 in MeV",
                             m_z=m_z, alpha_e=alpha_e)
-    rows = tuple([None if comp.quark_w or comp.lump else _row(comp, me, lepton, None, None)
+    # a row with a lump or a quark weight (comp[2], comp[4]) needs an anchor
+    rows = tuple([None if comp[2] or comp[4] else _row(comp, me, lepton, 0.0, 0.0)
                   for comp in _COEFFICIENTS])
     if not math.isfinite(rows[_TAU]):
         raise _out_of_range("the tau mass m_electron * (1 + 25.5 / alpha_e)",
@@ -332,11 +328,8 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
         table_mass = row.table_mass.mev
         if table_mass == 0.0 or row.note == "given":
             continue
-        err = relative_error(computed, table_mass)
-        if row.name in (anchor, "t"):
-            residuals[row.name] = err
-        else:
-            held_out[row.name] = err
+        err = abs(computed - table_mass) / table_mass  # relative_error, as table masses are > 0
+        (residuals if row.name in (anchor, "t") else held_out)[row.name] = err
     bases = AuxBaseSet(mev(ev.lepton_base), mev(ev.quark_base), mev(ev.top_lump))
     return CalibrationResult(bases, residuals, held_out)
 
@@ -344,12 +337,13 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
 def full_spectrum(constants: ModelConstants,
                   bases: AuxBaseSet) -> list[tuple[str, MassValue]]:
     """All twelve rows in table order as (name, mass in MeV); an overflow names its row."""
+    quark = _calibrated(bases.quark_base_7, "the quark base at level 7")
+    lump = _calibrated(bases.top_lump_8, "the lumped level-8 term")
+    me, lepton = evaluate(constants).electron, bases.lepton_base_7.mev
     spectrum = []
-    for row in TABLE:
+    for row, comp in zip(TABLE, _COEFFICIENTS):
         try:
-            spectrum.append((row.name, fermion_mass(row.composition, bases, constants)))
-        except UncalibratedBaseError:
-            raise
+            spectrum.append((row.name, mev(_row(comp, me, lepton, quark, lump))))
         except ValueError as exc:
             raise ValueError(f"row {row.name!r}: {exc}") from None
     return spectrum

@@ -226,6 +226,15 @@ def test_constants_reject_every_bad_theta(theta):
         ModelConstants(theta_w_deg=theta)
 
 
+@pytest.mark.parametrize("field, bounds", [("alpha_e", "(0, 1)"), ("theta_w_deg", "(0, 90)")])
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["huge", "huge-negative"])
+def test_a_huge_int_constant_gets_its_field_message(field, bounds, value):
+    # compared as an int, so no float() overflows on the way
+    with pytest.raises(ValueError) as info:
+        ModelConstants(**{field: value})
+    assert str(info.value) == f"{field} must lie strictly inside {bounds}, got {value!r}"
+
+
 def test_orbital_index_bounds():
     for d in range(5, 12):
         assert int(OrbitalIndex(d)) == d

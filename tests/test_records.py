@@ -110,6 +110,29 @@ def test_validated_records_reject_bad_keywords(kind, kwargs, message):
         getattr(dimorb, kind)(**kwargs)
 
 
+@pytest.mark.parametrize("make, fields", [
+    (lambda: mev(1.0), {"magnitude": -1.0}),
+    (lambda: mev(1.0), {"unit": "MeV"}),
+    (lambda: OrbitalIndex(7), {"d": 99}),
+    (lambda: ObservedRecord("muon", 105.6, ObservedUnit.MEV), {"value": math.nan}),
+    (lambda: ObservedRecord("muon", 105.6, ObservedUnit.MEV), {"uncertainty": -1.0}),
+], ids=["mass-negative", "mass-unit", "orbital", "observed-nan", "observed-uncertainty"])
+def test_replace_and_make_build_through_the_constructor(make, fields):
+    record = make()
+    kind = type(record)
+    with pytest.raises(ValueError) as rejected:
+        kind(**{**record._asdict(), **fields})
+    for build in (lambda: record._replace(**fields),
+                  lambda: kind._make({**record._asdict(), **fields}.values())):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert type(raised.value) is type(rejected.value)
+        assert str(raised.value) == str(rejected.value)
+    assert type(record._replace()) is kind and record._replace() == record
+    with pytest.raises(TypeError):  # the NamedTuple length check still runs first
+        kind._make([*record, None])
+
+
 def test_mass_value_stores_a_float():
     value = MassValue(1, Unit.GEV)
     assert type(value.magnitude) is float

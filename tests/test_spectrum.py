@@ -100,6 +100,67 @@ def test_default_calibration_text_is_exact():
     )
 
 
+# anchor d is pinned above
+@pytest.mark.parametrize("anchor, quark, lump", [
+    ("u", "14.153339769037416", "162.32723370588141"),
+    ("s", "14.107078986413963", "162.37252301206976"),
+    ("c", "14.126054487439157", "162.3539459965661"),
+    ("b", "14.123786279008581", "162.35616657261963"),
+])
+def test_calibration_text_is_exact_for_every_other_anchor(anchor, quark, lump):
+    assert format_calibration(calibrate(C, anchor).bases) == (
+        f"# calibrated auxiliary bases\nquark_base_7_mev={quark}\ntop_lump_8_gev={lump}\n")
+
+
+def _five_branch_row(comp, me, lepton, quark, lump):
+    # the row sum as it was once written, skipping each zero-weight term
+    total = 0.0
+    if comp.electrons:
+        total += comp.electrons * me
+    if comp.muons:
+        total += comp.muons * (me + lepton)
+    if comp.lump:
+        total += comp.lump * lump
+    if comp.lepton_w:
+        total += comp.lepton_w * lepton
+    if comp.quark_w:
+        total += comp.quark_w * quark
+    return total
+
+
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@given(me=_NON_NEGATIVE, lepton=_NON_NEGATIVE, quark=_NON_NEGATIVE, lump=_NON_NEGATIVE)
+@settings(max_examples=500)
+def test_the_branch_free_row_equals_the_five_branch_row_bit_for_bit(me, lepton, quark, lump):
+    from dimorb.spectrum import _row
+    # the muon Me + L is finite wherever L comes from a checked constant set
+    assume(math.isfinite(me + lepton))
+    for row in TABLE:
+        expected = _five_branch_row(row.composition, me, lepton, quark, lump)
+        for comp in (row.composition, tuple(row.composition)):
+            assert _row(comp, me, lepton, quark, lump).hex() == expected.hex(), row.name
+        # a caller passes 0.0 for a base whose weight is 0
+        zeroed = (quark if row.composition.quark_w else 0.0, lump if row.composition.lump else 0.0)
+        assert _row(row.composition, me, lepton, *zeroed).hex() == expected.hex(), row.name
+
+
+_QUARK_MISSING = "uncalibrated base: the quark base at level 7 has not been calibrated"
+_LUMP_MISSING = "uncalibrated base: the lumped level-8 term has not been calibrated"
+
+
+@pytest.mark.parametrize("quark, lump, message", [
+    (None, None, _QUARK_MISSING),
+    (None, gev(162.0), _QUARK_MISSING),
+    (mev(14.0), None, _LUMP_MISSING),
+], ids=["both", "quark", "lump"])
+def test_full_spectrum_names_the_missing_base(quark, lump, message):
+    with pytest.raises(UncalibratedBaseError) as info:
+        full_spectrum(C, AuxBaseSet(lepton_aux_base(C), quark, lump))
+    assert str(info.value) == message
+
+
 def test_uncalibrated_bases_raise():
     lepton_only = _lepton_bases()
     with pytest.raises(UncalibratedBaseError, match="uncalibrated base"):
