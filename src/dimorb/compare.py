@@ -83,6 +83,13 @@ class _ObservedFields(NamedTuple):
     source: str
 
 
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int no float holds
+        return False
+
+
 class ObservedRecord(_Checked, _ObservedFields):
     __slots__ = ()
 
@@ -90,14 +97,14 @@ class ObservedRecord(_Checked, _ObservedFields):
                 uncertainty: float | None = None, source: str = "") -> "ObservedRecord":
         if not name:
             raise ValueError("observed record needs a name")
-        if not math.isfinite(value):
+        if not _finite(value):
             raise ValueError(f"observed value must be finite, got {value!r}")
         if not isinstance(unit, ObservedUnit):
             raise ValueError(f"unknown observed unit: {unit!r}")
         if value < 0.0 and unit in _MASS_UNITS:
             raise ValueError(f"observed mass must be >= 0, got {value!r} {unit.value}")
         if uncertainty is not None:
-            if not math.isfinite(uncertainty) or uncertainty < 0.0:
+            if not _finite(uncertainty) or uncertainty < 0.0:
                 raise ValueError(f"uncertainty must be finite and >= 0, got {uncertainty!r}")
         return tuple.__new__(cls, (name, value, unit, uncertainty, source))
 
@@ -145,11 +152,22 @@ def baryon_fractions() -> tuple[Fraction, Fraction]:
             Fraction(_ORBITAL_SETS - _BARYONIC_SETS, _ORBITAL_SETS))
 
 
+def _split(raw: str, limit: int) -> list[str]:
+    """`next(csv.reader([raw]))` for a non-empty line of `splitlines`, with
+    `limit` as `csv.field_size_limit()`."""
+    # with no quote, no NUL (an error before Python 3.11) and no field over the
+    # limit, csv splits at every comma
+    if '"' in raw or "\0" in raw or len(raw) > limit:
+        return next(csv.reader([raw]))
+    return raw.split(",")
+
+
 def parse_observed(text: str) -> list[ObservedRecord]:
     """Parse observed CSV text; empty input parses to an empty list."""
     records: list[ObservedRecord] = []
     seen: set[str] = set()
     header_done = False
+    limit = csv.field_size_limit()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -162,7 +180,7 @@ def parse_observed(text: str) -> list[ObservedRecord]:
             header_done = True
             continue
         try:
-            fields = next(csv.reader([raw]))
+            fields = _split(raw, limit)
         except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
             raise ObservedFormatError(str(exc), lineno, 1) from None
         if len(fields) != 5:

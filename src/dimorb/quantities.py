@@ -77,7 +77,10 @@ class MassValue(_Checked, _MassFields):
     def __new__(cls, magnitude: float, unit: Unit) -> "MassValue":
         if not isinstance(unit, Unit):
             raise ValueError(f"unknown mass unit: {unit!r}")
-        m = float(magnitude)
+        try:
+            m = float(magnitude)
+        except OverflowError:  # an int no float holds, which the test below rejects
+            m = math.inf
         # a finite product also means a finite m, so one test covers both
         if not math.isfinite(m * _TO_MEV[unit]) or m < 0.0:
             raise ValueError(f"mass magnitude must be finite and >= 0 in MeV, "

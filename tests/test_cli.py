@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dimorb import cli, spectrum
 from dimorb.cli import run
-from dimorb.quantities import ModelConstants
+from dimorb.quantities import ModelConstants, gev, mev
 from dimorb.spectrum import calibrate, format_calibration
 
 LEPTON_CSV = (
@@ -394,6 +394,45 @@ def test_sweep_json_is_exact(param, start, stop, rows, capsys):
             "--format", "json", "--digits", "17"]
     expected = _json_rows([param, *_SWEEP_JSON_COLUMNS], rows)
     assert _run(capsys, *argv) == (0, expected, "")
+
+
+# each sweepable key: the field it sets, its wrapper and a range that stays in range
+_SWEEPS = {
+    "alpha": ("alpha_e", float, 1e-3, 0.5),
+    "m_electron_mev": ("m_electron", mev, 1e-3, 1e3),
+    "m_z_gev": ("m_z", gev, 1.0, 1e4),
+    "theta_w_deg": ("theta_w_deg", float, 1.0, 89.0),
+    "planck_gev": ("planck_ref", gev, 1e10, 1e25),
+}
+
+
+def _printed_rows(fmt, out):
+    if fmt == "json":
+        return [list(row.values()) for row in json.loads(out)]
+    if fmt == "csv":
+        return [line.split(",") for line in out.splitlines()[1:]]
+    return [line.split() for line in out.splitlines()[2:]]
+
+
+@given(data=st.data(), fmt=st.sampled_from(("table", "csv", "json")), steps=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_every_sweep_row_is_the_evaluation_of_its_point(data, fmt, steps):
+    param = data.draw(st.sampled_from(tuple(_SWEEPS)))
+    field, wrap, low, high = _SWEEPS[param]
+    start, stop = data.draw(st.floats(low, high)), data.draw(st.floats(low, high))
+    code, out, _ = _run_quiet(["sweep", param, "--from", repr(start), "--to", repr(stop),
+                               "--steps", str(steps), "--format", fmt, "--digits", "17"])
+    assert code == 0
+    rows = _printed_rows(fmt, out)
+    assert len(rows) == steps and float(rows[0][0]) == start
+    mu, tau = (spectrum.TABLE.index(spectrum.spectrum_row(name)) for name in ("mu", "tau"))
+    for row in rows:
+        point = float(row[0])
+        ev = spectrum.evaluate(ModelConstants(**{field: wrap(point)}))
+        expected = [point, ev.rows[mu], ev.rows[tau], ev.ladder_gev[1], ev.ladder_gev[6],
+                    ev.alpha_w]
+        # 17 digits print every float exactly
+        assert [float(cell).hex() for cell in row] == [value.hex() for value in expected]
 
 
 _FERMION_JSON_COLUMNS = ["name", "orbitals", "constituents", "mass", "unit", "note"]

@@ -2,11 +2,13 @@ import csv
 import json
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimorb import compare
 from dimorb.compare import (
     BARYON_SPLIT,
     OBSERVED_HEADER,
@@ -120,6 +122,56 @@ def test_parse_observed_reports_line_and_column(body, line, column):
     assert exc_info.value.line == line
     assert exc_info.value.column == column
     assert f"line {line}" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"value": 10**400}, f"observed value must be finite, got {10**400!r}"),
+    ({"value": -10**400}, f"observed value must be finite, got {-10**400!r}"),
+    ({"uncertainty": 10**400}, f"uncertainty must be finite and >= 0, got {10**400!r}"),
+], ids=["huge-value", "huge-negative-value", "huge-uncertainty"])
+def test_a_huge_int_observed_number_gets_its_message(kwargs, message):
+    # no float holds it, so it is not finite rather than an OverflowError
+    with pytest.raises(ValueError) as info:
+        ObservedRecord(**{"name": "x", "value": 1.0, "unit": ObservedUnit.GEV, **kwargs})
+    assert str(info.value) == message
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ObservedFormatError, csv.Error) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _reader_split(raw, limit):
+    return next(csv.reader([raw]))
+
+
+# quoted commas, doubled and unterminated quotes, NUL, spaces and the line breaks
+# that `splitlines` cuts at but csv does not
+_PIECES = st.sampled_from(["muon", "105.6", "MeV", "1.5", "x", "", ",", '"', '""', '"a,b"', "\0",
+                           " ", "\x0b", "\x1c", "\u2028", "-1", "nan", "1" * 9, "GeV"])
+_LINES = st.one_of(st.lists(_PIECES, max_size=12).map("".join),
+                   st.lists(st.lists(_PIECES, max_size=3).map("".join),
+                            min_size=5, max_size=5).map(",".join))
+
+
+@given(lines=st.lists(_LINES, min_size=1, max_size=4),
+       limit=st.sampled_from([4, 8, 16, 131072]))
+@settings(max_examples=400)
+def test_parse_observed_reads_each_line_as_csv_reader_does(lines, limit):
+    # a small field limit puts over-long fields within reach
+    text = OBSERVED_HEADER + "\n" + "\n".join(lines) + "\n"
+    saved = csv.field_size_limit(limit)
+    try:
+        for raw in filter(None, text.splitlines()):  # parse_observed skips empty lines
+            assert (_outcome(lambda raw: compare._split(raw, limit), raw)
+                    == _outcome(lambda raw: _reader_split(raw, limit), raw)), raw
+        outcome = _outcome(parse_observed, text)
+        with mock.patch.object(compare, "_split", _reader_split):
+            assert _outcome(parse_observed, text) == outcome
+    finally:
+        csv.field_size_limit(saved)
 
 
 def test_parse_observed_requires_header():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import pickle
@@ -235,6 +237,15 @@ def test_a_huge_int_constant_gets_its_field_message(field, bounds, value):
     assert str(info.value) == f"{field} must lie strictly inside {bounds}, got {value!r}"
 
 
+@pytest.mark.parametrize("make, value, unit", [(mev, 10**400, "MeV"), (gev, -10**400, "GeV")],
+                         ids=["huge", "huge-negative"])
+def test_a_huge_int_mass_gets_the_mass_message(make, value, unit):
+    # no float holds it, so it is out of range rather than an OverflowError
+    with pytest.raises(ValueError) as info:
+        make(value)
+    assert str(info.value) == f"mass magnitude must be finite and >= 0 in MeV, got {value!r} {unit}"
+
+
 def test_orbital_index_bounds():
     for d in range(5, 12):
         assert int(OrbitalIndex(d)) == d
@@ -299,6 +310,61 @@ def test_json_rows_match_json_dumps_byte_for_byte():
                     for name, value in zip(columns, row) if value is not None} for row in rows]
         expected = json.dumps(entries, indent=2) + "\n"
         assert format_rows("json", columns, rows, digits) == expected, (columns, rows, digits)
+
+
+def _corpus_table(rng):
+    # commas and empty or single cells too, the cases csv quotes; `_corpus_cell`'s
+    # text has every other character csv treats specially
+    def text():
+        return rng.choice(("", ",", '","', _corpus_text(rng) + "," + _corpus_text(rng),
+                           _corpus_text(rng)))
+
+    def cell():
+        return text() if rng.random() < 0.3 else _corpus_cell(rng)
+
+    columns = [text() for _ in range(rng.choice((0, 1, 1, 2, 3, 4)))]
+    rows = [[cell() for _ in columns] for _ in range(rng.randint(0, 4))]
+    return columns, rows, rng.randint(1, 20)
+
+
+def _cell_texts(rows, digits):
+    # format_rows' cell text: floats to `digits`, None empty, booleans true/false
+    def text(value):
+        if type(value) is float:
+            return format(value, f".{digits}g")
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+    return [[text(value) for value in row] for row in rows]
+
+
+def test_csv_rows_match_csv_writer_byte_for_byte():
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        columns, rows, digits = _corpus_table(rng)
+        out = io.StringIO()
+        try:
+            csv.writer(out, lineterminator="\n").writerows([columns, *_cell_texts(rows, digits)])
+        except csv.Error as exc:  # NUL, which csv cannot write before Python 3.11
+            with pytest.raises(csv.Error, match=re.escape(str(exc))):
+                format_rows("csv", columns, rows, digits)
+            continue
+        assert format_rows("csv", columns, rows, digits) == out.getvalue(), (columns, rows)
+
+
+def test_table_rows_match_the_padded_layout_byte_for_byte():
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        columns, rows, digits = _corpus_table(rng)
+        texts = _cell_texts(rows, digits)
+        # each column as wide as its widest cell, two spaces apart, no trailing space
+        widths = [max(map(len, cells)) for cells in zip(columns, *texts)]
+        lines = [columns, ["-" * width for width in widths], *texts]
+        expected = "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n"
+                           for line in lines)
+        assert format_rows("table", columns, rows, digits) == expected, (columns, rows)
 
 
 @pytest.mark.parametrize("digits", [0, -1])
