@@ -306,15 +306,22 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     else:
         step = (args.stop - args.start) / (args.steps - 1)
         points = [args.start + i * step for i in range(args.steps)]
-    source = f"the sweep of {args.param}"
+    field, wrap, _ = _CONSTANTS[args.param]
+    index = ModelConstants._fields.index(field)
     mu, tau = (TABLE.index(spectrum_row(name)) for name in ("mu", "tau"))
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
     rows = []
-    fields = constants._asdict()
+    fields = list(constants)
     for point in points:
-        # through `_constants`, so a rejected value names the sweep as its source;
         # each point overwrites the same one of `fields`
-        swept = _constants(fields, {args.param: (point, source)})
+        try:
+            fields[index] = wrap(point)
+            swept = ModelConstants(*fields)
+        except ValueError:
+            # the point again through `_constants`, which words the rejection
+            # and names the sweep as the value's source
+            _constants(constants._asdict(), {args.param: (point, f"the sweep of {args.param}")})
+            raise
         # uncalibrated, so a point the quark rows cannot be calibrated at still prints
         ev = evaluate(swept)
         rows.append([point, ev.rows[mu], ev.rows[tau], ev.ladder_gev[1], ev.ladder_gev[6],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 __all__ = [
@@ -189,12 +190,9 @@ class ModelConstants(_Checked, _ConstantsFields):
                 n_orbitals: int = 7) -> "ModelConstants":
         if not _number(alpha_e) or not 0.0 < alpha_e < 1.0:
             raise _FieldError("alpha_e", f"must lie strictly inside (0, 1), got {alpha_e!r}")
-        for name, value in (("m_electron", m_electron), ("m_z", m_z),
-                            ("planck_ref", planck_ref)):
-            if not isinstance(value, MassValue):
-                raise _FieldError(name, f"must be a MassValue, got {value!r}")
-            if value.magnitude <= 0.0:
-                raise _FieldError(name, f"must be positive, got {value}")
+        _positive_mass("m_electron", m_electron)
+        _positive_mass("m_z", m_z)
+        _positive_mass("planck_ref", planck_ref)
         if not _number(theta_w_deg) or not 0.0 < theta_w_deg < 90.0:
             raise _FieldError("theta_w_deg",
                               f"must lie strictly inside (0, 90), got {theta_w_deg!r}")
@@ -203,14 +201,20 @@ class ModelConstants(_Checked, _ConstantsFields):
         constants = tuple.__new__(
             cls, (alpha_e, m_electron, m_z, theta_w_deg, planck_ref, n_orbitals)
         )
-        import dimorb.spectrum as spectrum  # which imports this module, so not at the top
-        spectrum._core(constants)  # raises for a set out of range; its readers reuse the result
+        _spectrum._core(constants)  # raises for a set out of range; its readers reuse the result
         return constants
 
 
 def _number(x) -> bool:
     # the range comparisons after it reject nan and inf, and compare a huge int exactly
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _positive_mass(field: str, value) -> None:
+    if not isinstance(value, MassValue):
+        raise _FieldError(field, f"must be a MassValue, got {value!r}")
+    if value.magnitude <= 0.0:
+        raise _FieldError(field, f"must be positive, got {value}")
 
 
 class _LocatedError(ValueError):
@@ -273,6 +277,14 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_line(cells) -> str:
+    import csv  # only a row that needs quoting comes here
+    import io
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
 def format_rows(fmt: str, columns, rows, digits: int) -> str:
     """Lay out rows as an aligned "table", "markdown", "csv" or "json" text.
 
@@ -287,19 +299,25 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
         # here because under indent json.dumps runs its pure-Python encoder
         from json.encoder import encode_basestring_ascii as quote  # slow to import
 
+        # 17 significant digits round-trip every float; fewer can round up to inf
+        exact = digits >= 17
+        isfinite = math.isfinite
+
         def text(value) -> str:
             if type(value) is not float:
                 return quote(value) if isinstance(value, str) else _cell(value)
-            # 17 significant digits round-trip every float; fewer can round up to inf
-            number = value if digits >= 17 else round_to_sig(value, digits)
-            if math.isfinite(number):
+            number = value if exact else round_to_sig(value, digits)
+            if isfinite(number):
                 return repr(number)
             # spelled as json.dumps spells them
             return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(number)]
 
         prefixes = [f"    {quote(name)}: " for name in columns]
-        objects = [",\n".join(prefix + text(value) for prefix, value in zip(prefixes, row)
-                              if value is not None) for row in rows]
+        # an exact finite float, the usual cell at 17 digits, is written inline
+        objects = [",\n".join([prefix + (repr(value) if exact and type(value) is float
+                                         and isfinite(value) else text(value))
+                               for prefix, value in zip(prefixes, row) if value is not None])
+                   for row in rows]
         body = ",\n".join(f"  {{\n{fields}\n  }}" if fields else "  {}" for fields in objects)
         return f"[\n{body}\n]\n" if objects else "[]\n"
     spec = f".{digits}g"
@@ -307,17 +325,29 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
     texts = ([format(value, spec) if type(value) is float else _cell(value) for value in row]
              for row in rows)
     if fmt == "csv":
-        import csv
-        import io
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(texts)
-        return out.getvalue()
+        lines = []
+        for cells in chain((columns,), texts):
+            line = ",".join(cells)
+            # csv.writer quotes a field with a comma, quote, CR or LF, spells a lone
+            # empty field as "", and cannot write NUL before Python 3.11: those rows
+            # are its to write, as each Python version writes them
+            if ('"' in line or "\r" in line or "\n" in line or "\0" in line
+                    or line.count(",") >= len(cells) or not line):
+                line = _csv_line(cells)
+            else:
+                line += "\n"
+            lines.append(line)
+        return "".join(lines)
     texts = list(texts)
     if fmt == "markdown":
         lines = [columns, ["---"] * len(columns), *texts]
         return "".join(f"| {' | '.join(line)} |\n" for line in lines)
     widths = [max(map(len, cells)) for cells in zip(columns, *texts)]
+    # each cell padded on the right to its column's width, as str.ljust pads it
+    template = "  ".join(f"%-{width}s" for width in widths)
     lines = [columns, ["-" * width for width in widths], *texts]
-    return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
+    return "".join([(template % tuple(line)).rstrip() + "\n" for line in lines])
+
+
+# at the end, because spectrum imports this module; ModelConstants calls its _core
+from . import spectrum as _spectrum

@@ -148,6 +148,9 @@ TABLE: tuple[SpectrumRow, ...] = (
 _BY_NAME = {row.name: row for row in TABLE}
 # plain tuples, which unpack faster than the NamedTuples
 _COEFFICIENTS = tuple(tuple(row.composition) for row in TABLE)
+# the rows before u have no quark or lump weight, so they alone need no anchor
+_LEPTONS = _COEFFICIENTS[:TABLE.index(_BY_NAME["u"])]
+_NO_QUARK_ROWS = (None,) * (len(TABLE) - len(_LEPTONS))
 _TAU = TABLE.index(_BY_NAME["tau"])
 
 # rows eligible to anchor the quark-base solve; the top is excluded because
@@ -274,9 +277,7 @@ def _core(constants: ModelConstants) -> Evaluation:
     if not math.isfinite(top):
         raise _out_of_range("the top boson mass m_z / alpha_e**8 in MeV",
                             m_z=m_z, alpha_e=alpha_e)
-    # a row with a lump or a quark weight (comp[2], comp[4]) needs an anchor
-    rows = tuple([None if comp[2] or comp[4] else _row(comp, me, lepton, 0.0, 0.0)
-                  for comp in _COEFFICIENTS])
+    rows = tuple([_row(comp, me, lepton, 0.0, 0.0) for comp in _LEPTONS]) + _NO_QUARK_ROWS
     if not math.isfinite(rows[_TAU]):
         raise _out_of_range("the tau mass m_electron * (1 + 25.5 / alpha_e)",
                             m_electron=m_electron, alpha_e=alpha_e)
@@ -284,7 +285,9 @@ def _core(constants: ModelConstants) -> Evaluation:
         raise _out_of_range("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
                             m_electron=m_electron, alpha_e=alpha_e, m_z=m_z,
                             theta_w_deg=theta_w_deg)
-    result = Evaluation(ladder, me, lepton, None, None, rows, alpha_w, sin2_theta_w)
+    # tuple.__new__ skips the keyword handling of the NamedTuple's own __new__
+    result = tuple.__new__(Evaluation,
+                           (ladder, me, lepton, None, None, rows, alpha_w, sin2_theta_w))
     _LAST = (constants, result)
     return result
 
