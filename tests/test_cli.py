@@ -423,11 +423,12 @@ def test_every_sweep_row_is_the_evaluation_of_its_point(data, fmt, steps):
     code, out, _ = _run_quiet(["sweep", param, "--from", repr(start), "--to", repr(stop),
                                "--steps", str(steps), "--format", fmt, "--digits", "17"])
     assert code == 0
+    step = (stop - start) / (steps - 1) if steps > 1 else 0.0
+    points = [start + i * step for i in range(steps)]
     rows = _printed_rows(fmt, out)
-    assert len(rows) == steps and float(rows[0][0]) == start
+    assert len(rows) == steps
     mu, tau = (spectrum.TABLE.index(spectrum.spectrum_row(name)) for name in ("mu", "tau"))
-    for row in rows:
-        point = float(row[0])
+    for point, row in zip(points, rows):
         ev = spectrum.evaluate(ModelConstants(**{field: wrap(point)}))
         expected = [point, ev.rows[mu], ev.rows[tau], ev.ladder_gev[1], ev.ladder_gev[6],
                     ev.alpha_w]
