@@ -22,7 +22,7 @@ _EXPORTS = {
         "Unit",
         "gev",
         "mev",
-        "relative_error",
+        "round_to_sig",
     ),
     "ladder": (
         "BosonLadder",
@@ -57,7 +57,6 @@ _EXPORTS = {
     "compare": (
         "ComparisonReport",
         "ComparisonRow",
-        "ComputedClaim",
         "ObservedFormatError",
         "ObservedRecord",
         "ObservedUnit",
@@ -68,7 +67,6 @@ _EXPORTS = {
         "format_observed_csv",
         "parse_observed",
         "render",
-        "round_to_sig",
     ),
 }
 

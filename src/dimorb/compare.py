@@ -33,7 +33,6 @@ __all__ = [
     "ObservedUnit",
     "ObservedRecord",
     "ObservedFormatError",
-    "ComputedClaim",
     "ComparisonRow",
     "ComparisonReport",
     "baryon_fractions",
@@ -44,7 +43,6 @@ __all__ = [
     "computed_claims",
     "compare_all",
     "render",
-    "round_to_sig",
     "OBSERVED_HEADER",
 ]
 
@@ -107,13 +105,6 @@ class ObservedRecord(_Checked, _ObservedFields):
             if not _finite(uncertainty) or uncertainty < 0.0:
                 raise ValueError(f"uncertainty must be finite and >= 0, got {uncertainty!r}")
         return tuple.__new__(cls, (name, value, unit, uncertainty, source))
-
-
-class ComputedClaim(NamedTuple):
-    name: str
-    value: float
-    unit: ObservedUnit
-    printed_sigfigs: int | None = None
 
 
 class ComparisonRow(NamedTuple):
@@ -259,13 +250,9 @@ def computed_claims(
     ladder: BosonLadder,
     mix: ElectroweakMix,
     fractions: tuple[Fraction | float, Fraction | float],
-) -> list[ComputedClaim]:
-    """Everything the model claims, keyed by stable comparison names."""
-    return [ComputedClaim._make(claim) for claim in _claims(spectrum, ladder, mix, fractions)]
-
-
-def _claims(spectrum, ladder, mix, fractions) -> list[tuple]:
-    # computed_claims as (name, value, unit, printed_sigfigs) tuples, for compare_all
+) -> list[tuple[str, float, ObservedUnit, int | None]]:
+    """Everything the model claims, as `(name, value, unit, printed_sigfigs)`
+    tuples keyed by stable comparison names."""
     gev, dimensionless = ObservedUnit.GEV, ObservedUnit.DIMENSIONLESS
     baryonic, dark = fractions
     claims = [(name, _convert(row.mass, Unit.GEV), gev, None)
@@ -293,7 +280,7 @@ def compare_all(
     observed: Sequence[ObservedRecord],
 ) -> ComparisonReport:
     """Match claims to observed rows by name, in observed input order."""
-    claims = _claims(spectrum, ladder, mix, fractions)
+    claims = computed_claims(spectrum, ladder, mix, fractions)
     by_name = {claim[0]: claim for claim in claims}
     rows: list[ComparisonRow] = []
     matched: set[str] = set()

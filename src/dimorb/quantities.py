@@ -21,9 +21,9 @@ __all__ = [
     "MassValue",
     "OrbitalIndex",
     "ModelConstants",
-    "relative_error",
     "KeyValueError",
     "parse_key_values",
+    "round_to_sig",
     "mev",
     "gev",
 ]
@@ -61,6 +61,11 @@ class _Checked:
         return cls(*super()._make(iterable))
 
 
+def _number(x) -> bool:
+    # the range checks after it reject nan, inf and a huge int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 class _MassFields(NamedTuple):
     magnitude: float
     unit: Unit
@@ -78,6 +83,8 @@ class MassValue(_Checked, _MassFields):
     def __new__(cls, magnitude: float, unit: Unit) -> "MassValue":
         if not isinstance(unit, Unit):
             raise ValueError(f"unknown mass unit: {unit!r}")
+        if not _number(magnitude):
+            raise ValueError(f"mass magnitude must be an int or float, got {magnitude!r}")
         try:
             m = float(magnitude)
         except OverflowError:  # an int no float holds, which the test below rejects
@@ -110,24 +117,6 @@ def gev(magnitude: float) -> MassValue:
     return MassValue(magnitude, Unit.GEV)
 
 
-def relative_error(computed, reference) -> float:
-    """|computed - reference| / |reference|, independent of unit choice.
-
-    Takes either two MassValue (brought to a common unit first) or two
-    plain numbers for dimensionless comparisons. A zero reference has no
-    relative error; that case raises instead of returning inf.
-    """
-    if isinstance(computed, MassValue) != isinstance(reference, MassValue):
-        raise TypeError("relative_error needs two MassValue or two plain numbers")
-    if isinstance(computed, MassValue):
-        c, r = computed.mev, reference.mev
-    else:
-        c, r = float(computed), float(reference)
-    if r == 0.0:
-        raise ValueError("undefined relative error: reference value is zero")
-    return abs(c - r) / abs(r)
-
-
 class _OrbitalFields(NamedTuple):
     d: int
 
@@ -145,9 +134,6 @@ class OrbitalIndex(_Checked, _OrbitalFields):
     def __int__(self) -> int:
         return self.d
 
-    def __index__(self) -> int:
-        return self.d
-
 
 class _FieldError(ValueError):
     """A constant outside its own range, read as "<field> <reason>"."""
@@ -163,14 +149,13 @@ class _ConstantsFields(NamedTuple):
     m_z: MassValue
     theta_w_deg: float
     planck_ref: MassValue
-    n_orbitals: int
 
 
 class ModelConstants(_Checked, _ConstantsFields):
     """Input constants that fix every output of the model.
 
-    alpha_e, the electron mass, the Z0 mass and the orbital count drive the
-    mass ladder and the fermion spectrum; theta_w_deg only enters the
+    alpha_e, the electron mass and the Z0 mass drive the mass ladder (seven
+    levels, D = 5..11) and the fermion spectrum; theta_w_deg only enters the
     electroweak mixing view, and planck_ref only the closed-form
     approximation and the agreement report.
 
@@ -186,8 +171,7 @@ class ModelConstants(_Checked, _ConstantsFields):
                 m_electron: MassValue = MassValue(0.510999, Unit.MEV),
                 m_z: MassValue = MassValue(91.177, Unit.GEV),
                 theta_w_deg: float = 29.69,
-                planck_ref: MassValue = MassValue(1.2e19, Unit.GEV),
-                n_orbitals: int = 7) -> "ModelConstants":
+                planck_ref: MassValue = MassValue(1.2e19, Unit.GEV)) -> "ModelConstants":
         if not _number(alpha_e) or not 0.0 < alpha_e < 1.0:
             raise _FieldError("alpha_e", f"must lie strictly inside (0, 1), got {alpha_e!r}")
         _positive_mass("m_electron", m_electron)
@@ -196,18 +180,9 @@ class ModelConstants(_Checked, _ConstantsFields):
         if not _number(theta_w_deg) or not 0.0 < theta_w_deg < 90.0:
             raise _FieldError("theta_w_deg",
                               f"must lie strictly inside (0, 90), got {theta_w_deg!r}")
-        if n_orbitals != 7:
-            raise ValueError(f"the model has exactly 7 orbitals per set, got {n_orbitals!r}")
-        constants = tuple.__new__(
-            cls, (alpha_e, m_electron, m_z, theta_w_deg, planck_ref, n_orbitals)
-        )
+        constants = tuple.__new__(cls, (alpha_e, m_electron, m_z, theta_w_deg, planck_ref))
         _spectrum._core(constants)  # raises for a set out of range; its readers reuse the result
         return constants
-
-
-def _number(x) -> bool:
-    # the range comparisons after it reject nan and inf, and compare a huge int exactly
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _positive_mass(field: str, value) -> None:

@@ -331,7 +331,7 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
         table_mass = row.table_mass.mev
         if table_mass == 0.0 or row.note == "given":
             continue
-        err = abs(computed - table_mass) / table_mass  # relative_error, as table masses are > 0
+        err = abs(computed - table_mass) / table_mass  # table masses here are > 0
         (residuals if row.name in (anchor, "t") else held_out)[row.name] = err
     bases = AuxBaseSet(mev(ev.lepton_base), mev(ev.quark_base), mev(ev.top_lump))
     return CalibrationResult(bases, residuals, held_out)

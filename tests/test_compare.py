@@ -24,10 +24,9 @@ from dimorb.compare import (
     format_observed_csv,
     parse_observed,
     render,
-    round_to_sig,
 )
 from dimorb.ladder import boson_ladder, electroweak_mix
-from dimorb.quantities import ModelConstants
+from dimorb.quantities import ModelConstants, round_to_sig
 from dimorb.spectrum import calibrate, full_spectrum
 
 C = ModelConstants()
@@ -107,6 +106,7 @@ def test_parse_observed_empty_inputs():
         ("muon,nan,MeV,,\n", 2, 2),                   # non-finite value
         ("muon,-inf,MeV,,x\n", 2, 2),                 # non-finite value
         ("muon,-105.6,MeV,300,x\n", 2, 2),            # negative mass
+        ("muon,0,MeV,-1,x\n", 2, 4),                  # a zero mass is fine, its uncertainty not
         ("muon,105.6,mev,,x\n", 2, 3),                # unit is case sensitive
         (",105.6,MeV,,x\n", 2, 1),                    # empty name
         ("muon,1,MeV,,x\nmuon,2,MeV,,y\n", 3, 1),     # duplicate name
@@ -175,8 +175,10 @@ def test_parse_observed_reads_each_line_as_csv_reader_does(lines, limit):
 
 
 def test_parse_observed_requires_header():
-    with pytest.raises(ObservedFormatError, match="expected header"):
-        parse_observed("muon,105.6,MeV,,x\n")
+    with pytest.raises(ObservedFormatError, match="expected header") as info:
+        parse_observed("# observed\n\nmuon,105.6,MeV,,x\n")
+    assert (info.value.line, info.value.column) == (3, 1)
+    assert str(info.value).startswith("line 3, column 1: ")
 
 
 def test_observed_csv_write_read_write_is_stable():
@@ -277,7 +279,7 @@ def test_claim_names_cover_the_ladder_and_spectrum():
     claims = computed_claims(
         full_spectrum(C, bases), boson_ladder(C), electroweak_mix(C), baryon_fractions()
     )
-    names = [claim.name for claim in claims]
+    names = [claim[0] for claim in claims]
     for expected in (
         "boson_5", "boson_11", "planck_mass", "theta_w", "alpha_w",
         "sin2_theta_w", "baryon_fraction", "dark_fraction",

@@ -23,7 +23,7 @@ ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPAT
 # every name the package namespace offers, by the submodule that defines it
 PUBLIC = {
     "quantities": ("MassValue", "ModelConstants", "OrbitalIndex", "Unit", "gev", "mev",
-                   "relative_error"),
+                   "round_to_sig"),
     "ladder": ("BosonLadder", "BosonRow", "ElectroweakMix", "GaugeLabel", "boson_ladder",
                "closed_form_mass", "electroweak_mix", "quartic_sum"),
     "spectrum": ("AuxBaseSet", "CalibrationError", "CalibrationFileError", "CalibrationResult",
@@ -31,10 +31,9 @@ PUBLIC = {
                  "calibrate_quark_base_7", "calibrate_top_lump", "composition", "fermion_mass",
                  "format_calibration", "full_spectrum", "lepton_aux_base", "load_bases",
                  "parse_calibration", "spectrum_row"),
-    "compare": ("ComparisonReport", "ComparisonRow", "ComputedClaim", "ObservedFormatError",
-                "ObservedRecord", "ObservedUnit", "baryon_fractions", "compare_all",
-                "computed_claims", "default_observed", "format_observed_csv", "parse_observed",
-                "render", "round_to_sig"),
+    "compare": ("ComparisonReport", "ComparisonRow", "ObservedFormatError", "ObservedRecord",
+                "ObservedUnit", "baryon_fractions", "compare_all", "computed_claims",
+                "default_observed", "format_observed_csv", "parse_observed", "render"),
 }
 
 
@@ -106,6 +105,13 @@ def test_package_names_import_as_before():
         dimorb.no_such_name
     with pytest.raises(ImportError):
         exec("from dimorb import no_such_name", {})
+
+
+def test_round_to_sig_comes_from_quantities():
+    child = _python("-c", "import sys\nfrom dimorb import round_to_sig\n"
+                          "print(round_to_sig.__module__, 'dimorb.compare' in sys.modules)")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == b"dimorb.quantities False\n"
 
 
 def test_process_prints_what_run_prints(capsys):

@@ -16,7 +16,6 @@ from dimorb import (
     CalibrationResult,
     ComparisonReport,
     ComparisonRow,
-    ComputedClaim,
     ElectroweakMix,
     GaugeLabel,
     MassValue,
@@ -57,7 +56,6 @@ RECORDS = {
     "CalibrationResult": (lambda: calibrate(C), "residuals"),
     "ObservedRecord": (lambda: ObservedRecord("muon", 105.6, ObservedUnit.MEV, 0.5, "x"),
                        "value"),
-    "ComputedClaim": (lambda: ComputedClaim("theta_w", 29.69, ObservedUnit.DEGREE), "value"),
     "ComparisonRow": (_row, "rel_error"),
     "ComparisonReport": (lambda: ComparisonReport((_row(),), ("tau",), ()), "rows"),
 }
@@ -96,7 +94,7 @@ def test_equal_inputs_give_equal_records(kind):
         ("ModelConstants", {"alpha_e": 1.5}, "alpha_e"),
         ("ModelConstants", {"m_z": gev(1e300)}, "out of range"),
         ("ModelConstants", {"theta_w_deg": 90.0}, "theta_w_deg"),
-        ("ModelConstants", {"n_orbitals": 6}, "exactly 7 orbitals"),
+        ("ModelConstants", {"m_electron": 0.510999}, "m_electron must be a MassValue"),
         ("ObservedRecord", {"name": "muon", "value": math.nan, "unit": ObservedUnit.MEV},
          "observed value must be finite"),
         ("ObservedRecord", {"name": "muon", "value": 1.0, "unit": ObservedUnit.MEV,
