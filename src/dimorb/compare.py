@@ -23,8 +23,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .ladder import BosonLadder, ElectroweakMix
-from .quantities import (MassValue, Unit, _Checked, _convert, _LocatedError, format_rows,
-                         round_to_sig)
+from .quantities import (MassValue, Unit, _Checked, _convert, _GEV, _LocatedError, _number,
+                         format_rows, round_to_sig)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -82,6 +82,8 @@ class _ObservedFields(NamedTuple):
 
 
 def _finite(x) -> bool:
+    if not _number(x):  # a bool or a numeric string is not an observed number
+        return False
     try:
         return math.isfinite(x)
     except OverflowError:  # an int no float holds
@@ -253,11 +255,11 @@ def computed_claims(
 ) -> list[tuple[str, float, ObservedUnit, int | None]]:
     """Everything the model claims, as `(name, value, unit, printed_sigfigs)`
     tuples keyed by stable comparison names."""
-    gev, dimensionless = ObservedUnit.GEV, ObservedUnit.DIMENSIONLESS
+    mev, gev, dimensionless = ObservedUnit.MEV, ObservedUnit.GEV, ObservedUnit.DIMENSIONLESS
     baryonic, dark = fractions
-    claims = [(name, _convert(row.mass, Unit.GEV), gev, None)
+    claims = [(name, _convert(row.mass, _GEV), gev, None)
               for name, row in zip(_BOSON_CLAIM_NAMES, ladder)]
-    claims += [("planck_mass", _convert(ladder[-1].mass, Unit.GEV), gev, _PLANCK_CLAIM_SIGFIGS),
+    claims += [("planck_mass", _convert(ladder[-1].mass, _GEV), gev, _PLANCK_CLAIM_SIGFIGS),
                ("theta_w", mix.theta_w_deg, ObservedUnit.DEGREE, None),
                ("alpha_w", mix.alpha_w, dimensionless, None),
                ("sin2_theta_w", mix.sin2_theta_w, dimensionless, None),
@@ -266,9 +268,9 @@ def computed_claims(
     for name, mass in spectrum:
         claim_name = _SPECTRUM_CLAIM_NAMES.get(name, name)
         if name == "t":
-            claims.append((claim_name, _convert(mass, Unit.GEV), gev, None))
+            claims.append((claim_name, _convert(mass, _GEV), gev, None))
         else:
-            claims.append((claim_name, mass.mev, ObservedUnit.MEV, None))
+            claims.append((claim_name, mass.mev, mev, None))
     return claims
 
 

@@ -9,11 +9,14 @@ and Q the level-7 auxiliary bases of the charged leptons and the quarks, each
 weighted by quartic_sum(a) = sum(k**4 for k = 0..a) for the row's auxiliary
 index a, so the three generations climb steeply with a.
 
-`_row` has no branch: every value it reads is finite and >= 0 (the constructor,
-the range check and `MassValue` see to that; a base of weight 0 is passed as
-0.0), so a zero-weight term adds an exact +0.0, as if skipped. It does not use
-`sum()`, which compensates its rounding from Python 3.12 on. (A hand-built
-`AuxBaseSet` whose lepton base takes Me + L past the float range gives NaN.)
+`_rows` evaluates that sum for each row of a weight matrix such as
+`_COEFFICIENTS`, TABLE's compositions as floats: a small int's float is exact,
+so float weights give int weights' bits without a conversion per term. It has
+no branch: every value it reads is finite and >= 0 (the constructor, the range
+check and `MassValue` see to that; a base of weight 0 is passed as 0.0), so a
+zero-weight term adds an exact +0.0, as if skipped. It does not use `sum()`,
+which compensates its rounding from Python 3.12 on. (A hand-built `AuxBaseSet`
+whose lepton base takes Me + L past the float range gives NaN.)
 
 L = (3/2) * B6 is fixed by the ladder itself and never calibrated. Q and
 the top's lumped level-8 contribution are the model's only two calibrated
@@ -35,6 +38,7 @@ from .quantities import (
     ModelConstants,
     Unit,
     _convert,
+    _GEV,
     gev,
     mev,
     parse_key_values,
@@ -146,11 +150,12 @@ TABLE: tuple[SpectrumRow, ...] = (
 )
 
 _BY_NAME = {row.name: row for row in TABLE}
-# plain tuples, which unpack faster than the NamedTuples
-_COEFFICIENTS = tuple(tuple(row.composition) for row in TABLE)
+# plain tuples of floats, which unpack faster than the NamedTuples; see the module docstring
+_COEFFICIENTS = tuple(tuple(map(float, row.composition)) for row in TABLE)
 # the rows before u have no quark or lump weight, so they alone need no anchor
 _LEPTONS = _COEFFICIENTS[:TABLE.index(_BY_NAME["u"])]
-_NO_QUARK_ROWS = (None,) * (len(TABLE) - len(_LEPTONS))
+_QUARKS = _COEFFICIENTS[len(_LEPTONS):]
+_NO_QUARK_ROWS = (None,) * len(_QUARKS)
 _TAU = TABLE.index(_BY_NAME["tau"])
 
 # rows eligible to anchor the quark-base solve; the top is excluded because
@@ -175,11 +180,11 @@ def _calibrated(base: MassValue | None, what: str) -> float:
     return base.mev
 
 
-def _row(comp: tuple[int, ...], me: float, lepton: float, quark: float, lump: float) -> float:
+def _rows(weights, me: float, lepton: float, quark: float, lump: float) -> list[float]:
     # the term order is part of the output contract; the module docstring says why no branch
-    electrons, muons, lump_w, lepton_w, quark_w = comp
-    return (electrons * me + muons * (me + lepton) + lump_w * lump + lepton_w * lepton
-            + quark_w * quark)
+    muon = me + lepton
+    return [electrons * me + muons * muon + lump_w * lump + lepton_w * lepton + quark_w * quark
+            for electrons, muons, lump_w, lepton_w, quark_w in weights]
 
 
 def fermion_mass(comp: Coefficients, bases: AuxBaseSet,
@@ -187,7 +192,8 @@ def fermion_mass(comp: Coefficients, bases: AuxBaseSet,
     """Evaluate one coefficient row against the auxiliary bases."""
     lump = _calibrated(bases.top_lump_8, "the lumped level-8 term") if comp.lump else 0.0
     quark = _calibrated(bases.quark_base_7, "the quark base at level 7") if comp.quark_w else 0.0
-    return mev(_row(comp, evaluate(constants).electron, bases.lepton_base_7.mev, quark, lump))
+    return mev(_rows((comp,), evaluate(constants).electron, bases.lepton_base_7.mev, quark,
+                     lump)[0])
 
 
 def _inconsistent(what: str, constants: ModelConstants) -> CalibrationError:
@@ -207,7 +213,7 @@ def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> Mass
     row = _BY_NAME[anchor]
     ev = evaluate(constants)
     # 0.0 for the unknown base, so its term adds nothing
-    fixed = _row(row.composition, ev.electron, ev.lepton_base, 0.0, 0.0)
+    fixed = _rows((row.composition,), ev.electron, ev.lepton_base, 0.0, 0.0)[0]
     base = (row.table_mass.mev - fixed) / row.composition.quark_w
     if base <= 0.0:
         raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
@@ -217,8 +223,8 @@ def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> Mass
 def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> MassValue:
     """Solve the top's lumped level-8 contribution from its table row."""
     row, ev = _BY_NAME["t"], evaluate(constants)
-    lump = row.table_mass.mev - _row(row.composition, ev.electron, ev.lepton_base,
-                                     quark_base_7.mev, 0.0)
+    lump = row.table_mass.mev - _rows((row.composition,), ev.electron, ev.lepton_base,
+                                      quark_base_7.mev, 0.0)[0]
     if lump <= 0.0:
         raise _inconsistent("the solved top lump is not positive", constants)
     return mev(lump)
@@ -267,7 +273,7 @@ def _core(constants: ModelConstants) -> Evaluation:
     lepton = 1.5 * me / alpha_e  # L = (3/2) * B6, in MeV
     top = alpha_w = math.inf
     try:
-        ladder = _ladder_gev(alpha_e, _convert(m_electron, Unit.GEV), _convert(m_z, Unit.GEV))
+        ladder = _ladder_gev(alpha_e, _convert(m_electron, _GEV), _convert(m_z, _GEV))
         top = ladder[-1] * 1e3
         theta = math.radians(theta_w_deg)
         alpha_w = math.sqrt(ladder[1] / (ladder[2] * math.cos(theta)))  # from B6 and B7 = M_Z
@@ -277,7 +283,7 @@ def _core(constants: ModelConstants) -> Evaluation:
     if not math.isfinite(top):
         raise _out_of_range("the top boson mass m_z / alpha_e**8 in MeV",
                             m_z=m_z, alpha_e=alpha_e)
-    rows = tuple([_row(comp, me, lepton, 0.0, 0.0) for comp in _LEPTONS]) + _NO_QUARK_ROWS
+    rows = tuple(_rows(_LEPTONS, me, lepton, 0.0, 0.0)) + _NO_QUARK_ROWS
     if not math.isfinite(rows[_TAU]):
         raise _out_of_range("the tau mass m_electron * (1 + 25.5 / alpha_e)",
                             m_electron=m_electron, alpha_e=alpha_e)
@@ -306,8 +312,7 @@ def evaluate(constants: ModelConstants, anchor: str | None = None) -> Evaluation
         return ev
     quark_base = calibrate_quark_base_7(constants, anchor)
     quark, lump = quark_base.mev, calibrate_top_lump(constants, quark_base).mev
-    rows = tuple([_row(comp, ev.electron, ev.lepton_base, quark, lump) if mass is None else mass
-                  for comp, mass in zip(_COEFFICIENTS, ev.rows)])
+    rows = (*ev.rows[:len(_LEPTONS)], *_rows(_QUARKS, ev.electron, ev.lepton_base, quark, lump))
     return ev._replace(quark_base=quark, top_lump=lump, rows=rows)
 
 
@@ -344,9 +349,9 @@ def full_spectrum(constants: ModelConstants,
     lump = _calibrated(bases.top_lump_8, "the lumped level-8 term")
     me, lepton = evaluate(constants).electron, bases.lepton_base_7.mev
     spectrum = []
-    for row, comp in zip(TABLE, _COEFFICIENTS):
+    for row, mass in zip(TABLE, _rows(_COEFFICIENTS, me, lepton, quark, lump)):
         try:
-            spectrum.append((row.name, mev(_row(comp, me, lepton, quark, lump))))
+            spectrum.append((row.name, mev(mass)))
         except ValueError as exc:
             raise ValueError(f"row {row.name!r}: {exc}") from None
     return spectrum

@@ -101,6 +101,17 @@ def test_equal_inputs_give_equal_records(kind):
                             "uncertainty": -1.0}, "uncertainty"),
         ("ObservedRecord", {"name": "top_quark", "value": -176.0, "unit": ObservedUnit.GEV},
          "observed mass must be >= 0"),
+        # a bool would be written as True, which parse_observed rejects
+        ("ObservedRecord", {"name": "x", "value": True, "unit": ObservedUnit.GEV},
+         "observed value must be finite, got True"),
+        ("ObservedRecord", {"name": "x", "value": "176.0", "unit": ObservedUnit.GEV},
+         "observed value must be finite, got '176.0'"),
+        ("ObservedRecord", {"name": "x", "value": 1.0, "unit": ObservedUnit.GEV,
+                            "uncertainty": False},
+         "uncertainty must be finite and >= 0, got False"),
+        ("ObservedRecord", {"name": "x", "value": 1.0, "unit": ObservedUnit.GEV,
+                            "uncertainty": "13"},
+         "uncertainty must be finite and >= 0, got '13'"),
     ],
 )
 def test_validated_records_reject_bad_keywords(kind, kwargs, message):

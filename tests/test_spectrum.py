@@ -138,16 +138,19 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 @given(me=_NON_NEGATIVE, lepton=_NON_NEGATIVE, quark=_NON_NEGATIVE, lump=_NON_NEGATIVE)
 @settings(max_examples=500)
 def test_the_branch_free_row_equals_the_five_branch_row_bit_for_bit(me, lepton, quark, lump):
-    from dimorb.spectrum import _row
+    from dimorb.spectrum import _COEFFICIENTS, _rows
     # the muon Me + L is finite wherever L comes from a checked constant set
     assume(math.isfinite(me + lepton))
-    for row in TABLE:
-        expected = _five_branch_row(row.composition, me, lepton, quark, lump)
-        for comp in (row.composition, tuple(row.composition)):
-            assert _row(comp, me, lepton, quark, lump).hex() == expected.hex(), row.name
+    expected = [_five_branch_row(row.composition, me, lepton, quark, lump) for row in TABLE]
+    # the float weight matrix and the int compositions give the same bits
+    for weights in (_COEFFICIENTS, [row.composition for row in TABLE]):
+        got = _rows(weights, me, lepton, quark, lump)
+        assert [value.hex() for value in got] == [value.hex() for value in expected]
+    for row, weights, want in zip(TABLE, _COEFFICIENTS, expected):
+        assert weights == row.composition and all(type(w) is float for w in weights), row.name
         # a caller passes 0.0 for a base whose weight is 0
         zeroed = (quark if row.composition.quark_w else 0.0, lump if row.composition.lump else 0.0)
-        assert _row(row.composition, me, lepton, *zeroed).hex() == expected.hex(), row.name
+        assert _rows((weights,), me, lepton, *zeroed)[0].hex() == want.hex(), row.name
 
 
 _QUARK_MISSING = "uncalibrated base: the quark base at level 7 has not been calibrated"
