@@ -301,11 +301,9 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
 
 
 def _cmd_sweep(args, constants: ModelConstants) -> int:
-    if args.steps == 1:
-        points = [args.start]
-    else:
-        step = (args.stop - args.start) / (args.steps - 1)
-        points = [args.start + i * step for i in range(args.steps)]
+    step = (args.stop - args.start) / max(args.steps - 1, 1)
+    # point 0 is --from itself: 0 * step is nan for an infinite step
+    points = [args.start, *(args.start + i * step for i in range(1, args.steps))]
     field, wrap, _ = _CONSTANTS[args.param]
     index = ModelConstants._fields.index(field)
     mu, tau = (TABLE.index(spectrum_row(name)) for name in ("mu", "tau"))

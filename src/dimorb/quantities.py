@@ -267,11 +267,23 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
 
     Floats show `digits` significant digits, json rounds them to that many
     instead; booleans read true/false, and None is an empty cell that json
-    leaves out of its row's object.
+    leaves out of its row's object. `rows` is a sequence, and a column whose
+    cells all hold one nonzero float is turned into text once.
     """
     if digits < 1:
         raise ValueError(f"need at least one significant digit, got {digits!r}")
     spec = f".{digits}g"
+    # per column, the one value its cells all hold, else None. Equal nonzero floats
+    # have the same bits and so the same text; 0.0 == -0.0 print apart, nan equals nothing
+    fixed = []
+    if rows:
+        last = rows[-1]
+        for j, value in enumerate(rows[0]):
+            # first against last before the rest, so a varying column costs two reads
+            fixed.append(value if type(value) is float and value and type(last[j]) is float
+                         and last[j] == value
+                         and all(type(row[j]) is float and row[j] == value for row in rows)
+                         else None)
     if fmt == "json":
         # the bytes of json.dumps(rows as objects, indent=2) + "\n", written
         # here because under indent json.dumps runs its pure-Python encoder
@@ -291,16 +303,20 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
             return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(number)]
 
         prefixes = [f"    {quote(name)}: " for name in columns]
+        fixed_text = [None if value is None else prefix + text(value)
+                      for prefix, value in zip(prefixes, fixed)]
         # an exact finite float, the usual cell at 17 digits, is written inline
-        objects = [",\n".join([prefix + (repr(value) if exact and type(value) is float
-                                         and isfinite(value) else text(value))
-                               for prefix, value in zip(prefixes, row) if value is not None])
+        objects = [",\n".join([cell or prefix + (repr(value) if exact and type(value) is float
+                                                 and isfinite(value) else text(value))
+                               for prefix, cell, value in zip(prefixes, fixed_text, row)
+                               if value is not None])
                    for row in rows]
         body = ",\n".join(f"  {{\n{fields}\n  }}" if fields else "  {}" for fields in objects)
         return f"[\n{body}\n]\n" if objects else "[]\n"
+    fixed_text = [None if value is None else format(value, spec) for value in fixed]
     # a generator, so csv holds no second copy of a long sweep's cells
-    texts = ([format(value, spec) if type(value) is float else _cell(value) for value in row]
-             for row in rows)
+    texts = ([cell or (format(value, spec) if type(value) is float else _cell(value))
+              for cell, value in zip(fixed_text, row)] for row in rows)
     if fmt == "csv":
         lines = []
         for cells in chain((columns,), texts):

@@ -324,8 +324,11 @@ def test_sweep_rejects_bad_ranges(capsys):
                 "--steps", "2")[0] == 1
 
 
-_SWEEP_17 = ["sweep", "alpha", "--from", "0.0073", "--to", "0.0146", "--steps", "3",
-             "--digits", "17"]
+def _sweep_17(param, start, stop):
+    return ["sweep", param, "--from", start, "--to", stop, "--steps", "3", "--digits", "17"]
+
+
+_SWEEP_17 = _sweep_17("alpha", "0.0073", "0.0146")
 _SWEEP_17_ROWS = [
     ["alpha", "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"],
     ["0.0073000000000000001", "105.51079352054794", "1785.5075058493151",
@@ -335,19 +338,38 @@ _SWEEP_17_ROWS = [
     ["0.0146", "53.010896260273967", "893.00925242465746",
      "0.034999931506849311", "44163395043331848", "0.021020911513782343"],
 ]
+# the ladder is fixed by alpha_e, Me and M_Z alone, so a theta_w_deg sweep keeps four
+# columns at one value, a planck_gev sweep five and a zero-width sweep all six
+_THETA_17 = _sweep_17("theta_w_deg", "28", "31")
+_PLANCK_17 = _sweep_17("planck_gev", "1e19", "1.4e19")
+_FLAT_17 = _sweep_17("m_electron_mev", "0.5", "0.5")
+_FIXED_17 = ["105.54888674365419", "1786.1550906421214", "0.07002525849576946",
+             "1.1338684260539054e+19"]
+_FLAT_17_ROW = ["0.5", "103.27699931277185", "1747.7089883171213", "0.068517999541847896",
+                "1.1338684260539054e+19", "0.029411710614288957"]
+_SWEEP_17_CSV = [
+    (_SWEEP_17, _SWEEP_17_ROWS),
+    (_THETA_17, [["theta_w_deg", *_SWEEP_17_ROWS[0][1:]],
+                 ["28", *_FIXED_17, "0.029492884337194929"],
+                 ["29.5", *_FIXED_17, "0.029705462817499185"],
+                 ["31", *_FIXED_17, "0.029933114952143684"]]),
+    (_PLANCK_17, [["planck_gev", *_SWEEP_17_ROWS[0][1:]],
+                  *([point, *_FIXED_17, "0.029733450237551071"]
+                    for point in ("1e+19", "1.2e+19", "1.4e+19"))]),
+    (_FLAT_17, [["m_electron_mev", *_SWEEP_17_ROWS[0][1:]], *[_FLAT_17_ROW] * 3]),
+]
 
 
 def test_sweep_csv_is_exact(capsys):
     # every digit a double carries, so any reordered arithmetic shows
-    code, out, _ = _run(capsys, *_SWEEP_17, "--format", "csv")
-    assert code == 0
-    assert out == "".join(",".join(row) + "\n" for row in _SWEEP_17_ROWS)
+    for argv, rows in _SWEEP_17_CSV:
+        code, out, _ = _run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == "".join(",".join(row) + "\n" for row in rows), argv
 
 
-def test_sweep_table_is_exact(capsys):
-    code, out, _ = _run(capsys, *_SWEEP_17)
-    assert code == 0
-    assert out == (
+_SWEEP_17_TABLES = [
+    (_SWEEP_17,
         "alpha                  muon_mev            tau_mev             boson_6_gev"
         "           boson_11_gev            alpha_w\n"
         "---------------------  ------------------  ------------------  --------------------"
@@ -357,8 +379,44 @@ def test_sweep_table_is_exact(capsys):
         "0.01095                70.510862013698627  1190.5086702328767  0.046666575342465752"
         "  4.4113584172531565e+17  0.024272857842187082\n"
         "0.0146                 53.010896260273967  893.00925242465746  0.034999931506849311"
-        "  44163395043331848       0.021020911513782343\n"
-    )
+        "  44163395043331848       0.021020911513782343\n"),
+    (_THETA_17,
+        "theta_w_deg  muon_mev            tau_mev             boson_6_gev        "
+        "  boson_11_gev            alpha_w\n"
+        "-----------  ------------------  ------------------  -------------------"
+        "  ----------------------  --------------------\n"
+        "28           105.54888674365419  1786.1550906421214  0.07002525849576946"
+        "  1.1338684260539054e+19  0.029492884337194929\n"
+        "29.5         105.54888674365419  1786.1550906421214  0.07002525849576946"
+        "  1.1338684260539054e+19  0.029705462817499185\n"
+        "31           105.54888674365419  1786.1550906421214  0.07002525849576946"
+        "  1.1338684260539054e+19  0.029933114952143684\n"),
+    (_PLANCK_17,
+        "planck_gev  muon_mev            tau_mev             boson_6_gev        "
+        "  boson_11_gev            alpha_w\n"
+        "----------  ------------------  ------------------  -------------------"
+        "  ----------------------  --------------------\n"
+        "1e+19       105.54888674365419  1786.1550906421214  0.07002525849576946"
+        "  1.1338684260539054e+19  0.029733450237551071\n"
+        "1.2e+19     105.54888674365419  1786.1550906421214  0.07002525849576946"
+        "  1.1338684260539054e+19  0.029733450237551071\n"
+        "1.4e+19     105.54888674365419  1786.1550906421214  0.07002525849576946"
+        "  1.1338684260539054e+19  0.029733450237551071\n"),
+    (_FLAT_17,
+        "m_electron_mev  muon_mev            tau_mev             boson_6_gev         "
+        "  boson_11_gev            alpha_w\n"
+        "--------------  ------------------  ------------------  --------------------"
+        "  ----------------------  --------------------\n"
+        + "0.5             103.27699931277185  1747.7089883171213  0.068517999541847896"
+        "  1.1338684260539054e+19  0.029411710614288957\n" * 3),
+]
+
+
+def test_sweep_table_is_exact(capsys):
+    for argv, expected in _SWEEP_17_TABLES:
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert out == expected, argv
 
 
 def _json_rows(columns, rows):
@@ -388,6 +446,10 @@ _SWEEP_JSON_COLUMNS = ["muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "al
         ["100.0", "105.5488867436542", "1786.1550906421214", "0.07002525849576946",
          "1.2435904077277225e+19", "0.028391475050230902"],
     ]),
+    ("m_electron_mev", "0.5", "0.5", [
+        ["0.5", "103.27699931277185", "1747.7089883171213", "0.0685179995418479",
+         "1.1338684260539054e+19", "0.029411710614288957"],
+    ] * 3),
 ])
 def test_sweep_json_is_exact(param, start, stop, rows, capsys):
     argv = ["sweep", param, "--from", start, "--to", stop, "--steps", "3",
@@ -518,9 +580,17 @@ def test_out_of_range_constants_exit_1(capsys):
         (["sweep", "theta_w_deg", "--from", "10", "--to", "95", "--steps", "2"], None,
          "theta_w_deg from the sweep of theta_w_deg is out of range: "
          "theta_w_deg must lie strictly inside (0, 90), got 95.0\n"),
+        # an infinite step: the first point is --from itself, not --from + 0 * inf (nan)
+        (["sweep", "alpha", "--from", "0.007", "--to", "inf", "--steps", "2"], None,
+         "alpha_e from the sweep of alpha is out of range: "
+         "alpha_e must lie strictly inside (0, 1), got inf\n"),
+        (["sweep", "alpha", "--from=-1e308", "--to", "1e308", "--steps", "3"], None,
+         "alpha_e from the sweep of alpha is out of range: "
+         "alpha_e must lie strictly inside (0, 1), got -1e+308\n"),
     ],
     ids=["flag", "flag-nan", "config", "mev-overflow", "sweep", "field-flag", "field-config",
-         "field-config-angle", "field-zero-mass", "field-sweep"],
+         "field-config-angle", "field-zero-mass", "field-sweep", "sweep-to-inf",
+         "sweep-step-overflow"],
 )
 def test_bad_mass_constant_names_field_and_source(argv, config, named, tmp_path, capsys,
                                                   monkeypatch):

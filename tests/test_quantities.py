@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -277,13 +278,32 @@ def test_json_spells_a_float_that_rounds_up_to_inf_as_json_dumps_does():
         '[\n  {\n    "x": 1.7976931348623157e+308\n  }\n]\n')
 
 
+# columns that each repeat one value, the case the writer turns into text once when
+# that value is a nonzero float: 0.0 and -0.0 print apart, nan equals nothing, 1 and
+# True equal 1.0, and the last column matches only at its ends
+_REPEATED_COLUMNS = {
+    "float": [1e-5] * 4,
+    "zeros": [0.0, -0.0, -0.0, 0.0],
+    "nan": [math.nan] * 4,
+    "inf": [math.inf] * 4,
+    "-inf": [-math.inf] * 4,
+    "ones": [1.0, 1, True, 1.0],
+    "ends": [1.5, 2.5, 3.5, 1.5],
+}
+_REPEATED_ROWS = [list(row) for row in zip(*_REPEATED_COLUMNS.values())]
+_REPEATED_TABLES = [(list(_REPEATED_COLUMNS), _REPEATED_ROWS, digits) for digits in (1, 6, 17)]
+
+
 def test_json_rows_match_json_dumps_byte_for_byte():
     rng = random.Random(20261018)
-    for _ in range(3000):
+
+    def table():
         columns = [f"{_corpus_text(rng)}{i}" for i in range(rng.randint(0, 4))]
         rows = [[None] * len(columns) if rng.random() < 0.1
                 else [_corpus_cell(rng) for _ in columns] for _ in range(rng.randint(0, 4))]
-        digits = rng.randint(1, 20)
+        return columns, rows, rng.randint(1, 20)
+
+    for columns, rows, digits in chain(_REPEATED_TABLES, (table() for _ in range(3000))):
         entries = [{name: round_to_sig(value, digits) if type(value) is float else value
                     for name, value in zip(columns, row) if value is not None} for row in rows]
         expected = json.dumps(entries, indent=2) + "\n"
@@ -320,8 +340,8 @@ def _cell_texts(rows, digits):
 
 def test_csv_rows_match_csv_writer_byte_for_byte():
     rng = random.Random(20261019)
-    for _ in range(3000):
-        columns, rows, digits = _corpus_table(rng)
+    for columns, rows, digits in chain(_REPEATED_TABLES,
+                                       (_corpus_table(rng) for _ in range(3000))):
         out = io.StringIO()
         try:
             csv.writer(out, lineterminator="\n").writerows([columns, *_cell_texts(rows, digits)])
@@ -334,8 +354,8 @@ def test_csv_rows_match_csv_writer_byte_for_byte():
 
 def test_table_rows_match_the_padded_layout_byte_for_byte():
     rng = random.Random(20261020)
-    for _ in range(3000):
-        columns, rows, digits = _corpus_table(rng)
+    for columns, rows, digits in chain(_REPEATED_TABLES,
+                                       (_corpus_table(rng) for _ in range(3000))):
         texts = _cell_texts(rows, digits)
         # each column as wide as its widest cell, two spaces apart, no trailing space
         widths = [max(map(len, cells)) for cells in zip(columns, *texts)]

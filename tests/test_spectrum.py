@@ -82,6 +82,22 @@ def test_massless_and_given_rows():
     assert fermion_mass(composition("e"), bases, C).mev == ME
 
 
+def test_table_states_each_rows_mass_and_display_unit():
+    # the paper's table values: calibrate reads them for its anchor and
+    # held-out rows, but no command prints the given electron's
+    stated = {row.name: (row.table_mass, row.display_unit) for row in TABLE}
+    assert stated == {
+        "nu_e": (mev(0.0), Unit.MEV), "e": (mev(0.51), Unit.MEV),
+        "nu_mu": (mev(0.0), Unit.MEV), "nu_tau": (mev(0.0), Unit.MEV),
+        "mu": (mev(105.6), Unit.MEV), "tau": (mev(1786.0), Unit.MEV),
+        "u": (mev(330.8), Unit.MEV), "d": (mev(332.3), Unit.MEV),
+        "s": (mev(558.0), Unit.MEV), "c": (mev(1701.0), Unit.MEV),
+        "b": (mev(5318.0), Unit.MEV), "t": (gev(176.5), Unit.GEV),
+    }
+    # a MassValue is a (magnitude, unit) tuple, so == compares the unit too
+    assert all(type(mass) is MassValue for mass, _ in stated.values())
+
+
 def test_table_coefficients_match_orbitals():
     # a nonzero level-7 weight is quartic_sum(a) of the row's one 7_a slot with a >= 1
     for row in TABLE:
