@@ -22,11 +22,13 @@ import os
 import sys
 from pathlib import Path
 
+from . import spectrum as _spectrum
 from .ladder import boson_ladder, closed_form_mass, electroweak_mix
 from .quantities import (
     ALPHA_E_DEFAULT,
     ModelConstants,
     Unit,
+    _check_field,
     _convert,
     _FieldError,
     _LocatedError,
@@ -39,12 +41,12 @@ from .spectrum import (
     ANCHOR_CHOICES,
     TABLE,
     CalibrationError,
+    _MU,
+    _TAU,
     calibrate,
-    evaluate,
     format_calibration,
     full_spectrum,
     load_bases,
-    spectrum_row,
 )
 
 ENV_CONFIG = "DIMORB_CONFIG"
@@ -305,24 +307,25 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     # point 0 is --from itself: 0 * step is nan for an infinite step
     points = [args.start, *(args.start + i * step for i in range(1, args.steps))]
     field, wrap, _ = _CONSTANTS[args.param]
-    index = ModelConstants._fields.index(field)
-    mu, tau = (TABLE.index(spectrum_row(name)) for name in ("mu", "tau"))
+    where, floats = _spectrum._FIELD_INPUTS[field]
+    evaluation = _spectrum._evaluation
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
     rows = []
-    fields = list(constants)
+    # the other fields were checked when `constants` was built: a point checks its own
+    inputs = _spectrum._inputs(constants)
     for point in points:
-        # each point overwrites the same one of `fields`
         try:
-            fields[index] = wrap(point)
-            swept = ModelConstants(*fields)
+            value = wrap(point)
+            _check_field(field, value)
+            inputs[where] = floats(value)
+            # uncalibrated, so a point the quark rows cannot be calibrated at still prints
+            ev = evaluation(*inputs)
         except ValueError:
             # the point again through `_constants`, which words the rejection
             # and names the sweep as the value's source
             _constants(constants._asdict(), {args.param: (point, f"the sweep of {args.param}")})
             raise
-        # uncalibrated, so a point the quark rows cannot be calibrated at still prints
-        ev = evaluate(swept)
-        rows.append([point, ev.rows[mu], ev.rows[tau], ev.ladder_gev[1], ev.ladder_gev[6],
+        rows.append([point, ev.rows[_MU], ev.rows[_TAU], ev.ladder_gev[1], ev.ladder_gev[6],
                      ev.alpha_w])
     sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK

@@ -317,8 +317,13 @@ def compare_all(
         else:
             rel = abs(computed - record.value) / abs(record.value)
             if not math.isfinite(rel):
-                raise ValueError(f"relative error for {record.name!r} overflows a float: "
-                                 f"computed {computed!r}, observed {record.value!r}")
+                values = f"computed {computed!r}, observed {record.value!r}"
+                if not math.isfinite(computed):
+                    # rounded in a smaller unit, a claim can reach inf: name it as stated
+                    stated = round_to_sig(claim[1], printed_sigfigs)
+                    values = (f"computed {stated!r} {unit.value}, "
+                              f"observed {record.value!r} {record.unit.value}")
+                raise ValueError(f"relative error for {record.name!r} overflows a float: {values}")
         within = None
         if record.uncertainty is not None:
             within = abs(computed - record.value) <= record.uncertainty

@@ -175,23 +175,28 @@ class ModelConstants(_Checked, _ConstantsFields):
                 m_z: MassValue = MassValue(91.177, Unit.GEV),
                 theta_w_deg: float = 29.69,
                 planck_ref: MassValue = MassValue(1.2e19, Unit.GEV)) -> "ModelConstants":
-        if not _number(alpha_e) or not 0.0 < alpha_e < 1.0:
-            raise _FieldError("alpha_e", f"must lie strictly inside (0, 1), got {alpha_e!r}")
-        _positive_mass("m_electron", m_electron)
-        _positive_mass("m_z", m_z)
-        _positive_mass("planck_ref", planck_ref)
-        if not _number(theta_w_deg) or not 0.0 < theta_w_deg < 90.0:
-            raise _FieldError("theta_w_deg",
-                              f"must lie strictly inside (0, 90), got {theta_w_deg!r}")
+        _check_field("alpha_e", alpha_e)
+        _check_field("m_electron", m_electron)
+        _check_field("m_z", m_z)
+        _check_field("planck_ref", planck_ref)
+        _check_field("theta_w_deg", theta_w_deg)
         constants = tuple.__new__(cls, (alpha_e, m_electron, m_z, theta_w_deg, planck_ref))
         _spectrum._core(constants)  # raises for a set out of range; its readers reuse the result
         return constants
 
 
-def _positive_mass(field: str, value) -> None:
-    if not isinstance(value, MassValue):
+# the open upper bound of each float field; a mass field must be a positive MassValue
+_UPPER = {"alpha_e": 1.0, "theta_w_deg": 90.0}
+
+
+def _check_field(field: str, value) -> None:
+    high = _UPPER.get(field)
+    if high is not None:
+        if not _number(value) or not 0.0 < value < high:
+            raise _FieldError(field, f"must lie strictly inside (0, {high:g}), got {value!r}")
+    elif not isinstance(value, MassValue):
         raise _FieldError(field, f"must be a MassValue, got {value!r}")
-    if value.magnitude <= 0.0:
+    elif value.magnitude <= 0.0:
         raise _FieldError(field, f"must be positive, got {value}")
 
 

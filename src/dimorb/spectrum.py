@@ -21,9 +21,11 @@ L = (3/2) * B6 is fixed by the ladder itself and never calibrated. Q and
 the top's lumped level-8 contribution are the model's only two calibrated
 constants: `evaluate` solves each in floats from one anchor row of the table.
 
-The float core is here too, since its range check reads the tau row: `_core`
-computes each set's uncalibrated `Evaluation` when the set is built, and every
-public function, here and in `ladder`, reads it through `evaluate`. Those
+The float core is here too, since its range check reads the tau row: `_evaluation`
+computes the uncalibrated `Evaluation` of five input floats, and its checking
+wrapper `_core` runs it when a set is built and names the set's constants in a
+failed check. Every public function, here and in `ladder`, reads that result
+through `evaluate`; a sweep point calls `_evaluation` alone. Those
 checks and the solves' show each mass finite and >= 0, so returned records are
 built from the floats unchecked. Only a hand-built `AuxBaseSet` can give an inf
 row (NaN once Me + L overflows); `full_spectrum` and `fermion_mass` check rows.
@@ -159,7 +161,8 @@ _COEFFICIENTS = tuple(tuple(map(float, row.composition)) for row in TABLE)
 _LEPTONS = _COEFFICIENTS[:TABLE.index(_BY_NAME["u"])]
 _QUARKS = _COEFFICIENTS[len(_LEPTONS):]
 _NO_QUARK_ROWS = (None,) * len(_QUARKS)
-_TAU = TABLE.index(_BY_NAME["tau"])
+# the rows a sweep prints; the range check reads the tau row too
+_MU, _TAU = (TABLE.index(_BY_NAME[name]) for name in ("mu", "tau"))
 # (index, name, table mass in MeV) of each row neither given nor massless, as calibrate reads it
 _PREDICTED = [(i, row.name, row.table_mass.mev) for i, row in enumerate(TABLE) if not row.note]
 
@@ -264,28 +267,26 @@ def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> tuple[float, ..
     return (alpha_e * me_gev, me_gev / alpha_e, mz_gev, b8, b9, b10, b10 / step)
 
 
-# `_core`'s last (constants, result), one tuple so that a thread reads a matching pair
+# `_core`'s last (constants, result), one tuple so that a thread reads a matching pair; a
+# sweep's points call `_evaluation` directly and leave it as it is
 _LAST: tuple = (None, None)
 
 
-def _out_of_range(what: str, **named) -> ValueError:
-    values = ", ".join(f"{key} = {value}" for key, value in named.items())
-    return ValueError(f"constants out of range: {what} overflows a float ({values})")
+class _OutOfRange(ValueError):
+    """A failed range check of `_evaluation`: args are what overflows, then the fields it reads."""
 
 
-def _core(constants: ModelConstants) -> Evaluation:
-    """The uncalibrated `Evaluation`; ModelConstants rejects a set with it.
+def _evaluation(alpha_e: float, me_mev: float, me_gev: float, mz_gev: float,
+                theta_w_deg: float) -> Evaluation:
+    """The float core: the uncalibrated `Evaluation` of `_inputs`' five floats.
 
-    A set fails, naming its constants, when the ladder top in MeV (compare's unit for a
-    boson row), the tau row (which bounds every lepton row and B6) or alpha_w leaves float range.
+    It raises `_OutOfRange` when the ladder top in MeV (compare's unit for a boson row), the
+    tau row (which bounds every lepton row and B6) or alpha_w leaves float range, in that order.
     """
-    global _LAST
-    alpha_e, m_electron, m_z, theta_w_deg = constants[:4]
-    me = m_electron.mev
-    lepton = 1.5 * me / alpha_e  # L = (3/2) * B6, in MeV
+    lepton = 1.5 * me_mev / alpha_e  # L = (3/2) * B6, in MeV
     top = alpha_w = math.inf
     try:
-        ladder = _ladder_gev(alpha_e, _convert(m_electron, _GEV), _convert(m_z, _GEV))
+        ladder = _ladder_gev(alpha_e, me_gev, mz_gev)
         top = ladder[-1] * 1e3
         theta = math.radians(theta_w_deg)
         alpha_w = math.sqrt(ladder[1] / (ladder[2] * math.cos(theta)))  # from B6 and B7 = M_Z
@@ -293,19 +294,44 @@ def _core(constants: ModelConstants) -> Evaluation:
     except ZeroDivisionError:  # alpha_e**2 or m_z * cos(theta_w) underflowed
         pass
     if not math.isfinite(top):
-        raise _out_of_range("the top boson mass m_z / alpha_e**8 in MeV",
-                            m_z=m_z, alpha_e=alpha_e)
-    rows = tuple(_rows(_LEPTONS, me, lepton, 0.0, 0.0)) + _NO_QUARK_ROWS
+        raise _OutOfRange("the top boson mass m_z / alpha_e**8 in MeV", "m_z", "alpha_e")
+    rows = tuple(_rows(_LEPTONS, me_mev, lepton, 0.0, 0.0)) + _NO_QUARK_ROWS
     if not math.isfinite(rows[_TAU]):
-        raise _out_of_range("the tau mass m_electron * (1 + 25.5 / alpha_e)",
-                            m_electron=m_electron, alpha_e=alpha_e)
+        raise _OutOfRange("the tau mass m_electron * (1 + 25.5 / alpha_e)",
+                          "m_electron", "alpha_e")
     if not math.isfinite(alpha_w):  # as is alpha_w**2, since sqrt keeps finiteness
-        raise _out_of_range("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
-                            m_electron=m_electron, alpha_e=alpha_e, m_z=m_z,
-                            theta_w_deg=theta_w_deg)
+        raise _OutOfRange("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
+                          "m_electron", "alpha_e", "m_z", "theta_w_deg")
     # tuple.__new__ skips the keyword handling of the NamedTuple's own __new__
-    result = tuple.__new__(Evaluation,
-                           (ladder, me, lepton, None, None, rows, alpha_w, sin2_theta_w))
+    return tuple.__new__(Evaluation,
+                         (ladder, me_mev, lepton, None, None, rows, alpha_w, sin2_theta_w))
+
+
+def _inputs(constants: ModelConstants) -> list[float]:
+    """`_evaluation`'s five input floats, from a set's first four fields."""
+    alpha_e, m_electron, m_z, theta_w_deg = constants[:4]
+    return [alpha_e, m_electron.mev, _convert(m_electron, _GEV), _convert(m_z, _GEV), theta_w_deg]
+
+
+# each field's slice of `_inputs` and its floats there, for a sweep that changes that field alone
+_FIELD_INPUTS = {
+    "alpha_e": (slice(0, 1), lambda alpha_e: (alpha_e,)),
+    "m_electron": (slice(1, 3), lambda mass: (mass.mev, _convert(mass, _GEV))),
+    "m_z": (slice(3, 4), lambda mass: (_convert(mass, _GEV),)),
+    "theta_w_deg": (slice(4, 5), lambda theta_w_deg: (theta_w_deg,)),
+    "planck_ref": (slice(5, 5), lambda mass: ()),
+}
+
+
+def _core(constants: ModelConstants) -> Evaluation:
+    """`_evaluation` of a set; ModelConstants rejects a set with it, naming its constants."""
+    global _LAST
+    try:
+        result = _evaluation(*_inputs(constants))
+    except _OutOfRange as exc:
+        what, *names = exc.args
+        values = ", ".join(f"{name} = {getattr(constants, name)}" for name in names)
+        raise ValueError(f"constants out of range: {what} overflows a float ({values})") from None
     _LAST = (constants, result)
     return result
 

@@ -1,8 +1,12 @@
 import contextlib
+import functools
 import io
 import json
+import math
 import os
 import re
+import struct
+import sys
 from unittest import mock
 
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 from dimorb import cli, spectrum
 from dimorb.cli import run
-from dimorb.quantities import ModelConstants, gev, mev
+from dimorb.quantities import ModelConstants, format_rows, gev, mev
 from dimorb.spectrum import calibrate, format_calibration
 
 LEPTON_CSV = (
@@ -288,6 +292,23 @@ def test_compare_tiny_observed_value_exits_2(extra, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"{path}: relative error for 'muon' overflows a float" in err
+
+
+def test_a_claim_that_rounds_to_inf_in_the_observed_unit_is_named_as_the_model_states_it(
+        tmp_path, capsys):
+    # at the ladder-top edge the two-figure planck_mass claim is 1.8e+305 GeV, which the
+    # conversion to MeV then rounds up to inf
+    path = tmp_path / "planck.csv"
+    path.write_text("name,value,unit,uncertainty,source\nplanck_mass,1.2e22,MeV,,\n")
+    argv = ["compare", "--m-z-gev", "1.4450095375723133e+288", "--observed", str(path)]
+    assert _run(capsys, *argv) == (
+        2, "", f"dimorb: error: {path}: relative error for 'planck_mass' overflows a float: "
+               f"computed 1.8e+305 GeV, observed 1.2e+22 MeV\n")
+    # the same claim against a GeV row compares
+    path.write_text("name,value,unit,uncertainty,source\nplanck_mass,1.2e19,GeV,,\n")
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "| planck_mass | 1.8e+305 | 1.2e+19 | GeV | 1.5e+286 |  |" in out
 
 
 def test_compare_unit_kind_mismatch_names_the_file(tmp_path, capsys):
@@ -680,10 +701,114 @@ def test_extreme_constants_exit_0_or_1_and_print_only_finite_numbers(values, par
             assert out == ""
 
 
-def _count_core_calls(monkeypatch) -> dict[str, int]:
-    # `_core` computes Me and L, `_ladder_gev` the ladder that alpha_w is read from
-    calls = {"core": 0, "ladder": 0}
-    for name, key in (("_core", "core"), ("_ladder_gev", "ladder")):
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _flag_values(flags) -> dict:
+    # the `(value, source)` pairs `cli._resolve_constants` makes of constant flags
+    return {flag[2:].replace("-", "_"): (float(value), flag)
+            for flag, value in zip(flags[::2], flags[1::2])}
+
+
+def _point_through_constants(param: str, point: float, flags) -> cli.ModelConstants:
+    start = cli._constants({}, _flag_values(flags))
+    return cli._constants(start._asdict(), {param: (point, f"the sweep of {param}")})
+
+
+def _accepted(param: str, point: float, flags) -> bool:
+    try:
+        _point_through_constants(param, point, flags)
+    except ValueError:
+        return False
+    return True
+
+
+def _last_accepted(param: str, flags, accepted: float, rejected: float) -> float:
+    """The last float from `accepted` towards `rejected` that a set accepts, by bisection
+    over the bits of two finite floats of one sign."""
+    assert _accepted(param, accepted, flags) and not _accepted(param, rejected, flags)
+    good, bad = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (accepted, rejected))
+    while abs(bad - good) > 1:
+        middle = (good + bad) // 2
+        if _accepted(param, struct.unpack("<d", struct.pack("<q", middle))[0], flags):
+            good = middle
+        else:
+            bad = middle
+    return struct.unpack("<d", struct.pack("<q", good))[0]
+
+
+@functools.cache
+def _sweep_edges() -> list[tuple[str, tuple[str, ...], float]]:
+    """(param, constant flags, edge) for each field's own range and each overflow check."""
+    largest_gev_mass = _last_accepted("planck_gev", (), 1.0, 1e306)  # about 1.8e305
+    edges = [("alpha", (), 0.0), ("alpha", (), 1.0), ("theta_w_deg", (), 0.0),
+             ("theta_w_deg", (), 90.0), ("m_electron_mev", (), sys.float_info.max)]
+    edges += [(param, (), edge) for param in ("m_electron_mev", "m_z_gev", "planck_gev")
+              for edge in (0.0, 5e-324)]
+    edges += [(param, (), largest_gev_mass) for param in ("m_z_gev", "planck_gev")]
+    # the top boson, tau and alpha_w checks, each reached from two constants
+    tiny_z = ("--m-z-gev", "1e-300")
+    for param, flags, accepted, rejected in (
+            ("m_z_gev", (), 1.0, 1e300), ("alpha", (), 0.5, 1e-40),
+            ("m_electron_mev", (), 1.0, 1e308),
+            ("alpha", ("--m-electron-mev", "1e300"), 0.5, 1e-10),
+            ("m_z_gev", (), 1.0, 5e-324), ("theta_w_deg", tiny_z, 45.0, 90.0 - 1e-12),
+            ("alpha", tiny_z, 0.5, 1e-20), ("m_electron_mev", tiny_z, 1.0, 1e20)):
+        edges.append((param, flags, _last_accepted(param, flags, accepted, rejected)))
+    return edges
+
+
+# each sweepable key: its field, and whether a point in the key's unit is in that field's
+# own range (a mass is positive and finite in MeV)
+_OWN_RANGES = {
+    "alpha": ("alpha_e", lambda x: 0.0 < x < 1.0),
+    "theta_w_deg": ("theta_w_deg", lambda x: 0.0 < x < 90.0),
+    "m_electron_mev": ("m_electron", lambda x: 0.0 < x < math.inf),
+    "m_z_gev": ("m_z", lambda x: 0.0 < x * 1e3 < math.inf),
+    "planck_gev": ("planck_ref", lambda x: 0.0 < x * 1e3 < math.inf),
+}
+
+
+@given(data=st.data(), ulps=st.integers(-2, 2), fmt=st.sampled_from(("table", "csv", "json")),
+       digits=st.sampled_from(("1", "6", "17")))
+@settings(max_examples=300, deadline=None)
+def test_a_sweep_point_is_accepted_and_rejected_as_its_constant_set_is(data, ulps, fmt, digits):
+    param, flags, edge = data.draw(st.sampled_from(_sweep_edges()))
+    point = _nudged(edge, ulps)
+    # "--from=X", since argparse reads "-5e-324" after "--from" as a flag
+    argv = ["sweep", param, f"--from={point!r}", f"--to={point!r}", "--steps", "1",
+            "--format", fmt, "--digits", digits, *flags]
+    try:
+        constants = _point_through_constants(param, point, flags)
+    except cli._UsageError as exc:
+        expected = (1, "", f"dimorb: error: {exc}\n")
+    else:
+        ev = spectrum.evaluate(constants)
+        row = [point, ev.rows[spectrum._MU], ev.rows[spectrum._TAU], ev.ladder_gev[1],
+               ev.ladder_gev[6], ev.alpha_w]
+        columns = [param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
+        expected = (0, format_rows(fmt, columns, [row], int(digits)), "")
+    code, out, err = _run_quiet(argv)
+    assert (code, out, err) == expected
+    # and each field's own range holds, whoever checks it: a point outside it is rejected
+    # as that field's, any other point evaluates to finite numbers or fails an overflow
+    # check (17 digits print each float exactly; json at fewer rounds the value itself,
+    # which can round a float next to the largest up to inf)
+    field, inside = _OWN_RANGES[param]
+    own = f"dimorb: error: {field} from the sweep of {param} is out of range: "
+    assert err.startswith(own) is not inside(point)
+    assert code == 1 or digits != "17" or not _NON_FINITE.search(out)
+
+
+def _count_core_calls(monkeypatch, **more) -> dict[str, int]:
+    # `_core` checks a set, `_ladder_gev` computes the ladder that alpha_w is read from,
+    # and `more` maps further keys to the names of other spectrum functions to count
+    names = {"core": "_core", "ladder": "_ladder_gev", **more}
+    calls = dict.fromkeys(names, 0)
+    for key, name in names.items():
         def counted(*args, _wrapped=getattr(spectrum, name), _key=key):
             calls[_key] += 1
             return _wrapped(*args)
@@ -693,12 +818,13 @@ def _count_core_calls(monkeypatch) -> dict[str, int]:
 
 @pytest.mark.parametrize("steps", [1, 2, 7])
 def test_a_sweep_evaluates_each_point_once(steps, capsys, monkeypatch):
-    # once per point, and once for the constants the sweep starts from
-    calls = _count_core_calls(monkeypatch)
+    # the float core runs once per point, and once for the constants the sweep starts
+    # from, which alone are checked as a set
+    calls = _count_core_calls(monkeypatch, evaluation="_evaluation")
     code, out, _ = _run(capsys, "sweep", "alpha", "--from", "0.007", "--to", "0.008",
                         "--steps", str(steps), "--format", "csv")
     assert (code, len(out.splitlines())) == (0, 1 + steps)
-    assert calls == {"core": steps + 1, "ladder": steps + 1}
+    assert calls == {"core": 1, "ladder": steps + 1, "evaluation": steps + 1}
 
 
 @pytest.mark.parametrize("argv", [["bosons", "--closed-form"], ["calibrate", "--out"],
