@@ -1,6 +1,7 @@
 """Mass values with explicit units, index types, the model's input constants,
 the `key=value` text format that config and calibration files share, and the
-row writer behind every table the command line prints.
+row writer behind every table the command line prints, which classes each column
+once and writes each row with one precompiled `%` template.
 
 Values are checked where they enter: in public constructors, `ModelConstants`'
 range check and the config, calibration and observed-file parsers. Inside, the
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import chain
+from itertools import repeat
 from typing import NamedTuple
 
 __all__ = [
@@ -251,8 +252,9 @@ def round_to_sig(value: float, figures: int) -> float:
     return float(f"{value:.{figures}g}")
 
 
-def _cell(value) -> str:
-    # floats are formatted by the caller; None is an empty cell
+def _cell(value, spec: str) -> str:
+    if type(value) is float:
+        return format(value, spec)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -260,92 +262,90 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_line(cells) -> str:
-    import csv  # only a row that needs quoting comes here
-    import io
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(cells)
-    return out.getvalue()
+def _csv_special(text: str) -> bool:
+    # csv.writer quotes a field with a comma, quote, CR or LF, or a lone empty one, and cannot
+    # write NUL before Python 3.11; a row with none of those it writes as the plain join
+    return "," in text or '"' in text or "\r" in text or "\n" in text or "\0" in text
 
 
 def format_rows(fmt: str, columns, rows, digits: int) -> str:
-    """Lay out rows as an aligned "table", "markdown", "csv" or "json" text.
+    """Lay out a sequence of rows as an aligned "table", "markdown", "csv" or "json" text.
 
-    Floats show `digits` significant digits, json rounds them to that many
-    instead; booleans read true/false, and None is an empty cell that json
-    leaves out of its row's object. `rows` is a sequence, and a column whose
-    cells all hold one nonzero float is turned into text once.
+    Floats show `digits` significant digits; json rounds the value instead, but writes a finite
+    float that rounds past the largest float as the other formats do. Booleans read true/false;
+    None is an empty cell, left out of a json object. Each row is one `template % cells`: a column
+    of one nonzero float is a literal of it, a column of floats is formatted by it (a table takes
+    their texts first, for its widths), and other cells are turned into text one by one.
     """
     if digits < 1:
         raise ValueError(f"need at least one significant digit, got {digits!r}")
     spec = f".{digits}g"
-    # per column, the one value its cells all hold, else None. Equal nonzero floats
-    # have the same bits and so the same text; 0.0 == -0.0 print apart, nan equals nothing
-    fixed = []
-    if rows:
-        last = rows[-1]
-        for j, value in enumerate(rows[0]):
-            # first against last before the rest, so a varying column costs two reads
-            fixed.append(value if type(value) is float and value and type(last[j]) is float
-                         and last[j] == value
-                         and all(type(row[j]) is float and row[j] == value for row in rows)
-                         else None)
-    if fmt == "json":
-        # the bytes of json.dumps(rows as objects, indent=2) + "\n", written
-        # here because under indent json.dumps runs its pure-Python encoder
+    specs = repeat(spec)  # endless, so every map below reuses it
+    is_json, is_csv, table = fmt == "json", fmt == "csv", fmt not in ("json", "markdown", "csv")
+    if is_json:
+        # json.dumps(row objects, indent=2) + "\n" by hand: under indent it runs in Python
         from json.encoder import encode_basestring_ascii as quote  # slow to import
-
-        # 17 significant digits round-trip every float; fewer can round up to inf
-        exact = digits >= 17
-        isfinite = math.isfinite
+        exact = digits >= 17  # 17 significant digits round-trip every float
 
         def text(value) -> str:
             if type(value) is not float:
-                return quote(value) if isinstance(value, str) else _cell(value)
+                return quote(value) if isinstance(value, str) else _cell(value, spec)
+            if not math.isfinite(value):  # spelled as json.dumps spells them
+                return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(value)]
             number = value if exact else float(format(value, spec))  # round_to_sig's value
-            if isfinite(number):
-                return repr(number)
-            # spelled as json.dumps spells them
-            return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(number)]
-
-        prefixes = [f"    {quote(name)}: " for name in columns]
-        fixed_text = [None if value is None else prefix + text(value)
-                      for prefix, value in zip(prefixes, fixed)]
-        # an exact finite float, the usual cell at 17 digits, is written inline
-        objects = [",\n".join([cell or prefix + (repr(value) if exact and type(value) is float
-                                                 and isfinite(value) else text(value))
-                               for prefix, cell, value in zip(prefixes, fixed_text, row)
-                               if value is not None])
-                   for row in rows]
-        body = ",\n".join(f"  {{\n{fields}\n  }}" if fields else "  {}" for fields in objects)
-        return f"[\n{body}\n]\n" if objects else "[]\n"
-    fixed_text = [None if value is None else format(value, spec) for value in fixed]
-    # a generator, so csv holds no second copy of a long sweep's cells
-    texts = ([cell or (format(value, spec) if type(value) is float else _cell(value))
-              for cell, value in zip(fixed_text, row)] for row in rows)
-    if fmt == "csv":
-        lines = []
-        for cells in chain((columns,), texts):
-            line = ",".join(cells)
-            # csv.writer quotes a field with a comma, quote, CR or LF, spells a lone
-            # empty field as "", and cannot write NUL before Python 3.11: those rows
-            # are its to write, as each Python version writes them
-            if ('"' in line or "\r" in line or "\n" in line or "\0" in line
-                    or line.count(",") >= len(cells) or not line):
-                line = _csv_line(cells)
-            else:
-                line += "\n"
-            lines.append(line)
-        return "".join(lines)
-    texts = list(texts)
+            return repr(number) if math.isfinite(number) else format(value, spec)
+    n, lone, pieces, args, widths = len(rows), len(columns) == 1, [], [], []
+    quoted = is_csv and (_csv_special("".join(columns)) or lone and not columns[0])
+    for name, cells in zip(columns, [*zip(*rows)] or [()] * len(columns)):
+        floats = n and type(cells[0]) is float and {*map(type, cells)} == {float}
+        # equal nonzero floats share a text (0.0 and -0.0 do not), as does one nan object repeated
+        fixed = floats and cells[0] and cells.count(cells[0]) == n
+        prefix = f"{',' if pieces else ''}\n    {quote(name)}: " if is_json else ""
+        literal = prefix.replace("%", "%%")  # the prefix as the template holds it
+        if fixed:
+            piece = literal + text(cells[0]) if is_json else format(cells[0], spec)
+            if table:
+                widths.append(max(len(name), len(piece)))
+        elif is_json:
+            values = cells if exact or not floats else [*map(float, map(format, cells, specs))]
+            finite = floats and all(map(math.isfinite, values))  # else the column is other
+            piece = literal + "%r" if finite else "%s"
+            args.append(values if finite
+                        else ["" if value is None else prefix + text(value) for value in cells])
+        elif floats and not table:
+            piece = "%" + spec  # float text never needs quoting
+            args.append(cells)
+        else:
+            piece = "%s"
+            texts = [*map(format if floats else _cell, cells, specs)]
+            args.append(texts)
+            if table:
+                widths.append(max([len(name), *map(len, texts)]))
+            quoted = quoted or is_csv and (_csv_special("".join(texts)) or lone and "" in texts)
+        pieces.append(piece)
+    rest = zip(*args) if args else repeat((), n)
+    if is_json:
+        body = ",\n".join(map(("  {" + "".join(pieces) + "\n  }").__mod__, rest))
+        if not pieces or pieces[0] == "%s" and "" in args[0]:
+            # rows without a first field, or without any; no json string holds a raw newline
+            body = body.replace("{,\n", "{\n").replace("{\n  }", "{}")
+        return f"[\n{body}\n]\n" if n else "[]\n"
     if fmt == "markdown":
-        lines = [columns, ["---"] * len(columns), *texts]
-        return "".join(f"| {' | '.join(line)} |\n" for line in lines)
-    widths = [max(map(len, cells)) for cells in zip(columns, *texts)]
-    # each cell padded on the right to its column's width, as str.ljust pads it
-    template = "  ".join(f"%-{width}s" for width in widths)
-    lines = [columns, ["-" * width for width in widths], *texts]
-    return "".join([(template % tuple(line)).rstrip() + "\n" for line in lines])
+        head = f"| {' | '.join(columns)} |\n| {' | '.join(['---'] * len(columns))} |\n"
+        return "".join([head, *map(("| " + " | ".join(pieces) + " |\n").__mod__, rest)])
+    if table:
+        # each cell padded on the right to its column's width, as str.ljust pads it
+        template = "  ".join(f"%-{w}s" if p == "%s" else p.ljust(w) for p, w in zip(pieces, widths))
+        lines = ["  ".join(map(str.ljust, columns, widths)), "  ".join("-" * w for w in widths),
+                 *map(template.__mod__, rest), ""]
+        return "\n".join(map(str.rstrip, lines))
+    if not quoted:
+        return "".join([",".join(columns) + "\n", *map((",".join(pieces) + "\n").__mod__, rest)])
+    import csv  # only a text that needs quoting comes here
+    import io
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([columns, *(map(_cell, r, specs) for r in rows)])
+    return out.getvalue()
 
 
 # at the end, because spectrum imports this module; ModelConstants calls its _core

@@ -10,7 +10,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimorb import cli, spectrum
@@ -679,17 +679,27 @@ _SWEEP_PARAMS = ("alpha", "m_electron_mev", "m_z_gev", "theta_w_deg", "planck_ge
 _NON_FINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
 
 
+# the tau row of this electron mass is finite, about 1.8e308, and one digit rounds it up
+# past the largest float
+_ROUNDS_PAST_THE_LARGEST = 5.142999054417304e+304
+
+
 @given(
     values=st.tuples(*[_LOG_UNIFORM] * len(_CONSTANT_FLAGS)),
     param=st.sampled_from(_SWEEP_PARAMS),
     start=_LOG_UNIFORM,
     stop=_LOG_UNIFORM,
+    fmt=st.sampled_from(("table", "csv", "json")),
+    digits=st.sampled_from(("1", "6", "17")),
 )
+@example(values=(0.0072973525693, 0.510999, 91.177, 29.69, 1.2e19), param="m_electron_mev",
+         start=_ROUNDS_PAST_THE_LARGEST, stop=_ROUNDS_PAST_THE_LARGEST, fmt="json", digits="1")
 @settings(max_examples=300, deadline=None)
 def test_extreme_constants_exit_0_or_1_and_print_only_finite_numbers(values, param, start,
-                                                                      stop):
+                                                                      stop, fmt, digits):
     flags = [text for flag, value in zip(_CONSTANT_FLAGS, values)
              for text in (flag, repr(value))]
+    flags += ["--format", fmt, "--digits", digits]
     for argv in (
         ["bosons", "--closed-form", *flags],
         ["sweep", param, "--from", repr(start), "--to", repr(stop), "--steps", "2", *flags],
@@ -699,6 +709,24 @@ def test_extreme_constants_exit_0_or_1_and_print_only_finite_numbers(values, par
         assert not _NON_FINITE.search(out), argv
         if code == 1:
             assert out == ""
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("table", "m_electron_mev  muon_mev  tau_mev  boson_6_gev  boson_11_gev  alpha_w\n"
+              "--------------  --------  -------  -----------  ------------  -------\n"
+              "5e+304          1e+307    2e+308   7e+303       1e+19         9e+150\n"),
+    ("csv", "m_electron_mev,muon_mev,tau_mev,boson_6_gev,boson_11_gev,alpha_w\n"
+            "5e+304,1e+307,2e+308,7e+303,1e+19,9e+150\n"),
+    ("json", '[\n  {\n    "m_electron_mev": 5e+304,\n    "muon_mev": 1e+307,\n'
+             '    "tau_mev": 2e+308,\n    "boson_6_gev": 7e+303,\n    "boson_11_gev": 1e+19,\n'
+             '    "alpha_w": 9e+150\n  }\n]\n'),
+], ids=["table", "csv", "json"])
+def test_a_finite_value_rounded_past_the_largest_float_prints_its_rounded_text(capsys, fmt,
+                                                                                expected):
+    # json writes the rounded text too, not json.dumps' Infinity, which is not JSON
+    point = repr(_ROUNDS_PAST_THE_LARGEST)
+    assert _run(capsys, "sweep", "m_electron_mev", "--from", point, "--to", point, "--steps",
+                "1", "--format", fmt, "--digits", "1") == (0, expected, "")
 
 
 def _nudged(x: float, ulps: int) -> float:
@@ -794,13 +822,11 @@ def test_a_sweep_point_is_accepted_and_rejected_as_its_constant_set_is(data, ulp
     code, out, err = _run_quiet(argv)
     assert (code, out, err) == expected
     # and each field's own range holds, whoever checks it: a point outside it is rejected
-    # as that field's, any other point evaluates to finite numbers or fails an overflow
-    # check (17 digits print each float exactly; json at fewer rounds the value itself,
-    # which can round a float next to the largest up to inf)
+    # as that field's, any other point evaluates to finite numbers or fails an overflow check
     field, inside = _OWN_RANGES[param]
     own = f"dimorb: error: {field} from the sweep of {param} is out of range: "
     assert err.startswith(own) is not inside(point)
-    assert code == 1 or digits != "17" or not _NON_FINITE.search(out)
+    assert code == 1 or not _NON_FINITE.search(out)
 
 
 def _count_core_calls(monkeypatch, **more) -> dict[str, int]:

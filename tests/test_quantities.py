@@ -263,17 +263,30 @@ def _corpus_cell(rng):
     return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.0, 308.0)
 
 
+def _json_number(value, digits):
+    # round_to_sig's value; but a finite float whose rounding passes the largest float
+    # is written as its rounded text, which `_raw_numbers` takes out of its quotes
+    rounded = round_to_sig(value, digits)
+    if math.isfinite(rounded) or not math.isfinite(value):
+        return rounded
+    return "\ue000" + format(value, f".{digits}g")
+
+
+def _raw_numbers(text):
+    return re.sub(r'"\\ue000([^"]*)"', r"\1", text)
+
+
 @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.7976931348623157e308,
                                    -1.7976931348623157e308])
 def test_json_edge_floats_match_json_dumps_at_every_digits(value):
     for digits in range(1, 21):
-        expected = json.dumps([{"x": round_to_sig(value, digits)}], indent=2) + "\n"
+        expected = _raw_numbers(json.dumps([{"x": _json_number(value, digits)}], indent=2)) + "\n"
         assert format_rows("json", ["x"], [[value]], digits) == expected, digits
 
 
 def test_json_spells_a_float_that_rounds_up_to_inf_as_json_dumps_does():
     assert format_rows("json", ["x", "y"], [[1.7976931348623157e308, -1.7e308]], 1) == (
-        '[\n  {\n    "x": Infinity,\n    "y": -Infinity\n  }\n]\n')
+        '[\n  {\n    "x": 2e+308,\n    "y": -2e+308\n  }\n]\n')
     assert format_rows("json", ["x"], [[1.7976931348623157e308]], 17) == (
         '[\n  {\n    "x": 1.7976931348623157e+308\n  }\n]\n')
 
@@ -294,6 +307,28 @@ _REPEATED_ROWS = [list(row) for row in zip(*_REPEATED_COLUMNS.values())]
 _REPEATED_TABLES = [(list(_REPEATED_COLUMNS), _REPEATED_ROWS, digits) for digits in (1, 6, 17)]
 
 
+def _long_column(first, middle):
+    # 45 cells of `first`, with `middle`'s cells in the rows from 20 on
+    cells = [first] * 45
+    cells[20:20 + len(middle)] = middle
+    return cells
+
+
+# long columns, since the writer classes each column once: each matches at its ends
+_LONG_COLUMNS = {
+    "one_differs": _long_column(2.5, [2.5000000000000004]),
+    "mixed": _long_column(1e-5, [3.25, 7, 0.5, True, -1e300, None, 1e-5]),
+    "comma": _long_column("ab", ["a,b"]),
+}
+_LONG_TABLES = [
+    *((list(_LONG_COLUMNS), [list(row) for row in zip(*_LONG_COLUMNS.values())], digits)
+      for digits in (1, 6, 17)),
+    *(([name], [[cell] for cell in cells], 6) for name, cells in _LONG_COLUMNS.items()),
+    (list(_LONG_COLUMNS), [], 6),  # no rows
+    ([], [[] for _ in range(45)], 6),  # no columns
+]
+
+
 def test_json_rows_match_json_dumps_byte_for_byte():
     rng = random.Random(20261018)
 
@@ -303,10 +338,11 @@ def test_json_rows_match_json_dumps_byte_for_byte():
                 else [_corpus_cell(rng) for _ in columns] for _ in range(rng.randint(0, 4))]
         return columns, rows, rng.randint(1, 20)
 
-    for columns, rows, digits in chain(_REPEATED_TABLES, (table() for _ in range(3000))):
-        entries = [{name: round_to_sig(value, digits) if type(value) is float else value
+    for columns, rows, digits in chain(_REPEATED_TABLES, _LONG_TABLES,
+                                       (table() for _ in range(3000))):
+        entries = [{name: _json_number(value, digits) if type(value) is float else value
                     for name, value in zip(columns, row) if value is not None} for row in rows]
-        expected = json.dumps(entries, indent=2) + "\n"
+        expected = _raw_numbers(json.dumps(entries, indent=2)) + "\n"
         assert format_rows("json", columns, rows, digits) == expected, (columns, rows, digits)
 
 
@@ -340,7 +376,7 @@ def _cell_texts(rows, digits):
 
 def test_csv_rows_match_csv_writer_byte_for_byte():
     rng = random.Random(20261019)
-    for columns, rows, digits in chain(_REPEATED_TABLES,
+    for columns, rows, digits in chain(_REPEATED_TABLES, _LONG_TABLES,
                                        (_corpus_table(rng) for _ in range(3000))):
         out = io.StringIO()
         try:
@@ -354,7 +390,7 @@ def test_csv_rows_match_csv_writer_byte_for_byte():
 
 def test_table_rows_match_the_padded_layout_byte_for_byte():
     rng = random.Random(20261020)
-    for columns, rows, digits in chain(_REPEATED_TABLES,
+    for columns, rows, digits in chain(_REPEATED_TABLES, _LONG_TABLES,
                                        (_corpus_table(rng) for _ in range(3000))):
         texts = _cell_texts(rows, digits)
         # each column as wide as its widest cell, two spaces apart, no trailing space
@@ -363,6 +399,16 @@ def test_table_rows_match_the_padded_layout_byte_for_byte():
         expected = "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n"
                            for line in lines)
         assert format_rows("table", columns, rows, digits) == expected, (columns, rows)
+
+
+def test_markdown_rows_match_the_pipe_layout_byte_for_byte():
+    rng = random.Random(20261021)
+    for columns, rows, digits in chain(_REPEATED_TABLES, _LONG_TABLES,
+                                       (_corpus_table(rng) for _ in range(3000))):
+        # a row of cells between pipes under a "---" row; no cell is escaped
+        lines = [columns, ["---"] * len(columns), *_cell_texts(rows, digits)]
+        expected = "".join("| " + " | ".join(texts) + " |\n" for texts in lines)
+        assert format_rows("markdown", columns, rows, digits) == expected, (columns, rows)
 
 
 @pytest.mark.parametrize("digits", [0, -1])
