@@ -6,10 +6,13 @@ fermion table cannot be calibrated with), 2 unreadable or malformed data
 `compare --check`. Data goes to stdout, diagnostics to stderr, and output is
 deterministic: same inputs, same bytes.
 
-Handlers raise and `run()` alone reports: it prints the one `dimorb: error:`
-line and picks the exit code. Arguments are checked before any file is read or
-output written. Every input file goes through `_load`, so one that cannot be
-read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed or used
+Each command but `sweep` makes one `evaluate` call. Every number it prints is a field
+of that `Evaluation`, or a fixed unit conversion or rounding of one, apart from input
+constants, the fixed baryon split and the closed-form column of `bosons`; `sweep` runs
+the float core once a point. Handlers raise and `run()` alone reports: it prints the
+one `dimorb: error:` line and picks the exit code. Arguments are checked before any
+file is read or output written. Every input file goes through `_load`, so one that
+cannot be read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed or used
 exits 2 and names its path.
 """
 
@@ -23,15 +26,14 @@ import sys
 from pathlib import Path
 
 from . import spectrum as _spectrum
-from .ladder import boson_ladder, closed_form_mass, electroweak_mix
+from .ladder import _LEVELS, closed_form_mass
 from .quantities import (
     ALPHA_E_DEFAULT,
     ModelConstants,
-    Unit,
     _check_field,
-    _convert,
     _FieldError,
     _LocatedError,
+    _TO_MEV,
     format_rows,
     gev,
     mev,
@@ -43,9 +45,7 @@ from .spectrum import (
     CalibrationError,
     _MU,
     _TAU,
-    calibrate,
-    format_calibration,
-    full_spectrum,
+    evaluate,
     load_bases,
 )
 
@@ -225,64 +225,55 @@ def _resolve_constants(args) -> ModelConstants:
 
 
 def _cmd_bosons(args, constants: ModelConstants) -> int:
-    ladder = boson_ladder(constants)
     columns = ["d", "gauge", "symmetry", "mass_gev"]
     if args.closed_form:
         columns.append("closed_form_gev")
     rows = []
-    for row in ladder:
-        cells = [int(row.orbital), row.gauge.value, row.symmetry,
-                 row.mass.to(Unit.GEV).magnitude]
+    for (orbital, gauge, symmetry), mass in zip(_LEVELS, evaluate(constants).ladder_gev):
+        cells = [orbital.d, gauge.value, symmetry, mass]
         if args.closed_form:
-            cells.append(closed_form_mass(int(row.orbital), constants).to(Unit.GEV).magnitude)
+            cells.append(closed_form_mass(orbital, constants).magnitude)
         rows.append(cells)
     sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
 
 def _cmd_calibrate(args, constants: ModelConstants) -> int:
-    result = calibrate(constants, anchor=args.anchors)
-    Path(args.out).write_text(format_calibration(result.bases))
+    ev = evaluate(constants, args.anchors)
+    Path(args.out).write_text(_spectrum._CAL_TEXT % (ev.quark_base, ev.top_lump / 1e3))
     print(f"wrote {args.out}", file=sys.stderr)
-    columns = ["name", "role", "rel_error"]
-    rows = []
-    for table_row in TABLE:
-        if table_row.name in result.residuals:
-            rows.append([table_row.name, "anchor", result.residuals[table_row.name]])
-        elif table_row.name in result.non_anchor_residuals:
-            rows.append([table_row.name, "held-out",
-                         result.non_anchor_residuals[table_row.name]])
-    sys.stdout.write(format_rows("table", columns, rows, args.digits))
+    rows = _spectrum._residuals(ev.rows, args.anchors)
+    sys.stdout.write(format_rows("table", ["name", "role", "rel_error"], rows, args.digits))
     return EXIT_OK
 
 
 def _cmd_fermions(args, constants: ModelConstants) -> int:
     if args.calibration:
-        # the spectrum is built in the loader, so a base it cannot use names the file
-        spectrum = _load(args.calibration, "calibration",
-                         lambda text: full_spectrum(constants, load_bases(text, constants)))
+        # the rows are evaluated in the loader, so a base it cannot use names the file
+        ev = _load(args.calibration, "calibration", lambda text: _spectrum._ev_from_bases(
+            evaluate(constants), load_bases(text, constants)))
     else:
-        spectrum = full_spectrum(constants, calibrate(constants).bases)
+        ev = evaluate(constants, "d")
     columns = ["name", "orbitals", "constituents", "mass", "unit", "note"]
-    rows = []
-    for (name, mass), table_row in zip(spectrum, TABLE):
-        rows.append([name, table_row.orbitals, table_row.constituents,
-                     _convert(mass, table_row.display_unit), table_row.display_unit.value,
-                     table_row.note])
+    rows = [[row.name, row.orbitals, row.constituents, mass / _TO_MEV[row.display_unit],
+             row.display_unit.value, row.note] for row, mass in zip(TABLE, ev.rows)]
     sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
 
 def _cmd_compare(args, constants: ModelConstants) -> int:
-    from .compare import BARYON_SPLIT, compare_all, default_observed, parse_observed, render
+    from .compare import BARYON_SPLIT, _claims, _compare, default_observed, parse_observed, render
     if args.observed:
         records = _load(args.observed, "observed", parse_observed)
     else:
         records = default_observed()
-    bases = calibrate(constants).bases
-    spectrum, ladder = full_spectrum(constants, bases), boson_ladder(constants)
+    ev = evaluate(constants, "d")
+    # each row in its display unit, as fermions prints it: the top in GeV, the rest in MeV
+    spectrum = [(row.name, mass / _TO_MEV[row.display_unit]) for row, mass in zip(TABLE, ev.rows)]
+    claims = _claims(ev.ladder_gev, ev.alpha_w, constants.theta_w_deg, ev.sin2_theta_w,
+                     BARYON_SPLIT, spectrum)
     try:
-        report = compare_all(spectrum, ladder, electroweak_mix(constants), BARYON_SPLIT, records)
+        report = _compare(claims, records)
     except ValueError as exc:
         # the built-in set always compares, so only a row of the observed file gets here
         raise ValueError(f"{args.observed}: {exc}") from None

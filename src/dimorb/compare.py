@@ -24,8 +24,8 @@ from functools import cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .ladder import BosonLadder, ElectroweakMix
-from .quantities import (MassValue, Unit, _Checked, _convert, _GEV, _LocatedError, _number,
-                         format_rows, round_to_sig)
+from .quantities import (MassValue, Unit, _Checked, _convert, _GEV, _LocatedError, _MEV,
+                         _number, format_rows, round_to_sig)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -260,22 +260,24 @@ def computed_claims(
 ) -> list[tuple[str, float, ObservedUnit, int | None]]:
     """Everything the model claims, as `(name, value, unit, printed_sigfigs)`
     tuples keyed by stable comparison names."""
+    return _claims([_convert(row.mass, _GEV) for row in ladder], *mix, map(float, fractions),
+                   [(name, _convert(mass, _GEV if name == "t" else _MEV))
+                    for name, mass in spectrum])
+
+
+def _claims(ladder_gev, alpha_w, theta_w_deg, sin2_theta_w, fractions, spectrum) -> list:
+    """`computed_claims` of floats; each `spectrum` mass is in MeV, the top's in GeV."""
     mev, gev, dimensionless = ObservedUnit.MEV, ObservedUnit.GEV, ObservedUnit.DIMENSIONLESS
     baryonic, dark = fractions
-    claims = [(name, _convert(row.mass, _GEV), gev, None)
-              for name, row in zip(_BOSON_CLAIM_NAMES, ladder)]
-    claims += [("planck_mass", _convert(ladder[-1].mass, _GEV), gev, _PLANCK_CLAIM_SIGFIGS),
-               ("theta_w", mix.theta_w_deg, ObservedUnit.DEGREE, None),
-               ("alpha_w", mix.alpha_w, dimensionless, None),
-               ("sin2_theta_w", mix.sin2_theta_w, dimensionless, None),
-               ("baryon_fraction", float(baryonic), dimensionless, None),
-               ("dark_fraction", float(dark), dimensionless, None)]
-    for name, mass in spectrum:
-        claim_name = _SPECTRUM_CLAIM_NAMES.get(name, name)
-        if name == "t":
-            claims.append((claim_name, _convert(mass, _GEV), gev, None))
-        else:
-            claims.append((claim_name, mass.mev, mev, None))
+    claims = [(name, mass, gev, None) for name, mass in zip(_BOSON_CLAIM_NAMES, ladder_gev)]
+    claims += [("planck_mass", ladder_gev[-1], gev, _PLANCK_CLAIM_SIGFIGS),
+               ("theta_w", theta_w_deg, ObservedUnit.DEGREE, None),
+               ("alpha_w", alpha_w, dimensionless, None),
+               ("sin2_theta_w", sin2_theta_w, dimensionless, None),
+               ("baryon_fraction", baryonic, dimensionless, None),
+               ("dark_fraction", dark, dimensionless, None)]
+    claims += [(_SPECTRUM_CLAIM_NAMES.get(name, name), mass, gev if name == "t" else mev, None)
+               for name, mass in spectrum]
     return claims
 
 
@@ -287,52 +289,51 @@ def compare_all(
     observed: Sequence[ObservedRecord],
 ) -> ComparisonReport:
     """Match claims to observed rows by name, in observed input order."""
-    claims = computed_claims(spectrum, ladder, mix, fractions)
+    return _compare(computed_claims(spectrum, ladder, mix, fractions), observed)
+
+
+def _compare(claims, observed: Sequence[ObservedRecord]) -> ComparisonReport:
+    """`compare_all` of the claims `_claims` lists."""
     by_name = {claim[0]: claim for claim in claims}
     rows: list[ComparisonRow] = []
     matched: set[str] = set()
     skipped_observed: list[str] = []
-    for record in observed:
-        claim = by_name.get(record.name)
+    for name, value, observed_unit, uncertainty, _ in observed:
+        claim = by_name.get(name)
         if claim is None:
-            skipped_observed.append(record.name)
+            skipped_observed.append(name)
             continue
         _, computed, unit, printed_sigfigs = claim
-        if unit is not record.unit:
+        if unit is not observed_unit:
             # only the two mass units convert into each other
-            if unit not in _MASS_UNITS or record.unit not in _MASS_UNITS:
-                raise ValueError(
-                    f"unit kind mismatch for {record.name!r}: computed in {unit.value}, "
-                    f"observed in {record.unit.value}"
-                )
-            computed = _convert((computed, _MASS_UNITS[unit]), _MASS_UNITS[record.unit])
+            if unit not in _MASS_UNITS or observed_unit not in _MASS_UNITS:
+                raise ValueError(f"unit kind mismatch for {name!r}: computed in {unit.value}, "
+                                 f"observed in {observed_unit.value}")
+            computed = _convert((computed, _MASS_UNITS[unit]), _MASS_UNITS[observed_unit])
         if printed_sigfigs is not None:
             computed = round_to_sig(computed, printed_sigfigs)
-        if computed == 0.0 and record.value == 0.0:
+        if computed == 0.0 and value == 0.0:
             rel = 0.0
-        elif record.value == 0.0:
-            raise ValueError(
-                f"undefined relative error for {record.name!r}: observed value is zero"
-            )
+        elif value == 0.0:
+            raise ValueError(f"undefined relative error for {name!r}: observed value is zero")
         else:
-            rel = abs(computed - record.value) / abs(record.value)
+            rel = abs(computed - value) / abs(value)
             if not math.isfinite(rel):
-                values = f"computed {computed!r}, observed {record.value!r}"
+                values = f"computed {computed!r}, observed {value!r}"
                 if not math.isfinite(computed):
                     # rounded in a smaller unit, a claim can reach inf: name it as stated
                     stated = round_to_sig(claim[1], printed_sigfigs)
                     values = (f"computed {stated!r} {unit.value}, "
-                              f"observed {record.value!r} {record.unit.value}")
-                raise ValueError(f"relative error for {record.name!r} overflows a float: {values}")
-        within = None
-        if record.uncertainty is not None:
-            within = abs(computed - record.value) <= record.uncertainty
-        # ComparisonRow checks nothing, so its Python-level __new__ is skipped
-        rows.append(tuple.__new__(ComparisonRow, (record.name, computed, record.value,
-                                                  record.unit, rel, within)))
-        matched.add(record.name)
-    skipped_computed = tuple(claim[0] for claim in claims if claim[0] not in matched)
-    return ComparisonReport(tuple(rows), skipped_computed, tuple(skipped_observed))
+                              f"observed {value!r} {observed_unit.value}")
+                raise ValueError(f"relative error for {name!r} overflows a float: {values}")
+        within = None if uncertainty is None else abs(computed - value) <= uncertainty
+        # the report's records check nothing, so their Python-level __new__ is skipped
+        rows.append(tuple.__new__(ComparisonRow, (name, computed, value, observed_unit, rel,
+                                                  within)))
+        matched.add(name)
+    skipped_computed = tuple([claim[0] for claim in claims if claim[0] not in matched])
+    return tuple.__new__(ComparisonReport, (tuple(rows), skipped_computed,
+                                            tuple(skipped_observed)))
 
 
 def render(report: ComparisonReport, fmt: str = "markdown", sig: int = 6) -> str:

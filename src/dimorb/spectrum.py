@@ -7,7 +7,9 @@ Once the ladder is known, every row of the fermion table is
 added left to right. Me is the electron mass, Me + L the computed muon, and L
 and Q the level-7 auxiliary bases of the charged leptons and the quarks, each
 weighted by quartic_sum(a) = sum(k**4 for k = 0..a) for the row's auxiliary
-index a, so the three generations climb steeply with a.
+index a, so the three generations climb steeply with a. L = (3/2) * B6 comes
+from the ladder; Q and top_lump, the model's only calibrated constants, are
+solved in floats from one anchor row.
 
 `_rows` evaluates that sum for each row of a weight matrix such as
 `_COEFFICIENTS`, TABLE's compositions as floats: a small int's float is exact,
@@ -17,18 +19,14 @@ check and `MassValue` see to that; a base of weight 0 is passed as 0.0), so a
 zero-weight term adds an exact +0.0, as if skipped. It does not use `sum()`,
 which compensates its rounding from Python 3.12 on.
 
-L = (3/2) * B6 is fixed by the ladder itself and never calibrated. Q and
-the top's lumped level-8 contribution are the model's only two calibrated
-constants: `evaluate` solves each in floats from one anchor row of the table.
-
-The float core is here too, since its range check reads the tau row: `_evaluation`
-computes the uncalibrated `Evaluation` of five input floats, and its checking
-wrapper `_core` runs it when a set is built and names the set's constants in a
-failed check. Every public function, here and in `ladder`, reads that result
-through `evaluate`; a sweep point calls `_evaluation` alone. Those
-checks and the solves' show each mass finite and >= 0, so returned records are
-built from the floats unchecked. Only a hand-built `AuxBaseSet` can give an inf
-row (NaN once Me + L overflows); `full_spectrum` and `fermion_mass` check rows.
+The float core is here too, since its range check reads the tau row. `_evaluation`
+gives the uncalibrated `Evaluation` of five input floats, and `_core` runs it when a
+set is built, naming the set's constants in a failed check. `evaluate` returns that
+record, calibrated from an anchor by `_calibrated_ev`; `_ev_from_bases` calibrates it
+from a base set, the one source of an inf row, and checks each row. Each command prints
+the fields of one `Evaluation`, or fixed unit conversions or roundings of them; the
+public functions, here and in `ladder` and `compare`, wrap the same private functions
+and build their records from those floats unchecked.
 """
 
 from __future__ import annotations
@@ -155,15 +153,15 @@ TABLE: tuple[SpectrumRow, ...] = (
 )
 
 _BY_NAME = {row.name: row for row in TABLE}
+_NAMES = tuple(row.name for row in TABLE)
 # plain tuples of floats, which unpack faster than the NamedTuples; see the module docstring
 _COEFFICIENTS = tuple(tuple(map(float, row.composition)) for row in TABLE)
 # the rows before u have no quark or lump weight, so they alone need no anchor
 _LEPTONS = _COEFFICIENTS[:TABLE.index(_BY_NAME["u"])]
-_QUARKS = _COEFFICIENTS[len(_LEPTONS):]
-_NO_QUARK_ROWS = (None,) * len(_QUARKS)
+_NO_QUARK_ROWS = (None,) * (len(TABLE) - len(_LEPTONS))
 # the rows a sweep prints; the range check reads the tau row too
 _MU, _TAU = (TABLE.index(_BY_NAME[name]) for name in ("mu", "tau"))
-# (index, name, table mass in MeV) of each row neither given nor massless, as calibrate reads it
+# (index, name, table mass in MeV) of each row neither given nor massless, as _residuals reads it
 _PREDICTED = [(i, row.name, row.table_mass.mev) for i, row in enumerate(TABLE) if not row.note]
 
 # rows eligible to anchor the quark-base solve; the top is excluded because
@@ -349,9 +347,32 @@ def evaluate(constants: ModelConstants, anchor: str | None = None) -> Evaluation
     if anchor is None:
         return ev
     quark = _quark_base(constants, ev, anchor)
-    lump = _top_lump(constants, ev, quark)
-    rows = (*ev.rows[:len(_LEPTONS)], *_rows(_QUARKS, ev.electron, ev.lepton_base, quark, lump))
-    return tuple.__new__(Evaluation, (*ev[:3], quark, lump, rows, *ev[6:]))
+    return _calibrated_ev(ev, ev.lepton_base, quark, _top_lump(constants, ev, quark))
+
+
+def _calibrated_ev(ev: Evaluation, lepton: float, quark: float, lump: float) -> Evaluation:
+    """`ev` with these three bases, in MeV, and all twelve rows evaluated from them."""
+    ladder, me, _, _, _, _, alpha_w, sin2_theta_w = ev
+    rows = tuple(_rows(_COEFFICIENTS, me, lepton, quark, lump))
+    return tuple.__new__(Evaluation, (ladder, me, lepton, quark, lump, rows, alpha_w, sin2_theta_w))
+
+
+def _ev_from_bases(ev: Evaluation, bases: AuxBaseSet) -> Evaluation:
+    """`_calibrated_ev` of a base set, maybe hand-built; a missing base or inf/NaN row raises."""
+    quark = _calibrated(bases.quark_base_7, "the quark base at level 7")
+    lump = _calibrated(bases.top_lump_8, "the lumped level-8 term")
+    ev = _calibrated_ev(ev, bases.lepton_base_7.mev, quark, lump)
+    if not all(map(math.isfinite, ev.rows)):
+        name, mass = next(pair for pair in zip(_NAMES, ev.rows) if not math.isfinite(pair[1]))
+        raise ValueError(f"row {name!r}: mass magnitude must be finite and >= 0 in MeV, "
+                         f"got {mass!r} MeV")
+    return ev
+
+
+def _residuals(rows, anchor: str) -> list[tuple[str, str, float]]:
+    """(name, role, relative error) of each row neither given nor massless, in table order."""
+    return [(name, "anchor" if name in (anchor, "t") else "held-out",
+             abs(rows[i] - table_mass) / table_mass) for i, name, table_mass in _PREDICTED]
 
 
 class CalibrationResult(NamedTuple):
@@ -370,9 +391,8 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
     ev = evaluate(constants, anchor)
     residuals: dict[str, float] = {}
     held_out: dict[str, float] = {}
-    for i, name, table_mass in _PREDICTED:
-        err = abs(ev.rows[i] - table_mass) / table_mass
-        (residuals if name in (anchor, "t") else held_out)[name] = err
+    for name, role, err in _residuals(ev.rows, anchor):
+        (residuals if role == "anchor" else held_out)[name] = err
     # L, Q and the lump: finite, as _core's tau check bounds what they are solved from, and > 0
     bases = tuple.__new__(AuxBaseSet, [tuple.__new__(MassValue, (m, _MEV)) for m in ev[2:5]])
     return tuple.__new__(CalibrationResult, (bases, residuals, held_out))
@@ -381,18 +401,8 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
 def full_spectrum(constants: ModelConstants,
                   bases: AuxBaseSet) -> list[tuple[str, MassValue]]:
     """All twelve rows in table order as (name, mass in MeV); an overflow names its row."""
-    quark = _calibrated(bases.quark_base_7, "the quark base at level 7")
-    lump = _calibrated(bases.top_lump_8, "the lumped level-8 term")
-    me, lepton = evaluate(constants).electron, bases.lepton_base_7.mev
-    spectrum = []
-    for row, mass in zip(TABLE, _rows(_COEFFICIENTS, me, lepton, quark, lump)):
-        try:
-            # every term is >= 0, so a finite row passes MassValue's check; mev() words the rest
-            mass = tuple.__new__(MassValue, (mass, _MEV)) if math.isfinite(mass) else mev(mass)
-        except ValueError as exc:
-            raise ValueError(f"row {row.name!r}: {exc}") from None
-        spectrum.append((row.name, mass))
-    return spectrum
+    rows = _ev_from_bases(evaluate(constants), bases).rows
+    return [(name, tuple.__new__(MassValue, (mass, _MEV))) for name, mass in zip(_NAMES, rows)]
 
 
 # calibration file format: one key=value per line, '#' comments allowed,
@@ -401,16 +411,13 @@ def full_spectrum(constants: ModelConstants,
 _CAL_QUARK_KEY = "quark_base_7_mev"
 _CAL_LUMP_KEY = "top_lump_8_gev"
 _CAL_KEYS = (_CAL_QUARK_KEY, _CAL_LUMP_KEY)
+_CAL_TEXT = f"# calibrated auxiliary bases\n{_CAL_QUARK_KEY}=%.17g\n{_CAL_LUMP_KEY}=%.17g\n"
 
 
 def format_calibration(bases: AuxBaseSet) -> str:
     if bases.quark_base_7 is None or bases.top_lump_8 is None:
         raise ValueError("cannot format an AuxBaseSet with missing calibrated bases")
-    return (
-        "# calibrated auxiliary bases\n"
-        f"{_CAL_QUARK_KEY}={bases.quark_base_7.mev:.17g}\n"
-        f"{_CAL_LUMP_KEY}={bases.top_lump_8.to(Unit.GEV).magnitude:.17g}\n"
-    )
+    return _CAL_TEXT % (bases.quark_base_7.mev, _convert(bases.top_lump_8, _GEV))
 
 
 def parse_calibration(text: str) -> dict[str, float]:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -711,6 +712,70 @@ def test_extreme_constants_exit_0_or_1_and_print_only_finite_numbers(values, par
             assert out == ""
 
 
+_EDGE_OR_LOG_UNIFORM = st.one_of(
+    st.sampled_from((0.0, 5e-324, sys.float_info.max, math.inf, math.nan, 90.0)), _LOG_UNIFORM)
+_CLAIM_NAMES = ("muon", "tau", "b_quark", "top_quark", "boson_7", "boson_11", "planck_mass",
+                "theta_w", "alpha_w", "baryon_fraction", "graviton")
+_OBSERVED_ROWS = st.lists(st.tuples(st.sampled_from(_CLAIM_NAMES), _EDGE_OR_LOG_UNIFORM,
+                                    st.sampled_from(("MeV", "GeV", "dimensionless", "degree")),
+                                    st.one_of(st.none(), _EDGE_OR_LOG_UNIFORM)),
+                          max_size=5, unique_by=lambda row: row[0])
+# the commands that read a data file or calibrate, each as (argv, its formats)
+_CALIBRATING_COMMANDS = {
+    "calibrate": (["calibrate", "--out", "{dir}/written.txt"], (None,)),
+    "fermions": (["fermions", "--calibrate"], ("table", "csv", "json")),
+    "fermions_file": (["fermions", "--calibration", "{dir}/cal.txt"], ("table", "csv", "json")),
+    "compare": (["compare"], ("markdown", "csv", "json")),
+    "compare_file": (["compare", "--observed", "{dir}/observed.csv", "--check"],
+                     ("markdown", "csv", "json")),
+}
+# what stderr may hold besides an error: calibrate's note, json's skip lists and --check's
+# breach line
+_NOTES = ("wrote ", "skipped computed: ", "skipped observed: ", "tolerance check failed at ")
+
+
+@given(
+    command=st.sampled_from(tuple(_CALIBRATING_COMMANDS)),
+    flags=st.dictionaries(st.sampled_from(_CONSTANT_FLAGS), _EDGE_OR_LOG_UNIFORM, max_size=3),
+    config=st.one_of(st.none(), st.dictionaries(st.sampled_from(_SWEEP_PARAMS),
+                                                _EDGE_OR_LOG_UNIFORM, max_size=3)),
+    bases=st.tuples(_EDGE_OR_LOG_UNIFORM, _EDGE_OR_LOG_UNIFORM),
+    observed=_OBSERVED_ROWS,
+    fmt=st.integers(0, 2),
+    digits=st.sampled_from(("1", "6", "17")),
+)
+# a calibration file whose quark base overflows the b row
+@example(command="fermions_file", flags={}, config=None, bases=(1e306, 162.0), observed=[],
+         fmt=0, digits="6")
+@settings(max_examples=300, deadline=None)
+def test_every_calibrating_command_exits_0_to_3_and_prints_only_finite_numbers(
+        command, flags, config, bases, observed, fmt, digits, tmp_path_factory):
+    where = tmp_path_factory.getbasetemp() / "calibrating"
+    where.mkdir(exist_ok=True)
+    (where / "cal.txt").write_text(f"quark_base_7_mev={bases[0]!r}\ntop_lump_8_gev={bases[1]!r}\n")
+    (where / "observed.csv").write_text("name,value,unit,uncertainty,source\n" + "".join(
+        f"{name},{value!r},{unit},{'' if unc is None else repr(unc)},drawn\n"
+        for name, value, unit, unc in observed))
+    env = {}
+    if config is not None:
+        (where / "model.conf").write_text("".join(f"{key}={value!r}\n"
+                                                  for key, value in config.items()))
+        env["DIMORB_CONFIG"] = str(where / "model.conf")
+    argv, formats = _CALIBRATING_COMMANDS[command]
+    argv = [arg.format(dir=where) for arg in argv]
+    argv += [text for flag, value in flags.items() for text in (flag, repr(value))]
+    argv += ["--digits", digits] + (["--format", formats[fmt]] if formats[0] else [])
+    with mock.patch.dict(os.environ, env):
+        code, out, err = _run_quiet(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code in (1, 2):
+        assert out == "", argv
+        assert err.startswith(("dimorb: error:", "usage:")), argv
+    else:
+        assert all(line.startswith(_NOTES) for line in err.splitlines()), argv
+        assert not _NON_FINITE.search(out), argv
+
+
 @pytest.mark.parametrize("fmt, expected", [
     ("table", "m_electron_mev  muon_mev  tau_mev  boson_6_gev  boson_11_gev  alpha_w\n"
               "--------------  --------  -------  -----------  ------------  -------\n"
@@ -1038,3 +1103,109 @@ def test_any_input_file_bytes_end_in_a_documented_exit(kind, data, tmp_path_fact
 def test_help_exits_zero(capsys):
     assert _run(capsys, "--help")[0] == 0
     assert _run(capsys, "compare", "--help")[0] == 0
+
+
+_FLAGS_17 = ("--alpha", "0.0075", "--m-electron-mev", "0.52", "--theta-w-deg", "31",
+             "--digits", "17")
+# one observed row for each kind of claim, in the unit the model states it in
+_EVERY_KIND_CSV = ("name,value,unit,uncertainty,source\n"
+                   "boson_7,91,GeV,,x\nplanck_mass,1e19,GeV,,x\ntheta_w,28.7,degree,,x\n"
+                   "alpha_w,0.03,dimensionless,,x\nsin2_theta_w,0.23,dimensionless,,x\n"
+                   "baryon_fraction,0.13,dimensionless,,x\nmuon,105.7,MeV,,x\n"
+                   "b_quark,5318,MeV,,x\ntop_quark,176,GeV,,x\n")
+
+
+def _csv_cells(out):
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+@pytest.mark.parametrize("command", ["bosons", "calibrate", "fermions --calibrate",
+                                     "fermions --calibration", "compare"])
+def test_each_command_prints_from_one_evaluation(command, tmp_path, capsys, monkeypatch):
+    calibration, observed = tmp_path / "cal.txt", tmp_path / "observed.csv"
+    constants = cli._constants({}, {"alpha": (0.0075, "--alpha"),
+                                    "m_electron_mev": (0.52, "--m-electron-mev"),
+                                    "theta_w_deg": (31.0, "--theta-w-deg")})
+    calibration.write_text(format_calibration(calibrate(constants).bases))
+    observed.write_text(_EVERY_KIND_CSV)
+    evaluations = []
+
+    def recording(*args):
+        evaluations.append(spectrum.evaluate(*args))
+        return evaluations[-1]
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    argv = {"bosons": ["bosons", "--format", "csv"],
+            "calibrate": ["calibrate", "--out", str(tmp_path / "written.txt")],
+            "fermions --calibrate": ["fermions", "--calibrate", "--format", "csv"],
+            "fermions --calibration": ["fermions", "--calibration", str(calibration),
+                                       "--format", "csv"],
+            "compare": ["compare", "--observed", str(observed), "--format", "csv"]}[command]
+    code, out, _ = _run(capsys, *argv, *_FLAGS_17)
+    assert code == 0
+    assert len(evaluations) == 1
+    (ev,) = evaluations
+    # 17 digits print every float exactly, so each printed number reads back as its float
+    if command == "bosons":
+        assert tuple(float(row["mass_gev"]) for row in _csv_cells(out)) == ev.ladder_gev
+    elif command == "calibrate":
+        rows = {name: float(err) for name, _, err in map(str.split, out.splitlines()[2:])}
+        assert rows == {row.name: abs(mass - row.table_mass.mev) / row.table_mass.mev
+                        for row, mass in zip(spectrum.TABLE, ev.rows) if not row.note}
+        written = dict(line.split("=") for line in
+                       (tmp_path / "written.txt").read_text().splitlines()[1:])
+        assert float(written["quark_base_7_mev"]) == ev.quark_base
+        assert float(written["top_lump_8_gev"]) == ev.top_lump / 1e3
+    elif command.startswith("fermions"):
+        if command == "fermions --calibration":
+            # the uncalibrated record, calibrated from the file's two values
+            assert ev.quark_base is None
+            values = spectrum.parse_calibration(calibration.read_text())
+            ev = spectrum._calibrated_ev(ev, ev.lepton_base, values["quark_base_7_mev"],
+                                         values["top_lump_8_gev"] * 1e3)
+        masses = [float(row["mass"]) for row in _csv_cells(out)]
+        assert masses == [*ev.rows[:-1], ev.rows[-1] / 1e3]
+    else:
+        computed = {row["name"]: float(row["computed"]) for row in _csv_cells(out)}
+        rows = dict(zip((row.name for row in spectrum.TABLE), ev.rows))
+        assert computed == {
+            "boson_7": ev.ladder_gev[2], "planck_mass": float(f"{ev.ladder_gev[6]:.2g}"),
+            "theta_w": 31.0, "alpha_w": ev.alpha_w, "sin2_theta_w": ev.sin2_theta_w,
+            "baryon_fraction": 1 / 7, "muon": rows["mu"], "b_quark": rows["b"],
+            "top_quark": rows["t"] / 1e3}
+
+
+# constants under which the lump in GeV does not read back as the same MeV float
+_LUMP_ROUNDING = ("--alpha", "0.007537540769194876", "--m-electron-mev", "0.4715009178945339")
+
+
+def test_a_calibration_file_gives_every_row_but_the_top_bit_for_bit(tmp_path, capsys):
+    path = tmp_path / "cal.txt"
+    assert _run(capsys, "calibrate", "--out", str(path), *_LUMP_ROUNDING)[0] == 0
+    read = ["--digits", "17", "--format", "csv", *_LUMP_ROUNDING]
+    from_file = _run(capsys, "fermions", "--calibration", str(path), *read)[1].splitlines()
+    in_memory = _run(capsys, "fermions", "--calibrate", *read)[1].splitlines()
+    assert from_file[:-1] == in_memory[:-1]
+    assert (from_file[-1].split(",")[3], in_memory[-1].split(",")[3]) == (
+        "176.49999999999997", "176.5")
+
+
+@given(alpha=st.floats(0.0066, 0.0080), m_electron=st.floats(0.46, 0.56),
+       anchor=st.sampled_from(spectrum.ANCHOR_CHOICES))
+@example(alpha=0.007537540769194876, m_electron=0.4715009178945339, anchor="d")
+@settings(max_examples=300, deadline=None)
+def test_the_top_row_read_from_a_calibration_file_differs_only_by_the_lump_in_gev(
+        alpha, m_electron, anchor):
+    try:
+        constants = ModelConstants(alpha_e=alpha, m_electron=mev(m_electron))
+        ev = spectrum.evaluate(constants, anchor)
+    except ValueError:
+        return
+    text = format_calibration(calibrate(constants, anchor).bases)
+    from_file = spectrum._ev_from_bases(spectrum.evaluate(constants),
+                                        spectrum.load_bases(text, constants))
+    assert from_file.rows[:-1] == ev.rows[:-1]
+    lump = float(repr(ev.top_lump / 1e3)) * 1e3
+    assert from_file.rows[-1] == spectrum._calibrated_ev(ev, ev.lepton_base, ev.quark_base,
+                                                         lump).rows[-1]
