@@ -7,8 +7,10 @@ powers. Two constants are calibrated from anchor rows, everything else
 follows from the inputs. See `quantities`, `ladder`, `spectrum`,
 `compare`, and `cli` for the pieces.
 
-Each submodule loads on first use of a name it defines (PEP 562), so a
-process pays only for the modules it runs; `from dimorb import X` works
+`_EXPORTS` is the one list of public names, by the submodule that defines
+them: each submodule's `__all__` is its entry plus the few names only that
+module offers. A submodule loads on first use of a name it defines (PEP 562),
+so a process pays only for the modules it runs; `from dimorb import X` works
 as if every name were imported here.
 """
 

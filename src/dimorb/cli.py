@@ -240,7 +240,7 @@ def _cmd_bosons(args, constants: ModelConstants) -> int:
 
 def _cmd_calibrate(args, constants: ModelConstants) -> int:
     ev = evaluate(constants, args.anchors)
-    Path(args.out).write_text(_spectrum._CAL_TEXT % (ev.quark_base, ev.top_lump / 1e3))
+    Path(args.out).write_text(_spectrum._calibration_text(mev(ev.quark_base), mev(ev.top_lump)))
     print(f"wrote {args.out}", file=sys.stderr)
     rows = _spectrum._residuals(ev.rows, args.anchors)
     sys.stdout.write(format_rows("table", ["name", "role", "rel_error"], rows, args.digits))

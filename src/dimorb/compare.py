@@ -23,6 +23,7 @@ from enum import Enum
 from functools import cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from . import _EXPORTS
 from .ladder import BosonLadder, ElectroweakMix
 from .quantities import (MassValue, Unit, _Checked, _convert, _GEV, _LocatedError, _MEV,
                          _number, format_rows, round_to_sig)
@@ -30,22 +31,7 @@ from .quantities import (MassValue, Unit, _Checked, _convert, _GEV, _LocatedErro
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "ObservedUnit",
-    "ObservedRecord",
-    "ObservedFormatError",
-    "ComparisonRow",
-    "ComparisonReport",
-    "baryon_fractions",
-    "BARYON_SPLIT",
-    "parse_observed",
-    "format_observed_csv",
-    "default_observed",
-    "computed_claims",
-    "compare_all",
-    "render",
-    "OBSERVED_HEADER",
-]
+__all__ = [*_EXPORTS["compare"], "BARYON_SPLIT", "OBSERVED_HEADER"]
 
 OBSERVED_HEADER = "name,value,unit,uncertainty,source"
 

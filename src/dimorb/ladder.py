@@ -21,19 +21,11 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .quantities import MassValue, ModelConstants, OrbitalIndex, Unit, _convert, _GEV, gev
 from .spectrum import evaluate
 
-__all__ = [
-    "GaugeLabel",
-    "BosonRow",
-    "BosonLadder",
-    "ElectroweakMix",
-    "quartic_sum",
-    "closed_form_mass",
-    "electroweak_mix",
-    "boson_ladder",
-]
+__all__ = [*_EXPORTS["ladder"]]
 
 
 class GaugeLabel(Enum):

@@ -18,17 +18,9 @@ from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
 
-__all__ = [
-    "Unit",
-    "MassValue",
-    "OrbitalIndex",
-    "ModelConstants",
-    "KeyValueError",
-    "parse_key_values",
-    "round_to_sig",
-    "mev",
-    "gev",
-]
+from . import _EXPORTS
+
+__all__ = [*_EXPORTS["quantities"], "KeyValueError", "parse_key_values"]
 
 ALPHA_E_DEFAULT = 7.2973525693e-3  # fine structure constant
 
@@ -134,9 +126,6 @@ class OrbitalIndex(_Checked, _OrbitalFields):
         if isinstance(d, bool) or not isinstance(d, int) or not 5 <= d <= 11:
             raise ValueError(f"orbital number must be an integer in 5..11, got {d!r}")
         return tuple.__new__(cls, (d,))
-
-    def __int__(self) -> int:
-        return self.d
 
 
 class _FieldError(ValueError):

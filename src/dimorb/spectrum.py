@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .quantities import (
     KeyValueError,
     MassValue,
@@ -42,33 +43,11 @@ from .quantities import (
     _convert,
     _GEV,
     _MEV,
-    gev,
     mev,
     parse_key_values,
 )
 
-__all__ = [
-    "Coefficients",
-    "SpectrumRow",
-    "TABLE",
-    "AuxBaseSet",
-    "CalibrationResult",
-    "UncalibratedBaseError",
-    "CalibrationError",
-    "CalibrationFileError",
-    "lepton_aux_base",
-    "fermion_mass",
-    "calibrate_quark_base_7",
-    "calibrate_top_lump",
-    "calibrate",
-    "full_spectrum",
-    "format_calibration",
-    "parse_calibration",
-    "load_bases",
-    "composition",
-    "spectrum_row",
-    "ANCHOR_CHOICES",
-]
+__all__ = [*_EXPORTS["spectrum"], "Coefficients", "ANCHOR_CHOICES"]
 
 
 class UncalibratedBaseError(ValueError):
@@ -407,28 +386,31 @@ def full_spectrum(constants: ModelConstants,
 
 # calibration file format: one key=value per line, '#' comments allowed,
 # values written with 17 significant digits so a write/read/write round
-# trip is byte identical
-_CAL_QUARK_KEY = "quark_base_7_mev"
-_CAL_LUMP_KEY = "top_lump_8_gev"
-_CAL_KEYS = (_CAL_QUARK_KEY, _CAL_LUMP_KEY)
-_CAL_TEXT = f"# calibrated auxiliary bases\n{_CAL_QUARK_KEY}=%.17g\n{_CAL_LUMP_KEY}=%.17g\n"
+# trip is byte identical; each key with the unit its value is written and read in
+_CAL_UNITS = {"quark_base_7_mev": _MEV, "top_lump_8_gev": _GEV}
+_CAL_TEXT = "# calibrated auxiliary bases\n" + "".join(f"{key}=%.17g\n" for key in _CAL_UNITS)
+
+
+def _calibration_text(quark, lump) -> str:
+    """The text of a calibration file that holds these two MassValues."""
+    return _CAL_TEXT % tuple(map(_convert, (quark, lump), _CAL_UNITS.values()))
 
 
 def format_calibration(bases: AuxBaseSet) -> str:
     if bases.quark_base_7 is None or bases.top_lump_8 is None:
         raise ValueError("cannot format an AuxBaseSet with missing calibrated bases")
-    return _CAL_TEXT % (bases.quark_base_7.mev, _convert(bases.top_lump_8, _GEV))
+    return _calibration_text(bases.quark_base_7, bases.top_lump_8)
 
 
 def parse_calibration(text: str) -> dict[str, float]:
-    values = parse_key_values(text, _CAL_KEYS, CalibrationFileError)
-    for key, mass in ((_CAL_QUARK_KEY, mev), (_CAL_LUMP_KEY, gev)):
+    values = parse_key_values(text, tuple(_CAL_UNITS), CalibrationFileError)
+    for key, unit in _CAL_UNITS.items():
         if key not in values:
             raise CalibrationFileError(f"missing key {key!r}")
         if not values[key] > 0.0:
             raise CalibrationFileError(f"{key} must be positive, got {values[key]!r}")
         try:
-            mass(values[key])  # a value no MassValue can hold, such as inf
+            MassValue(values[key], unit)  # a value no MassValue can hold, such as inf
         except ValueError as exc:
             raise CalibrationFileError(f"{key} is out of range: {exc}") from None
     return values
@@ -437,8 +419,5 @@ def parse_calibration(text: str) -> dict[str, float]:
 def load_bases(text: str, constants: ModelConstants) -> AuxBaseSet:
     """Rebuild the full base set from calibration-file text."""
     values = parse_calibration(text)
-    return AuxBaseSet(
-        lepton_base_7=lepton_aux_base(constants),
-        quark_base_7=mev(values[_CAL_QUARK_KEY]),
-        top_lump_8=gev(values[_CAL_LUMP_KEY]),
-    )
+    return AuxBaseSet(lepton_aux_base(constants),
+                      *(MassValue(values[key], unit) for key, unit in _CAL_UNITS.items()))

@@ -1105,6 +1105,16 @@ def test_help_exits_zero(capsys):
     assert _run(capsys, "compare", "--help")[0] == 0
 
 
+def test_each_constant_flag_states_the_default_it_gets():
+    # the --help text spells each default by hand (1.2e19, not the 1.2e+19 of format)
+    defaults = ModelConstants()
+    for key, (field, wrap, text) in cli._CONSTANTS.items():
+        stated = wrap(float(re.fullmatch(r".* \(default (\S+)\)", text)[1]))
+        default = getattr(defaults, field)
+        # a mass in the flag's unit, which `wrap` gives
+        assert stated == (default.to(stated.unit) if hasattr(stated, "unit") else default), key
+
+
 _FLAGS_17 = ("--alpha", "0.0075", "--m-electron-mev", "0.52", "--theta-w-deg", "31",
              "--digits", "17")
 # one observed row for each kind of claim, in the unit the model states it in

@@ -1,4 +1,5 @@
-"""`tools/identity.py` finds no difference between a tree and itself, and finds a changed byte."""
+"""`tools/identity.py` finds no difference between a tree and itself, and finds a changed byte
+of a written file and a name dropped from a module's `__all__`."""
 
 import importlib.util
 import shutil
@@ -21,17 +22,34 @@ def test_the_corpus_is_fixed_by_its_seed_and_covers_every_command():
     assert any(case["config"] for case in cases)
 
 
-def test_a_tree_matches_itself_and_a_changed_digit_is_found(tmp_path):
-    cases = identity.corpus(1)[:60]  # the golden argvs, the README lines and part of the grid
+def _changed_tree(tmp_path, module: str, old: str, new: str) -> str:
+    """A copy of the source tree with `old` replaced by `new` once in `module`."""
     changed = tmp_path / "changed"
     shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    cli = changed / "src" / "dimorb" / "cli.py"
-    text = cli.read_text()
-    assert text.count("ev.top_lump / 1e3") == 1
-    cli.write_text(text.replace("ev.top_lump / 1e3", "ev.top_lump / 1e3 + 1e-9"))
+    path = changed / "src" / "dimorb" / f"{module}.py"
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return str(changed)
+
+
+def test_a_tree_matches_itself_and_a_changed_digit_is_found(tmp_path):
+    cases = identity.corpus(1)[:60]  # the golden argvs, the README lines and part of the grid
+    # the calibration file's values at 16 digits instead of 17
+    changed = _changed_tree(tmp_path, "spectrum", '=%.17g\\n"', '=%.16g\\n"')
     before = identity.run_tree(sys.executable, str(ROOT), cases)
     assert identity.differences(cases, before, identity.run_tree(sys.executable, str(ROOT),
                                                                  cases)) == []
     found = identity.differences(cases, before,
-                                 identity.run_tree(sys.executable, str(changed), cases))
+                                 identity.run_tree(sys.executable, changed, cases))
     assert "files left" in {what for _, what, _, _ in found}
+    assert all(i is not None for i, _, _, _ in found)  # the public names did not change
+
+
+def test_a_name_dropped_from_a_module_is_found(tmp_path):
+    changed = _changed_tree(tmp_path, "compare", ', "OBSERVED_HEADER"]', "]")
+    before = identity.run_tree(sys.executable, str(ROOT), [])
+    found = identity.differences([], before, identity.run_tree(sys.executable, changed, []))
+    assert [(i, what) for i, what, _, _ in found] == [(None, "public names dimorb.compare.__all__")]
+    _, _, parent, change = found[0]
+    assert set(parent) - set(change) == {"OBSERVED_HEADER"}

@@ -1,5 +1,6 @@
 """What a `dimorb` process loads, prints and exits with, run as a fresh interpreter."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -35,6 +36,10 @@ PUBLIC = {
                 "ObservedUnit", "baryon_fractions", "compare_all", "computed_claims",
                 "default_observed", "format_observed_csv", "parse_observed", "render"),
 }
+# names a submodule's `__all__` offers beyond its share of the package namespace
+OWN = {"quantities": ("KeyValueError", "parse_key_values"), "ladder": (),
+       "spectrum": ("Coefficients", "ANCHOR_CHOICES"),
+       "compare": ("BARYON_SPLIT", "OBSERVED_HEADER")}
 
 
 def _python(*args, cwd=None):
@@ -118,6 +123,17 @@ def test_package_names_import_as_before():
         dimorb.no_such_name
     with pytest.raises(ImportError):
         exec("from dimorb import no_such_name", {})
+
+
+@pytest.mark.parametrize("module", PUBLIC)
+def test_each_submodule_exports_its_package_names_and_its_own(module):
+    namespace = importlib.import_module(f"dimorb.{module}")
+    exported = namespace.__all__
+    assert sorted(exported) == sorted({*PUBLIC[module], *OWN[module]})  # and no name twice
+    star = {}
+    exec(f"from dimorb.{module} import *", star)
+    for name in exported:
+        assert star[name] is getattr(namespace, name)
 
 
 def test_round_to_sig_comes_from_quantities():

@@ -224,7 +224,7 @@ def test_a_huge_int_mass_gets_the_mass_message(make, value, unit):
 
 def test_orbital_index_bounds():
     for d in range(5, 12):
-        assert int(OrbitalIndex(d)) == d
+        assert OrbitalIndex(d).d == d
     for bad in (4, 12, 0, -5):
         with pytest.raises(ValueError):
             OrbitalIndex(bad)
@@ -232,7 +232,9 @@ def test_orbital_index_bounds():
         OrbitalIndex(7.0)
     with pytest.raises(ValueError):
         OrbitalIndex(True)
-    # int() reads the level; it is no index into a sequence
+    # `.d` reads the level; it is neither an int nor an index into a sequence
+    with pytest.raises(TypeError):
+        int(OrbitalIndex(7))
     with pytest.raises(TypeError):
         operator.index(OrbitalIndex(7))
 

@@ -9,6 +9,8 @@ given (the running one by default), the case's argvs run through
 case's input files, with `DIMORB_CONFIG` set when the case has a config file.
 The script compares each argv's stdout, stderr and exit code, and the files the
 case leaves in its directory, with that directory's path written as `<tmp>`.
+It also compares each tree's public names: `sorted(dir(dimorb))` right after
+`import dimorb`, and the sorted `__all__` of the package and of each submodule.
 It prints the number of argvs and of differences for each interpreter, and the
 first difference, and exits 1 if any output differs.
 
@@ -29,10 +31,12 @@ The corpus is read from the tree this script is in; the two trees given are only
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import shlex
@@ -255,20 +259,33 @@ def _run_case(run, case: dict) -> dict:
         shutil.rmtree(where, ignore_errors=True)
 
 
+def _surface(dimorb) -> dict:
+    """The package's names before any submodule loads, then each module's sorted `__all__`."""
+    surface = {"dir(dimorb)": sorted(dir(dimorb))}
+    for module in ("", *(f".{info.name}" for info in pkgutil.iter_modules(dimorb.__path__)
+                         if not info.name.startswith("_"))):
+        names = getattr(importlib.import_module("dimorb" + module), "__all__", None)
+        surface[f"dimorb{module}.__all__"] = None if names is None else sorted(names)
+    return surface
+
+
 def _worker(tree: str) -> None:
     sys.path.insert(0, os.path.join(tree, "src"))
+    import dimorb
+    surface = _surface(dimorb)
     from dimorb import cli
     source = Path(cli.__file__).resolve()
     if Path(tree).resolve() not in source.parents:
         raise SystemExit(f"imported {source}, not the tree {tree}")
     cases = json.load(sys.stdin)
-    json.dump([_run_case(cli.run, case) for case in cases], sys.stdout)
+    json.dump({"surface": surface, "cases": [_run_case(cli.run, case) for case in cases]},
+              sys.stdout)
 
 
 # the driver
 
-def run_tree(python: str, tree: str, cases: list) -> list:
-    """Each case's outputs under `python` in `tree`."""
+def run_tree(python: str, tree: str, cases: list) -> dict:
+    """The public names of `tree` and each case's outputs, under `python`."""
     env = {key: value for key, value in os.environ.items()
            if key not in ("DIMORB_CONFIG", "PYTHONPATH")}
     env["COLUMNS"] = "80"  # argparse wraps --help to the terminal's width
@@ -279,10 +296,15 @@ def run_tree(python: str, tree: str, cases: list) -> list:
     return json.loads(child.stdout)
 
 
-def differences(cases: list, before: list, after: list) -> list:
-    """(case index, what, parent's value, change's value) of each output that differs."""
-    found = []
-    for i, (case, a, b) in enumerate(zip(cases, before, after)):
+def differences(cases: list, before: dict, after: dict) -> list:
+    """(case index, what, parent's value, change's value) of each output that differs.
+
+    A difference in public names has no case, and its index is None.
+    """
+    found = [(None, f"public names {key}", before["surface"].get(key), after["surface"].get(key))
+             for key in sorted({*before["surface"], *after["surface"]})
+             if before["surface"].get(key) != after["surface"].get(key)]
+    for i, (case, a, b) in enumerate(zip(cases, before["cases"], after["cases"])):
         for step, (argv, x, y) in enumerate(zip(case["argvs"], a["steps"], b["steps"])):
             for what, u, v in zip(("exit code", "stdout", "stderr"), x, y):
                 if u != v:
@@ -308,13 +330,17 @@ def main(argv=None) -> int:
         before = run_tree(python, args.parent, cases)
         after = run_tree(python, args.change, cases)
         found = differences(cases, before, after)
-        print(f"{python}: {argvs} argvs in {len(cases)} cases, {len(found)} differences")
+        print(f"{python}: {argvs} argvs in {len(cases)} cases and the public names, "
+              f"{len(found)} differences")
         if found:
             failed = True
             i, what, u, v = found[0]
-            case = cases[i]
-            print(f"  first: case {i}, {what}\n  files: {sorted(case['files'])}, config: "
-                  f"{case['config']!r}\n  parent: {u!r}\n  change: {v!r}")
+            if i is None:
+                print(f"  first: {what}")
+            else:
+                print(f"  first: case {i}, {what}\n  files: {sorted(cases[i]['files'])}, "
+                      f"config: {cases[i]['config']!r}")
+            print(f"  parent: {u!r}\n  change: {v!r}")
     return 1 if failed else 0
 
 
