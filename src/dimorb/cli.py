@@ -57,6 +57,7 @@ EXIT_DATA = 2
 EXIT_TOLERANCE = 3
 
 MAX_SWEEP_STEPS = 100000
+MAX_DIGITS = 2**31 - 1  # the largest precision `format` accepts on every supported Python
 
 # config key (the flag is "--" plus the key with "-" for "_"):
 # (ModelConstants field, wrapper, --help text)
@@ -121,7 +122,7 @@ def build_parser() -> _Parser:
                    help="calibration file to write (default calibration.txt)")
     c.add_argument("--anchors", choices=ANCHOR_CHOICES, default="d", metavar="ROW",
                    help="quark row that anchors the level-7 base (default d; "
-                        "one of u, d, s, c, b)")
+                        f"one of {', '.join(ANCHOR_CHOICES)})")
     c.set_defaults(handler=_cmd_calibrate)
 
     f = sub.add_parser("fermions", parents=[common],
@@ -298,19 +299,18 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     # point 0 is --from itself: 0 * step is nan for an infinite step
     points = [args.start, *(args.start + i * step for i in range(1, args.steps))]
     field, wrap, _ = _CONSTANTS[args.param]
-    where, floats = _spectrum._FIELD_INPUTS[field]
     evaluation = _spectrum._evaluation
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
     rows = []
     # the other fields were checked when `constants` was built: a point checks its own
-    inputs = _spectrum._inputs(constants)
+    fields, where = [*constants], ModelConstants._fields.index(field)
     for point in points:
         try:
             value = wrap(point)
             _check_field(field, value)
-            inputs[where] = floats(value)
+            fields[where] = value
             # uncalibrated, so a point the quark rows cannot be calibrated at still prints
-            ev = evaluation(*inputs)
+            ev = evaluation(fields)
         except ValueError:
             # the point again through `_constants`, which words the rejection
             # and names the sweep as the value's source
@@ -331,6 +331,8 @@ def run(argv=None) -> int:
         # the flags argparse cannot check, before the config file is read
         if args.digits < 1:
             raise _UsageError("--digits must be at least 1")
+        if args.digits > MAX_DIGITS:
+            raise _UsageError(f"--digits must be at most {MAX_DIGITS}")
         if args.command == "sweep" and args.steps < 1:
             raise _UsageError("--steps must be at least 1")
         if args.command == "sweep" and args.steps > MAX_SWEEP_STEPS:

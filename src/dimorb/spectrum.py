@@ -20,13 +20,13 @@ zero-weight term adds an exact +0.0, as if skipped. It does not use `sum()`,
 which compensates its rounding from Python 3.12 on.
 
 The float core is here too, since its range check reads the tau row. `_evaluation`
-gives the uncalibrated `Evaluation` of five input floats, and `_core` runs it when a
-set is built, naming the set's constants in a failed check. `evaluate` returns that
-record, calibrated from an anchor by `_calibrated_ev`; `_ev_from_bases` calibrates it
-from a base set, the one source of an inf row, and checks each row. Each command prints
-the fields of one `Evaluation`, or fixed unit conversions or roundings of them; the
-public functions, here and in `ladder` and `compare`, wrap the same private functions
-and build their records from those floats unchecked.
+gives the uncalibrated `Evaluation` of a set's own five fields, a `ModelConstants` or
+a list of them, and words a failed check with those fields; `_core` runs it when a set
+is built. `evaluate` returns that record, calibrated from an anchor by `_calibrated_ev`;
+`_ev_from_bases` calibrates it from a base set, the one source of an inf row, and checks
+each row. Each command prints the fields of one `Evaluation`, or fixed unit conversions
+or roundings of them; the public functions, here and in `ladder` and `compare`, wrap the
+same private functions and build their records from those floats unchecked.
 """
 
 from __future__ import annotations
@@ -249,21 +249,25 @@ def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> tuple[float, ..
 _LAST: tuple = (None, None)
 
 
-class _OutOfRange(ValueError):
-    """A failed range check of `_evaluation`: args are what overflows, then the fields it reads."""
+def _overflow(what: str, **fields) -> ValueError:
+    """The error of a set whose `what` leaves float range, naming the fields it is read from."""
+    values = ", ".join(f"{name} = {value}" for name, value in fields.items())
+    return ValueError(f"constants out of range: {what} overflows a float ({values})")
 
 
-def _evaluation(alpha_e: float, me_mev: float, me_gev: float, mz_gev: float,
-                theta_w_deg: float) -> Evaluation:
-    """The float core: the uncalibrated `Evaluation` of `_inputs`' five floats.
+def _evaluation(constants) -> Evaluation:
+    """The float core: the uncalibrated `Evaluation` of a set's five fields.
 
-    It raises `_OutOfRange` when the ladder top in MeV (compare's unit for a boson row), the
-    tau row (which bounds every lepton row and B6) or alpha_w leaves float range, in that order.
+    `constants` is a `ModelConstants` or a list of its fields. It raises a `ValueError` naming
+    the fields concerned when the ladder top in MeV (compare's unit for a boson row), the tau
+    row (which bounds every lepton row and B6) or alpha_w leaves float range, in that order.
     """
+    alpha_e, m_electron, m_z, theta_w_deg, _ = constants
+    me_mev = m_electron.mev
     lepton = 1.5 * me_mev / alpha_e  # L = (3/2) * B6, in MeV
     top = alpha_w = math.inf
     try:
-        ladder = _ladder_gev(alpha_e, me_gev, mz_gev)
+        ladder = _ladder_gev(alpha_e, _convert(m_electron, _GEV), _convert(m_z, _GEV))
         top = ladder[-1] * 1e3
         theta = math.radians(theta_w_deg)
         alpha_w = math.sqrt(ladder[1] / (ladder[2] * math.cos(theta)))  # from B6 and B7 = M_Z
@@ -271,44 +275,23 @@ def _evaluation(alpha_e: float, me_mev: float, me_gev: float, mz_gev: float,
     except ZeroDivisionError:  # alpha_e**2 or m_z * cos(theta_w) underflowed
         pass
     if not math.isfinite(top):
-        raise _OutOfRange("the top boson mass m_z / alpha_e**8 in MeV", "m_z", "alpha_e")
+        raise _overflow("the top boson mass m_z / alpha_e**8 in MeV", m_z=m_z, alpha_e=alpha_e)
     rows = tuple(_rows(_LEPTONS, me_mev, lepton, 0.0, 0.0)) + _NO_QUARK_ROWS
     if not math.isfinite(rows[_TAU]):
-        raise _OutOfRange("the tau mass m_electron * (1 + 25.5 / alpha_e)",
-                          "m_electron", "alpha_e")
+        raise _overflow("the tau mass m_electron * (1 + 25.5 / alpha_e)",
+                        m_electron=m_electron, alpha_e=alpha_e)
     if not math.isfinite(alpha_w):  # as is alpha_w**2, since sqrt keeps finiteness
-        raise _OutOfRange("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
-                          "m_electron", "alpha_e", "m_z", "theta_w_deg")
+        raise _overflow("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
+                        m_electron=m_electron, alpha_e=alpha_e, m_z=m_z, theta_w_deg=theta_w_deg)
     # tuple.__new__ skips the keyword handling of the NamedTuple's own __new__
     return tuple.__new__(Evaluation,
                          (ladder, me_mev, lepton, None, None, rows, alpha_w, sin2_theta_w))
 
 
-def _inputs(constants: ModelConstants) -> list[float]:
-    """`_evaluation`'s five input floats, from a set's first four fields."""
-    alpha_e, m_electron, m_z, theta_w_deg = constants[:4]
-    return [alpha_e, m_electron.mev, _convert(m_electron, _GEV), _convert(m_z, _GEV), theta_w_deg]
-
-
-# each field's slice of `_inputs` and its floats there, for a sweep that changes that field alone
-_FIELD_INPUTS = {
-    "alpha_e": (slice(0, 1), lambda alpha_e: (alpha_e,)),
-    "m_electron": (slice(1, 3), lambda mass: (mass.mev, _convert(mass, _GEV))),
-    "m_z": (slice(3, 4), lambda mass: (_convert(mass, _GEV),)),
-    "theta_w_deg": (slice(4, 5), lambda theta_w_deg: (theta_w_deg,)),
-    "planck_ref": (slice(5, 5), lambda mass: ()),
-}
-
-
 def _core(constants: ModelConstants) -> Evaluation:
-    """`_evaluation` of a set; ModelConstants rejects a set with it, naming its constants."""
+    """`_evaluation` of a set, kept in `_LAST`; ModelConstants rejects a set with it."""
     global _LAST
-    try:
-        result = _evaluation(*_inputs(constants))
-    except _OutOfRange as exc:
-        what, *names = exc.args
-        values = ", ".join(f"{name} = {getattr(constants, name)}" for name in names)
-        raise ValueError(f"constants out of range: {what} overflows a float ({values})") from None
+    result = _evaluation(constants)
     _LAST = (constants, result)
     return result
 

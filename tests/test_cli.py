@@ -637,6 +637,11 @@ def test_bad_mass_constant_names_field_and_source(argv, config, named, tmp_path,
         (["sweep", "m_z_gev", "--from", "90", "--to", "1e308", "--steps", "2"], "m_z"),
         # finite in GeV, but compare converts it to the observed row's MeV
         (["compare", "--m-z-gev", "1e290", "--observed", "{observed}"], "m_z"),
+        # the top boson, tau and alpha_w checks, each failing at the last of three points only
+        (["sweep", "m_z_gev", "--from", "1.2e288", "--to", "1.6e288", "--steps", "3"], "m_z"),
+        (["sweep", "m_electron_mev", "--from", "5e304", "--to", "5.2e304", "--steps", "3"],
+         "m_electron"),
+        (["sweep", "m_z_gev", "--from", "4e-309", "--to", "2e-310", "--steps", "3"], "alpha_w"),
     ],
 )
 def test_overflowing_constants_exit_1_and_name_the_culprit(argv, culprit, tmp_path, capsys):
@@ -646,6 +651,13 @@ def test_overflowing_constants_exit_1_and_name_the_culprit(argv, culprit, tmp_pa
     assert code == 1
     assert out == ""
     assert "out of range" in err and culprit in err
+    if argv[0] == "sweep":
+        # a sweep here fails at its last point, or at its start constants, and reads as the
+        # one-point sweep of that last point
+        alone = [*argv]
+        alone[argv.index("--from") + 1] = argv[argv.index("--to") + 1]
+        alone[argv.index("--steps") + 1] = "1"
+        assert _run(capsys, *alone) == (code, out, err)
 
 
 @pytest.mark.parametrize(
@@ -935,6 +947,19 @@ def test_digits_flag(capsys):
     assert _run(capsys, "bosons", "--digits", "0")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [["bosons", "--format", "csv"], ["compare"],
+                                  ["calibrate", "--out", "{out}"]])
+def test_digits_past_the_largest_precision_is_a_usage_error(argv, tmp_path, capsys):
+    # `format` accepts a precision up to 2**31 - 1 on every supported Python
+    out_path = tmp_path / "cal.txt"
+    argv = [arg.format(out=out_path) for arg in argv]
+    assert _run(capsys, *argv, "--digits", "2147483647")[0] == 0
+    out_path.unlink(missing_ok=True)
+    assert _run(capsys, *argv, "--digits", "2147483648") == (
+        1, "", "dimorb: error: --digits must be at most 2147483647\n")
+    assert not out_path.exists()
+
+
 def test_config_file_via_environment(tmp_path, capsys, monkeypatch):
     config = tmp_path / "model.conf"
     config.write_text("# test config\nm_z_gev=90\n")
@@ -979,6 +1004,7 @@ def test_config_file_errors(tmp_path, capsys, monkeypatch):
     (["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps", "100001"],
      "--steps must be at most 100000"),
     (["compare", "--check", "--tol", "0"], "--tol must be a finite positive number"),
+    (["bosons", "--digits", "2147483648"], "--digits must be at most 2147483647"),
 ])
 def test_bad_flag_wins_over_a_malformed_config(argv, message, tmp_path, capsys, monkeypatch):
     # every flag is checked before the config file is read

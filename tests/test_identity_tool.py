@@ -20,6 +20,13 @@ def test_the_corpus_is_fixed_by_its_seed_and_covers_every_command():
     assert {argv[0] for argv in argvs if argv} >= {"bosons", "calibrate", "fermions", "compare",
                                                    "sweep"}
     assert any(case["config"] for case in cases)
+    # a value that starts with "-" reaches the program only as "--flag=VALUE": argparse reads a
+    # lone "-inf" or "-8.8e+44" after a flag as an option, and the argv stops at a usage error
+    value_flags = {*identity.FLAGS, "--digits", "--from", "--to", "--steps", "--tol", "--format",
+                   "--anchors", "--out", "--observed", "--calibration"}
+    assert not [argv for argv in argvs
+                if any(flag in value_flags and value.startswith("-")
+                       for flag, value in zip(argv, argv[1:]))]
 
 
 def _changed_tree(tmp_path, module: str, old: str, new: str) -> str:

@@ -18,11 +18,14 @@ The corpus is fixed by `--seed` (default 1):
 - the golden argvs of `bench/golden/cli_oneshot.json`, with its input files,
   and the shell lines of the README, run in order in one directory;
 - every command in every format at `--digits` 1, 6, 17 and 20, under the
-  default constants and under a second constant set;
+  default constants and under a second constant set, each command's `--help`,
+  and `--digits` at the largest precision `format` accepts and one past it;
 - sweeps of all five constants in every format;
 - a seeded fuzz of every command: constants drawn from edge values (0, the
   smallest subnormal, the largest float, inf, nan, 90) and log-uniform ones, set
-  by flag and by config file, and drawn calibration and observed files.
+  by flag and by config file, and drawn calibration and observed files. Each of
+  its value flags is written `--flag=VALUE`, since argparse reads a lone negative
+  token such as `-inf` or `-8.8e+44` as an option, not as the flag's value.
 
 It needs the standard library alone: no pytest and no install, so it runs on
 every interpreter, 3.10 included. It is not a CI step, since it needs two trees.
@@ -123,9 +126,13 @@ def _grid_cases() -> list:
                 cases.append(_case([["sweep", param, "--from", start, "--to", stop, "--steps",
                                      "7", "--format", fmt, *common]
                                     for fmt in FORMATS["sweep"]]))
-    for argv in (["--help"], ["bosons", "--help"], ["sweep", "--help"], [], ["nope"],
-                 ["fermions"], ["bosons", "--digits", "0"], ["sweep", "alpha", "--from", "1",
-                                                              "--to", "2", "--steps", "0"]):
+    for argv in (["--help"], *([command, "--help"] for command in
+                               ("bosons", "calibrate", "fermions", "compare", "sweep")),
+                 [], ["nope"], ["fermions"], ["bosons", "--digits", "0"],
+                 ["sweep", "alpha", "--from", "1", "--to", "2", "--steps", "0"],
+                 # the largest precision `format` accepts, and one past it
+                 ["bosons", "--format", "csv", "--digits", "2147483647"],
+                 ["bosons", "--format", "csv", "--digits", "2147483648"]):
         cases.append(_case([argv]))
     return cases
 
@@ -148,7 +155,7 @@ def _constants(rng: random.Random) -> tuple:
     """(flags, config text or None) setting 0 to 3 constants each way."""
     flags = []
     for i in rng.sample(range(len(FLAGS)), rng.randint(0, 3)):
-        flags += [FLAGS[i], _number(rng, DEFAULTS[i])]
+        flags.append(f"{FLAGS[i]}={_number(rng, DEFAULTS[i])}")
     config = None
     if rng.random() < 0.3:
         keys = rng.sample(range(len(CONFIG_KEYS)), rng.randint(0, 3))
@@ -190,33 +197,34 @@ def _fuzz_cases(rng: random.Random, n: int) -> list:
         flags, config = _constants(rng)
         command = rng.choice(("bosons", "calibrate", "fermions", "fermions_file", "compare",
                               "compare_file", "sweep"))
-        common = [*flags, "--digits", rng.choice(("1", "2", "6", "15", "17", "20"))]
+        common = [*flags, f"--digits={rng.choice(('1', '2', '6', '15', '17', '20'))}"]
         files = {}
         if command == "bosons":
-            argv = ["bosons", "--format", rng.choice(FORMATS["bosons"]), *common]
+            argv = ["bosons", f"--format={rng.choice(FORMATS['bosons'])}", *common]
             if rng.random() < 0.5:
                 argv.insert(1, "--closed-form")
         elif command == "calibrate":
-            argv = ["calibrate", "--anchors", rng.choice(ANCHORS), "--out", "cal.txt", *common]
+            argv = ["calibrate", f"--anchors={rng.choice(ANCHORS)}", "--out=cal.txt", *common]
         elif command == "fermions":
-            argv = ["fermions", "--calibrate", "--format", rng.choice(FORMATS["fermions"]),
+            argv = ["fermions", "--calibrate", f"--format={rng.choice(FORMATS['fermions'])}",
                     *common]
         elif command == "fermions_file":
             files["cal.txt"] = _calibration(rng)
-            argv = ["fermions", "--calibration", "cal.txt",
-                    "--format", rng.choice(FORMATS["fermions"]), *common]
+            argv = ["fermions", "--calibration=cal.txt",
+                    f"--format={rng.choice(FORMATS['fermions'])}", *common]
         elif command.startswith("compare"):
-            argv = ["compare", "--format", rng.choice(FORMATS["compare"]), *common]
+            argv = ["compare", f"--format={rng.choice(FORMATS['compare'])}", *common]
             if command == "compare_file":
                 files["obs.csv"] = _observed(rng)
-                argv += ["--observed", "obs.csv"]
+                argv.append("--observed=obs.csv")
             if rng.random() < 0.5:
-                argv += ["--check", "--tol", rng.choice(("0.005", "0.5", "1e-9", "nan", "0"))]
+                argv += ["--check", f"--tol={rng.choice(('0.005', '0.5', '1e-9', 'nan', '0'))}"]
         else:
             param = rng.randrange(len(CONFIG_KEYS))
             start, stop = (_number(rng, DEFAULTS[param]) for _ in range(2))
-            argv = ["sweep", CONFIG_KEYS[param], "--from", start, "--to", stop, "--steps",
-                    str(rng.randint(1, 7)), "--format", rng.choice(FORMATS["sweep"]), *common]
+            argv = ["sweep", CONFIG_KEYS[param], f"--from={start}", f"--to={stop}",
+                    f"--steps={rng.randint(1, 7)}", f"--format={rng.choice(FORMATS['sweep'])}",
+                    *common]
         cases.append(_case([argv], files, config))
     return cases
 
