@@ -8,8 +8,8 @@ deterministic: same inputs, same bytes.
 
 Each command but `sweep` makes one `evaluate` call. Every number it prints is a field
 of that `Evaluation`, or a fixed unit conversion or rounding of one, apart from input
-constants, the fixed baryon split and the closed-form column of `bosons`; `sweep` runs
-the float core once a point. Handlers raise and `run()` alone reports: it prints the
+constants, the fixed baryon split and the closed-form column of `bosons`; `sweep` gets
+its points' rows from one column pass. Handlers raise and `run()` alone reports: it prints the
 one `dimorb: error:` line and picks the exit code. Arguments are checked before any
 file is read or output written. Every input file goes through `_load`, so one that
 cannot be read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed or used
@@ -30,7 +30,6 @@ from .ladder import _LEVELS, closed_form_mass
 from .quantities import (
     ALPHA_E_DEFAULT,
     ModelConstants,
-    _check_field,
     _FieldError,
     _LocatedError,
     _TO_MEV,
@@ -43,8 +42,6 @@ from .spectrum import (
     ANCHOR_CHOICES,
     TABLE,
     CalibrationError,
-    _MU,
-    _TAU,
     evaluate,
     load_bases,
 )
@@ -299,25 +296,15 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     # point 0 is --from itself: 0 * step is nan for an infinite step
     points = [args.start, *(args.start + i * step for i in range(1, args.steps))]
     field, wrap, _ = _CONSTANTS[args.param]
-    evaluation = _spectrum._evaluation
+    try:
+        rows = _spectrum._sweep(constants, field, getattr(wrap(1.0), "unit", None), points)
+    except ZeroDivisionError:  # at some point, which the walk below finds
+        rows = []
+    # the first point the rows stop before, or each in turn after a division by zero, through
+    # `_constants`, which words its rejection and names the sweep as the value's source
+    for point in points[len(rows):]:
+        _constants(constants._asdict(), {args.param: (point, f"the sweep of {args.param}")})
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
-    rows = []
-    # the other fields were checked when `constants` was built: a point checks its own
-    fields, where = [*constants], ModelConstants._fields.index(field)
-    for point in points:
-        try:
-            value = wrap(point)
-            _check_field(field, value)
-            fields[where] = value
-            # uncalibrated, so a point the quark rows cannot be calibrated at still prints
-            ev = evaluation(fields)
-        except ValueError:
-            # the point again through `_constants`, which words the rejection
-            # and names the sweep as the value's source
-            _constants(constants._asdict(), {args.param: (point, f"the sweep of {args.param}")})
-            raise
-        rows.append([point, ev.rows[_MU], ev.rows[_TAU], ev.ladder_gev[1], ev.ladder_gev[6],
-                     ev.alpha_w])
     sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 

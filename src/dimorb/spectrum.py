@@ -20,18 +20,20 @@ zero-weight term adds an exact +0.0, as if skipped. It does not use `sum()`,
 which compensates its rounding from Python 3.12 on.
 
 The float core is here too, since its range check reads the tau row. `_evaluation`
-gives the uncalibrated `Evaluation` of a set's own five fields, a `ModelConstants` or
-a list of them, and words a failed check with those fields; `_core` runs it when a set
-is built. `evaluate` returns that record, calibrated from an anchor by `_calibrated_ev`;
-`_ev_from_bases` calibrates it from a base set, the one source of an inf row, and checks
-each row. Each command prints the fields of one `Evaluation`, or fixed unit conversions
-or roundings of them; the public functions, here and in `ladder` and `compare`, wrap the
-same private functions and build their records from those floats unchecked.
+gives the uncalibrated `Evaluation` of a set's five fields and words a failed check with
+them; `_core` runs it when a set is built, and `_sweep` gives its bits and checks for a
+sweep's points, column by column. `evaluate` returns that record, calibrated from an anchor
+by `_calibrated_ev`; `_ev_from_bases` calibrates it from a base set, the one source of an
+inf row, and checks each row. Each command prints the fields of one `Evaluation`, or fixed
+unit conversions or roundings of them; the public functions, here and in `ladder` and
+`compare`, wrap the same private functions and build their records from those floats unchecked.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress, count, repeat
+from operator import add, mul, not_, truediv
 from typing import NamedTuple
 
 from . import _EXPORTS
@@ -43,6 +45,8 @@ from .quantities import (
     _convert,
     _GEV,
     _MEV,
+    _TO_MEV,
+    _UPPER,
     mev,
     parse_key_values,
 )
@@ -245,7 +249,7 @@ def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> tuple[float, ..
 
 
 # `_core`'s last (constants, result), one tuple so that a thread reads a matching pair; a
-# sweep's points call `_evaluation` directly and leave it as it is
+# sweep's points are evaluated by `_sweep`, column by column, and leave it as it is
 _LAST: tuple = (None, None)
 
 
@@ -258,9 +262,9 @@ def _overflow(what: str, **fields) -> ValueError:
 def _evaluation(constants) -> Evaluation:
     """The float core: the uncalibrated `Evaluation` of a set's five fields.
 
-    `constants` is a `ModelConstants` or a list of its fields. It raises a `ValueError` naming
-    the fields concerned when the ladder top in MeV (compare's unit for a boson row), the tau
-    row (which bounds every lepton row and B6) or alpha_w leaves float range, in that order.
+    It raises a `ValueError` naming the fields concerned when the ladder top in MeV (compare's
+    unit for a boson row), the tau row (which bounds every lepton row and B6) or alpha_w
+    leaves float range, in that order.
     """
     alpha_e, m_electron, m_z, theta_w_deg, _ = constants
     me_mev = m_electron.mev
@@ -404,3 +408,37 @@ def load_bases(text: str, constants: ModelConstants) -> AuxBaseSet:
     values = parse_calibration(text)
     return AuxBaseSet(lepton_aux_base(constants),
                       *(MassValue(values[key], unit) for key, unit in _CAL_UNITS.items()))
+
+
+def _sweep(constants: ModelConstants, field: str, unit: Unit | None, points: list) -> list:
+    """The rows (point, muon, tau, B6, B11, alpha_w) of a sweep of `field`, column by column.
+
+    A point is a mass in `unit`, or a float where `unit` is None. Each row is, bit for bit, that
+    of `_evaluation` of its point's set. The rows stop before the first point out of its field's
+    own range or rejected by `_evaluation`; a ZeroDivisionError means alpha_e**2 or
+    m_z * cos(theta_w) underflowed at some point, which `_evaluation` rejects too.
+    """
+    def each(f, *args):  # `f` at each point: a list holds one value a point, else it is fixed
+        if list not in map(type, args):
+            return f(*args)
+        return [*map(f, *(arg if type(arg) is list else repeat(arg) for arg in args))]
+
+    scale, high = (_TO_MEV[unit] if unit else 1.0), _UPPER.get(field, math.inf)
+    n = next((i for i, x in enumerate(points) if not 0.0 < x * scale < high), len(points))
+    points, where = points[:n], ModelConstants._fields.index(field)
+    swept = [*zip(points, repeat(unit))] if unit else points  # a mass as `_convert` reads it
+    alpha, m_electron, m_z, theta_w_deg, _ = (swept if i == where else value
+                                              for i, value in enumerate(constants))
+    me, mz = each(_convert, m_electron, _MEV), each(_convert, m_z, _GEV)
+    lepton, step = each(truediv, each(mul, 1.5, me), alpha), each(mul, alpha, alpha)
+    # a lepton row is 1*Me + lepton_w*L, its other terms an exact +0.0 (the module docstring)
+    muon, tau = (each(add, me, each(mul, _COEFFICIENTS[row][3], lepton)) for row in (_MU, _TAU))
+    b6, b11 = each(truediv, each(_convert, m_electron, _GEV), alpha), mz
+    for _ in range(4):  # B8..B11, as `_ladder_gev` divides M_Z by alpha_e**2 level by level
+        b11 = each(truediv, b11, step)
+    cos = each(math.cos, each(math.radians, theta_w_deg))
+    columns = [muon, tau, b6, b11, each(math.sqrt, each(truediv, b6, each(mul, mz, cos)))]
+    muon, tau, b6, b11, alpha_w = (c if type(c) is list else [c] * n for c in columns)
+    for column in each(mul, b11, _TO_MEV[_GEV]), tau, alpha_w:  # `_evaluation`'s checks
+        n = min(n, next(compress(count(), map(not_, map(math.isfinite, column))), n))
+    return [*zip(points[:n], muon, tau, b6, b11, alpha_w)]

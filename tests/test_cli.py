@@ -660,6 +660,40 @@ def test_overflowing_constants_exit_1_and_name_the_culprit(argv, culprit, tmp_pa
         assert _run(capsys, *alone) == (code, out, err)
 
 
+_TINY_Z = ("--m-electron-mev", "5e-324", "--theta-w-deg", "89.99")
+
+
+@pytest.mark.parametrize(
+    "param, start, stop, flags, accepted, kind",
+    [
+        ("alpha", 0.5, 1.5, (), "+--", "must lie strictly inside (0, 1), got 1.0"),
+        ("m_z_gev", 1.2e288, 2e288, (), "++---", "the top boson mass"),
+        ("m_electron_mev", 5e304, 5.3e304, (), "++--", "the tau mass"),
+        ("m_z_gev", 4e-309, 1e-310, (), "++++-", "alpha_w**2"),
+        # m_z * cos(theta_w) underflows to 0 at 5e-324 GeV; B6 is 0, so alpha_w is 0 before it
+        ("m_z_gev", 1e-310, 5e-324, _TINY_Z, "+-", "alpha_w**2"),
+        # alpha_e**2 underflows below about 1e-162, and no point of a linear sweep from an
+        # alpha_e that passes the top check (above about 1e-79) lands between 0 and there,
+        # so this sweep fails at its first point, and its later points pass
+        ("alpha", 1e-170, 0.5, (), "-++", "the top boson mass"),
+    ],
+    ids=["own-range", "top", "tau", "alpha_w", "m_z-cos-underflow", "alpha-squared-underflow"],
+)
+def test_a_sweep_names_its_first_failing_point(param, start, stop, flags, accepted, kind,
+                                               capsys):
+    # `accepted` marks each point that `_constants` accepts (+) or rejects (-); the sweep
+    # exits with the error of the first it rejects
+    steps = len(accepted)
+    step = (stop - start) / (steps - 1)
+    points = [start, *(start + i * step for i in range(1, steps))]
+    assert "".join("+" if _accepted(param, x, flags) else "-" for x in points) == accepted
+    with pytest.raises(cli._UsageError) as exc:
+        _point_through_constants(param, points[accepted.index("-")], flags)
+    assert kind in str(exc.value)
+    argv = ["sweep", param, f"--from={start!r}", f"--to={stop!r}", "--steps", str(steps), *flags]
+    assert _run(capsys, *argv) == (1, "", f"dimorb: error: {exc.value}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -920,14 +954,14 @@ def _count_core_calls(monkeypatch, **more) -> dict[str, int]:
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7])
-def test_a_sweep_evaluates_each_point_once(steps, capsys, monkeypatch):
-    # the float core runs once per point, and once for the constants the sweep starts
-    # from, which alone are checked as a set
-    calls = _count_core_calls(monkeypatch, evaluation="_evaluation")
+def test_a_sweep_evaluates_its_points_in_one_pass(steps, capsys, monkeypatch):
+    # the float core runs once, for the constants the sweep starts from, which alone are
+    # checked as a set; every point is evaluated in one column pass
+    calls = _count_core_calls(monkeypatch, evaluation="_evaluation", sweep="_sweep")
     code, out, _ = _run(capsys, "sweep", "alpha", "--from", "0.007", "--to", "0.008",
                         "--steps", str(steps), "--format", "csv")
     assert (code, len(out.splitlines())) == (0, 1 + steps)
-    assert calls == {"core": 1, "ladder": steps + 1, "evaluation": steps + 1}
+    assert calls == {"core": 1, "ladder": 1, "evaluation": 1, "sweep": 1}
 
 
 @pytest.mark.parametrize("argv", [["bosons", "--closed-form"], ["calibrate", "--out"],

@@ -1,7 +1,8 @@
-"""`tools/identity.py` finds no difference between a tree and itself, and finds a changed byte
-of a written file and a name dropped from a module's `__all__`."""
+"""`tools/identity.py` finds no difference between a tree and itself, finds a changed byte
+of a written file and a name dropped from a module's `__all__`, and lists every difference."""
 
 import importlib.util
+import shlex
 import shutil
 import sys
 from pathlib import Path
@@ -60,3 +61,21 @@ def test_a_name_dropped_from_a_module_is_found(tmp_path):
     assert [(i, what) for i, what, _, _ in found] == [(None, "public names dimorb.compare.__all__")]
     _, _, parent, change = found[0]
     assert set(parent) - set(change) == {"OBSERVED_HEADER"}
+
+
+def test_main_lists_each_difference_up_to_its_cap(tmp_path, capsys, monkeypatch):
+    changed = _changed_tree(tmp_path, "cli", '"muon_mev"', '"muon_MeV"')
+    argvs = [["sweep", "alpha", "--from=0.007", "--to=0.008", "--steps=2", f"--format={fmt}"]
+             for fmt in ("csv", "json")]
+    monkeypatch.setattr(identity, "corpus", lambda seed: [identity._case([a]) for a in argvs])
+    assert identity.main([str(ROOT), changed]) == 1
+    out = capsys.readouterr().out
+    assert ": 2 argvs in 2 cases and the public names, 2 differences\n" in out
+    for i, argv in enumerate(argvs):
+        assert f"\n  case {i}, stdout of {shlex.join(argv)}\n    files: [], config: None\n" in out
+    assert out.count("\n    parent: ") == out.count("\n    change: ") == 2
+    assert "muon_MeV" in out and " more\n" not in out
+    monkeypatch.setattr(identity, "LISTED", 1)
+    assert identity.main([str(ROOT), changed]) == 1
+    out = capsys.readouterr().out
+    assert "case 0, stdout" in out and "case 1," not in out and out.endswith("\n  and 1 more\n")

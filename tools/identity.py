@@ -11,8 +11,10 @@ The script compares each argv's stdout, stderr and exit code, and the files the
 case leaves in its directory, with that directory's path written as `<tmp>`.
 It also compares each tree's public names: `sorted(dir(dimorb))` right after
 `import dimorb`, and the sorted `__all__` of the package and of each submodule.
-It prints the number of argvs and of differences for each interpreter, and the
-first difference, and exits 1 if any output differs.
+It prints the number of argvs and of differences for each interpreter, then each
+difference, up to the first `LISTED` (20): its case, what differs (the exit code, stdout
+or stderr of an argv, the files left or a module's public names) and both values, each
+cut to `SHOWN` (240) characters. It exits 1 if any output differs.
 
 The corpus is fixed by `--seed` (default 1):
 - the golden argvs of `bench/golden/cli_oneshot.json`, with its input files,
@@ -64,6 +66,8 @@ CLAIMS = ("boson_5", "boson_6", "boson_7", "boson_8", "boson_9", "boson_10", "bo
           "dark_fraction", "nu_e", "e", "nu_mu", "nu_tau", "muon", "tau", "u_quark", "d_quark",
           "s_quark", "c_quark", "b_quark", "top_quark")
 UNITS = ("MeV", "GeV", "dimensionless", "degree")
+LISTED = 20   # differences listed for each interpreter
+SHOWN = 240   # characters of each listed value
 OBSERVED = ("# observed values\nname,value,unit,uncertainty,source\n"
             "top_quark,176,GeV,13,collider\nmuon,105.66,MeV,,pdg\ntheta_w,28.7,degree,,fit\n"
             "boson_7,91187.6,MeV,2.1,lep\nalpha_w,0.03,dimensionless,0.01,\n"
@@ -322,6 +326,11 @@ def differences(cases: list, before: dict, after: dict) -> list:
     return found
 
 
+def _shown(value) -> str:
+    text = repr(value)
+    return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the tree to compare against")
@@ -340,15 +349,16 @@ def main(argv=None) -> int:
         found = differences(cases, before, after)
         print(f"{python}: {argvs} argvs in {len(cases)} cases and the public names, "
               f"{len(found)} differences")
-        if found:
-            failed = True
-            i, what, u, v = found[0]
+        failed = failed or bool(found)
+        for i, what, u, v in found[:LISTED]:
             if i is None:
-                print(f"  first: {what}")
+                print(f"  {what}")
             else:
-                print(f"  first: case {i}, {what}\n  files: {sorted(cases[i]['files'])}, "
+                print(f"  case {i}, {what}\n    files: {sorted(cases[i]['files'])}, "
                       f"config: {cases[i]['config']!r}")
-            print(f"  parent: {u!r}\n  change: {v!r}")
+            print(f"    parent: {_shown(u)}\n    change: {_shown(v)}")
+        if len(found) > LISTED:
+            print(f"  and {len(found) - LISTED} more")
     return 1 if failed else 0
 
 
