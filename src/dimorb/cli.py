@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage or out-of-range constants (including ones the
 fermion table cannot be calibrated with), 2 unreadable or malformed data
 (config, calibration, observed CSV), 3 tolerance breach under
 `compare --check`. Data goes to stdout, diagnostics to stderr, and output is
-deterministic: same inputs, same bytes.
+deterministic on one Python: same inputs, same bytes (argparse's words vary by version).
 
 Each command but `sweep` makes one `evaluate` call. Every number it prints is a field
 of that `Evaluation`, or a fixed unit conversion or rounding of one, apart from input
@@ -296,12 +296,9 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     # point 0 is --from itself: 0 * step is nan for an infinite step
     points = [args.start, *(args.start + i * step for i in range(1, args.steps))]
     field, wrap, _ = _CONSTANTS[args.param]
-    try:
-        rows = _spectrum._sweep(constants, field, getattr(wrap(1.0), "unit", None), points)
-    except ZeroDivisionError:  # at some point, which the walk below finds
-        rows = []
-    # the first point the rows stop before, or each in turn after a division by zero, through
-    # `_constants`, which words its rejection and names the sweep as the value's source
+    rows = _spectrum._sweep(constants, field, getattr(wrap(1.0), "unit", None), points)
+    # the points the rows stop before, in turn, through `_constants`, which words the first
+    # one's rejection and names the sweep as the value's source
     for point in points[len(rows):]:
         _constants(constants._asdict(), {args.param: (point, f"the sweep of {args.param}")})
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]

@@ -99,6 +99,8 @@ class MassValue(_Checked, _MassFields):
     def to(self, target: Unit) -> "MassValue":
         if target is self.unit:
             return self
+        if not isinstance(target, Unit):
+            raise ValueError(f"unknown mass unit: {target!r}")
         return MassValue(_convert(self, target), target)
 
     def __str__(self) -> str:

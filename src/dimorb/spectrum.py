@@ -19,14 +19,14 @@ check and `MassValue` see to that; a base of weight 0 is passed as 0.0), so a
 zero-weight term adds an exact +0.0, as if skipped. It does not use `sum()`,
 which compensates its rounding from Python 3.12 on.
 
-The float core is here too, since its range check reads the tau row. `_evaluation`
-gives the uncalibrated `Evaluation` of a set's five fields and words a failed check with
-them; `_core` runs it when a set is built, and `_sweep` gives its bits and checks for a
-sweep's points, column by column. `evaluate` returns that record, calibrated from an anchor
-by `_calibrated_ev`; `_ev_from_bases` calibrates it from a base set, the one source of an
-inf row, and checks each row. Each command prints the fields of one `Evaluation`, or fixed
-unit conversions or roundings of them; the public functions, here and in `ladder` and
-`compare`, wrap the same private functions and build their records from those floats unchecked.
+The float core is here too, since its range check reads the tau row. `_core` gives the
+uncalibrated `Evaluation` of a set's five fields when the set is built and words a failed
+check with them; `_sweep` gives its bits and checks for a sweep's points, column by column.
+`evaluate` returns that record, calibrated from an anchor by `_calibrated_ev`;
+`_ev_from_bases` calibrates it from a base set, the one source of an inf row, and checks
+each row. Each command prints the fields of one `Evaluation`, or fixed unit conversions or
+roundings of them; the public functions, here and in `ladder` and `compare`, wrap the same
+private functions and build their records from those floats unchecked.
 """
 
 from __future__ import annotations
@@ -259,13 +259,14 @@ def _overflow(what: str, **fields) -> ValueError:
     return ValueError(f"constants out of range: {what} overflows a float ({values})")
 
 
-def _evaluation(constants) -> Evaluation:
-    """The float core: the uncalibrated `Evaluation` of a set's five fields.
+def _core(constants: ModelConstants) -> Evaluation:
+    """The float core: the uncalibrated `Evaluation` of a set's five fields, kept in `_LAST`.
 
-    It raises a `ValueError` naming the fields concerned when the ladder top in MeV (compare's
-    unit for a boson row), the tau row (which bounds every lepton row and B6) or alpha_w
-    leaves float range, in that order.
+    ModelConstants rejects a set with it: it raises a `ValueError` naming the fields concerned
+    when the ladder top in MeV (compare's unit for a boson row), the tau row (which bounds every
+    lepton row and B6) or alpha_w leaves float range, in that order.
     """
+    global _LAST
     alpha_e, m_electron, m_z, theta_w_deg, _ = constants
     me_mev = m_electron.mev
     lepton = 1.5 * me_mev / alpha_e  # L = (3/2) * B6, in MeV
@@ -288,14 +289,8 @@ def _evaluation(constants) -> Evaluation:
         raise _overflow("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
                         m_electron=m_electron, alpha_e=alpha_e, m_z=m_z, theta_w_deg=theta_w_deg)
     # tuple.__new__ skips the keyword handling of the NamedTuple's own __new__
-    return tuple.__new__(Evaluation,
-                         (ladder, me_mev, lepton, None, None, rows, alpha_w, sin2_theta_w))
-
-
-def _core(constants: ModelConstants) -> Evaluation:
-    """`_evaluation` of a set, kept in `_LAST`; ModelConstants rejects a set with it."""
-    global _LAST
-    result = _evaluation(constants)
+    result = tuple.__new__(Evaluation,
+                           (ladder, me_mev, lepton, None, None, rows, alpha_w, sin2_theta_w))
     _LAST = (constants, result)
     return result
 
@@ -414,9 +409,9 @@ def _sweep(constants: ModelConstants, field: str, unit: Unit | None, points: lis
     """The rows (point, muon, tau, B6, B11, alpha_w) of a sweep of `field`, column by column.
 
     A point is a mass in `unit`, or a float where `unit` is None. Each row is, bit for bit, that
-    of `_evaluation` of its point's set. The rows stop before the first point out of its field's
-    own range or rejected by `_evaluation`; a ZeroDivisionError means alpha_e**2 or
-    m_z * cos(theta_w) underflowed at some point, which `_evaluation` rejects too.
+    of `_core` of its point's set. The rows stop before the first point out of its field's own
+    range or rejected by `_core`. There are none when alpha_e**2 or m_z * cos(theta_w)
+    underflows at some point, which `_core` rejects too; the caller finds the point.
     """
     def each(f, *args):  # `f` at each point: a list holds one value a point, else it is fixed
         if list not in map(type, args):
@@ -434,11 +429,14 @@ def _sweep(constants: ModelConstants, field: str, unit: Unit | None, points: lis
     # a lepton row is 1*Me + lepton_w*L, its other terms an exact +0.0 (the module docstring)
     muon, tau = (each(add, me, each(mul, _COEFFICIENTS[row][3], lepton)) for row in (_MU, _TAU))
     b6, b11 = each(truediv, each(_convert, m_electron, _GEV), alpha), mz
-    for _ in range(4):  # B8..B11, as `_ladder_gev` divides M_Z by alpha_e**2 level by level
-        b11 = each(truediv, b11, step)
-    cos = each(math.cos, each(math.radians, theta_w_deg))
-    columns = [muon, tau, b6, b11, each(math.sqrt, each(truediv, b6, each(mul, mz, cos)))]
+    try:
+        for _ in range(4):  # B8..B11, as `_ladder_gev` divides M_Z by alpha_e**2 level by level
+            b11 = each(truediv, b11, step)
+        cos = each(math.cos, each(math.radians, theta_w_deg))
+        columns = [muon, tau, b6, b11, each(math.sqrt, each(truediv, b6, each(mul, mz, cos)))]
+    except ZeroDivisionError:
+        return []
     muon, tau, b6, b11, alpha_w = (c if type(c) is list else [c] * n for c in columns)
-    for column in each(mul, b11, _TO_MEV[_GEV]), tau, alpha_w:  # `_evaluation`'s checks
+    for column in each(mul, b11, _TO_MEV[_GEV]), tau, alpha_w:  # `_core`'s checks
         n = min(n, next(compress(count(), map(not_, map(math.isfinite, column))), n))
     return [*zip(points[:n], muon, tau, b6, b11, alpha_w)]

@@ -247,6 +247,17 @@ def test_compare_json_is_exact(capsys):
         0, f"[\n{expected}\n]\n", f"skipped computed: {_SKIPPED_BY_DEFAULT}\n")
 
 
+def test_compare_json_names_an_observed_row_the_model_lacks_on_stderr(tmp_path, capsys):
+    observed = tmp_path / "obs.csv"
+    observed.write_text("name,value,unit,uncertainty,source\n"
+                        "top_quark,176,GeV,13,collider\ngraviton,1,GeV,,none\n")
+    code, out, err = _run(capsys, "compare", "--format", "json", "--observed", str(observed))
+    assert code == 0
+    assert [entry["name"] for entry in json.loads(out)] == ["top_quark"]
+    assert err.endswith("\nskipped observed: graviton\n")
+    assert err.startswith("skipped computed: boson_5, ")
+
+
 def test_bosons_json_is_exact(capsys):
     rows = [
         (5, "A", "electromagnetic, U(1)", "3.72894e-06"),
@@ -957,11 +968,11 @@ def _count_core_calls(monkeypatch, **more) -> dict[str, int]:
 def test_a_sweep_evaluates_its_points_in_one_pass(steps, capsys, monkeypatch):
     # the float core runs once, for the constants the sweep starts from, which alone are
     # checked as a set; every point is evaluated in one column pass
-    calls = _count_core_calls(monkeypatch, evaluation="_evaluation", sweep="_sweep")
+    calls = _count_core_calls(monkeypatch, sweep="_sweep")
     code, out, _ = _run(capsys, "sweep", "alpha", "--from", "0.007", "--to", "0.008",
                         "--steps", str(steps), "--format", "csv")
     assert (code, len(out.splitlines())) == (0, 1 + steps)
-    assert calls == {"core": 1, "ladder": 1, "evaluation": 1, "sweep": 1}
+    assert calls == {"core": 1, "ladder": 1, "sweep": 1}
 
 
 @pytest.mark.parametrize("argv", [["bosons", "--closed-form"], ["calibrate", "--out"],

@@ -338,6 +338,22 @@ def test_render_csv():
     assert any(line.startswith("# skipped computed:") for line in lines)
 
 
+def test_render_csv_lists_an_observed_name_the_model_lacks():
+    report = _report([ObservedRecord("zzz_unknown", 1.0, ObservedUnit.MEV, None, ""),
+                      ObservedRecord("graviton", 1.0, ObservedUnit.GEV, None, "")])
+    assert render(report, "csv").endswith("\n# skipped observed: zzz_unknown, graviton\n")
+
+
+@pytest.mark.parametrize("name, unit, message", [
+    ("", ObservedUnit.GEV, "observed record needs a name"),
+    ("x", "GeV", "unknown observed unit: 'GeV'"),
+], ids=["no-name", "unit-not-an-ObservedUnit"])
+def test_an_observed_record_rejects_a_missing_name_and_a_bad_unit(name, unit, message):
+    with pytest.raises(ValueError) as info:
+        ObservedRecord(name, 1.0, unit)
+    assert str(info.value) == message
+
+
 def test_render_json_shape():
     report = _report(default_observed())
     entries = json.loads(render(report, "json"))

@@ -1,5 +1,6 @@
 """`tools/identity.py` finds no difference between a tree and itself, finds a changed byte
-of a written file and a name dropped from a module's `__all__`, and lists every difference."""
+of a written file and a name dropped from a module's `__all__`, lists every difference, and
+fails on an argv that raised in either tree, though both trees raise alike."""
 
 import importlib.util
 import shlex
@@ -79,3 +80,45 @@ def test_main_lists_each_difference_up_to_its_cap(tmp_path, capsys, monkeypatch)
     assert identity.main([str(ROOT), changed]) == 1
     out = capsys.readouterr().out
     assert "case 0, stdout" in out and "case 1," not in out and out.endswith("\n  and 1 more\n")
+
+
+_RAISED = "raised ZeroDivisionError: float division by zero"
+
+
+def _result_with_raises() -> tuple[list, dict]:
+    """Three argvs in two cases and a hand-made result of them, in which two raised."""
+    cases = [identity._case([["bosons"], ["sweep", "alpha", "--from=1e-170"]]),
+             identity._case([["compare", "--format=json"]])]
+    result = {"surface": {}, "cases": [
+        {"steps": [[0, "out\n", ""], [_RAISED, "", ""]], "files": {}},
+        {"steps": [["raised KeyError: 'GeV'", "", ""]], "files": {}},
+    ]}
+    return cases, result
+
+
+def test_raised_lists_each_argv_whose_run_raised():
+    cases, result = _result_with_raises()
+    assert identity.raised(cases, result) == [
+        (0, ["sweep", "alpha", "--from=1e-170"], _RAISED),
+        (1, ["compare", "--format=json"], "raised KeyError: 'GeV'"),
+    ]
+    result["cases"][0]["steps"][1][0] = 1
+    result["cases"][1]["steps"][0][0] = 2
+    assert identity.raised(cases, result) == []
+
+
+def test_main_fails_on_an_argv_that_raised_alike_in_both_trees(capsys, monkeypatch):
+    cases, result = _result_with_raises()
+    monkeypatch.setattr(identity, "corpus", lambda seed: cases)
+    monkeypatch.setattr(identity, "run_tree", lambda python, tree, cases: result)
+    assert identity.main(["parent", "change"]) == 1
+    out = capsys.readouterr().out
+    assert ": 3 argvs in 2 cases and the public names, 0 differences\n" in out
+    assert ": 2 argvs raised in the parent, 2 in the change\n" in out
+    for tree in ("parent", "change"):
+        assert f"\n  case 0, sweep alpha --from=1e-170 in the {tree}: {_RAISED!r}\n" in out
+        assert f"\n  case 1, compare --format=json in the {tree}: \"raised KeyError: 'GeV'\"" in out
+    monkeypatch.setattr(identity, "LISTED", 3)
+    assert identity.main(["parent", "change"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n  case ") == 3 and out.endswith("\n  and 1 more raised\n")

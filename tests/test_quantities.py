@@ -111,6 +111,13 @@ def test_mass_value_rejects_bad_unit():
         MassValue(1.0, "MeV")
 
 
+@pytest.mark.parametrize("target", ["GeV", "MeV", None])
+def test_mass_value_to_rejects_a_target_that_is_not_a_unit(target):
+    with pytest.raises(ValueError) as info:
+        mev(1.0).to(target)
+    assert str(info.value) == f"unknown mass unit: {target!r}"
+
+
 def test_mass_value_str():
     assert str(mev(0.510999)) == "0.510999 MeV"
     assert str(gev(1.2e19)) == "1.2e+19 GeV"

@@ -92,6 +92,12 @@ def test_massless_and_given_rows():
     assert fermion_mass(composition("e"), bases, C).mev == ME
 
 
+def test_an_unknown_row_name_is_a_key_error_naming_it():
+    with pytest.raises(KeyError) as info:
+        spectrum_row("nope")
+    assert info.value.args == ("no spectrum row named 'nope'",)
+
+
 def test_table_states_each_rows_mass_and_display_unit():
     # the paper's table values: calibrate reads them for its anchor and
     # held-out rows, but no command prints the given electron's
@@ -399,6 +405,17 @@ def test_evaluate_reuses_the_core_only_for_the_instance_just_built(monkeypatch):
     assert evaluate(built, "d").rows[1:6] == reused.rows[1:6]
     assert len(calls) == 4
 
+
+
+@pytest.mark.parametrize("field, unit, points, constants", [
+    ("alpha_e", None, [0.007, 1e-170], C),
+    ("m_z", Unit.GEV, [91.0, 5e-324], ModelConstants(m_electron=mev(5e-324), theta_w_deg=89.99)),
+], ids=["alpha-squared-underflow", "m_z-cos-underflow"])
+def test_a_sweep_with_a_zero_divisor_at_some_point_has_no_rows(field, unit, points, constants):
+    # the first point alone gives a row; the caller finds the point the second set fails at
+    from dimorb import spectrum
+    assert len(spectrum._sweep(constants, field, unit, points[:1])) == 1
+    assert spectrum._sweep(constants, field, unit, points) == []
 
 
 @pytest.mark.parametrize("fields", [

@@ -11,10 +11,13 @@ The script compares each argv's stdout, stderr and exit code, and the files the
 case leaves in its directory, with that directory's path written as `<tmp>`.
 It also compares each tree's public names: `sorted(dir(dimorb))` right after
 `import dimorb`, and the sorted `__all__` of the package and of each submodule.
-It prints the number of argvs and of differences for each interpreter, then each
-difference, up to the first `LISTED` (20): its case, what differs (the exit code, stdout
-or stderr of an argv, the files left or a module's public names) and both values, each
-cut to `SHOWN` (240) characters. It exits 1 if any output differs.
+An exception that escapes `run` is recorded as that argv's exit code. For each
+interpreter the script prints the number of argvs and of differences, then the number
+of argvs that raised in each tree and each of them, then each difference. It lists up
+to the first `LISTED` (20) of each: an argv that raised with its case, tree and exception,
+a difference with its case, what differs (the exit code, stdout or stderr of an argv, the
+files left or a module's public names) and both values, each cut to `SHOWN` (240)
+characters. It exits 1 if any output differs or any argv raised.
 
 The corpus is fixed by `--seed` (default 1):
 - the golden argvs of `bench/golden/cli_oneshot.json`, with its input files,
@@ -30,8 +33,10 @@ The corpus is fixed by `--seed` (default 1):
   token such as `-inf` or `-8.8e+44` as an option, not as the flag's value.
 
 It needs the standard library alone: no pytest and no install, so it runs on
-every interpreter, 3.10 included. It is not a CI step, since it needs two trees.
-The corpus is read from the tree this script is in; the two trees given are only run.
+every interpreter, 3.10 included. The corpus is read from the tree this script is in;
+the two trees given are only run. Given one tree twice (`python tools/identity.py . .`,
+a CI step on each Python), it checks that no argv raises and, since each tree runs in a
+worker process of its own with a random hash seed, that no output depends on that seed.
 """
 
 import argparse
@@ -299,7 +304,7 @@ def _worker(tree: str) -> None:
 def run_tree(python: str, tree: str, cases: list) -> dict:
     """The public names of `tree` and each case's outputs, under `python`."""
     env = {key: value for key, value in os.environ.items()
-           if key not in ("DIMORB_CONFIG", "PYTHONPATH")}
+           if key not in ("DIMORB_CONFIG", "PYTHONPATH", "PYTHONHASHSEED")}
     env["COLUMNS"] = "80"  # argparse wraps --help to the terminal's width
     child = subprocess.run([python, str(Path(__file__).resolve()), "--worker", tree],
                            input=json.dumps(cases), capture_output=True, text=True, env=env)
@@ -326,6 +331,13 @@ def differences(cases: list, before: dict, after: dict) -> list:
     return found
 
 
+def raised(cases: list, result: dict) -> list:
+    """(case index, argv, exception) of each argv of `result` whose run raised, not exited."""
+    return [(i, argv, code) for i, (case, outputs) in enumerate(zip(cases, result["cases"]))
+            for argv, (code, _, _) in zip(case["argvs"], outputs["steps"])
+            if isinstance(code, str)]
+
+
 def _shown(value) -> str:
     text = repr(value)
     return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
@@ -347,9 +359,17 @@ def main(argv=None) -> int:
         before = run_tree(python, args.parent, cases)
         after = run_tree(python, args.change, cases)
         found = differences(cases, before, after)
+        crashed = [(tree, *entry) for tree, result in (("parent", before), ("change", after))
+                   for entry in raised(cases, result)]
+        in_parent = sum(tree == "parent" for tree, *_ in crashed)
         print(f"{python}: {argvs} argvs in {len(cases)} cases and the public names, "
-              f"{len(found)} differences")
-        failed = failed or bool(found)
+              f"{len(found)} differences\n{python}: {in_parent} argvs raised in the parent, "
+              f"{len(crashed) - in_parent} in the change")
+        failed = failed or bool(found) or bool(crashed)
+        for tree, i, argv, code in crashed[:LISTED]:
+            print(f"  case {i}, {shlex.join(argv)} in the {tree}: {_shown(code)}")
+        if len(crashed) > LISTED:
+            print(f"  and {len(crashed) - LISTED} more raised")
         for i, what, u, v in found[:LISTED]:
             if i is None:
                 print(f"  {what}")
