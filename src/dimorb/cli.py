@@ -2,23 +2,26 @@
 
 Exit codes: 0 success, 1 usage or out-of-range constants (including ones the
 fermion table cannot be calibrated with), 2 unreadable or malformed data
-(config, calibration, observed CSV), 3 tolerance breach under
-`compare --check`. Data goes to stdout, diagnostics to stderr, and output is
-deterministic on one Python: same inputs, same bytes (argparse's words vary by version).
+(config, calibration, observed CSV) or output that cannot be written (`--out` or
+stdout), 3 tolerance breach under `compare --check`. Data goes to stdout, diagnostics
+to stderr, and output is deterministic on one Python: same inputs, same bytes
+(argparse's words vary by version).
 
 Each command but `sweep` makes one `evaluate` call. Every number it prints is a field
 of that `Evaluation`, or a fixed unit conversion or rounding of one, apart from input
 constants, the fixed baryon split and the closed-form column of `bosons`; `sweep` gets
 its points' rows from one column pass. Handlers raise and `run()` alone reports: it prints the
-one `dimorb: error:` line and picks the exit code. Arguments are checked before any
-file is read or output written. Every input file goes through `_load`, so one that
-cannot be read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed or used
-exits 2 and names its path.
+one `dimorb: error:` line and picks the exit code, also for a stdout that `_write` cannot
+write (`--help` included); `main()` then keeps the flush at exit quiet. Arguments are
+checked before any file is read or output written. Every input file goes through `_load`,
+so one that cannot be read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed
+or used exits 2 and names its path.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -84,6 +87,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        if file is None:  # argparse from 3.11 on drops a failed write; `_write` reports it
+            return _write(self.format_help())
+        super().print_help(file)
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -222,6 +230,17 @@ def _resolve_constants(args) -> ModelConstants:
     return _constants({}, values)
 
 
+def _write(text: str) -> None:
+    """Write `text` to stdout and flush it, so that a stdout it cannot write exits 2."""
+    try:
+        if sys.stdout is None:  # so Python leaves it when fd 1 is closed at start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OSError(f"cannot write stdout: {exc}") from None
+
+
 def _cmd_bosons(args, constants: ModelConstants) -> int:
     columns = ["d", "gauge", "symmetry", "mass_gev"]
     if args.closed_form:
@@ -232,7 +251,7 @@ def _cmd_bosons(args, constants: ModelConstants) -> int:
         if args.closed_form:
             cells.append(closed_form_mass(orbital, constants).magnitude)
         rows.append(cells)
-    sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
+    _write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
 
@@ -241,7 +260,7 @@ def _cmd_calibrate(args, constants: ModelConstants) -> int:
     Path(args.out).write_text(_spectrum._calibration_text(mev(ev.quark_base), mev(ev.top_lump)))
     print(f"wrote {args.out}", file=sys.stderr)
     rows = _spectrum._residuals(ev.rows, args.anchors)
-    sys.stdout.write(format_rows("table", ["name", "role", "rel_error"], rows, args.digits))
+    _write(format_rows("table", ["name", "role", "rel_error"], rows, args.digits))
     return EXIT_OK
 
 
@@ -255,7 +274,7 @@ def _cmd_fermions(args, constants: ModelConstants) -> int:
     columns = ["name", "orbitals", "constituents", "mass", "unit", "note"]
     rows = [[row.name, row.orbitals, row.constituents, mass / _TO_MEV[row.display_unit],
              row.display_unit.value, row.note] for row, mass in zip(TABLE, ev.rows)]
-    sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
+    _write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
 
@@ -275,7 +294,7 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
     except ValueError as exc:
         # the built-in set always compares, so only a row of the observed file gets here
         raise ValueError(f"{args.observed}: {exc}") from None
-    sys.stdout.write(render(report, args.format, sig=args.digits))
+    _write(render(report, args.format, sig=args.digits))
     if args.format == "json" and (report.skipped_computed or report.skipped_observed):
         # json output is a pure array, so the skip summary goes to stderr
         if report.skipped_computed:
@@ -302,16 +321,13 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     for point in points[len(rows):]:
         _constants(constants._asdict(), {args.param: (point, f"the sweep of {args.param}")})
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
-    sys.stdout.write(format_rows(args.format, columns, rows, args.digits))
+    _write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
 
 def run(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         # the flags argparse cannot check, before the config file is read
         if args.digits < 1:
             raise _UsageError("--digits must be at least 1")
@@ -326,6 +342,8 @@ def run(argv=None) -> int:
                 math.isfinite(args.tol) and args.tol > 0.0):
             raise _UsageError("--tol must be a finite positive number")
         return args.handler(args, _resolve_constants(args))
+    except SystemExit as exc:  # from argparse: a usage error, or --help written
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"dimorb: error: {exc}", file=sys.stderr)
         # the table is built in, so a CalibrationError means out-of-range constants
@@ -335,6 +353,11 @@ def run(argv=None) -> int:
 def main() -> None:
     import gc  # only the process entry point needs it
     code = run()
+    if sys.stdout is not None:  # None when fd 1 was closed at start
+        try:
+            sys.stdout.flush()
+        except OSError:  # as run() reported; fd 1 at os.devnull keeps the flush at exit quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     # frozen objects are skipped by the full collection CPython runs at exit
     gc.freeze()
     sys.exit(code)

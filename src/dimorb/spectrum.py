@@ -9,7 +9,8 @@ and Q the level-7 auxiliary bases of the charged leptons and the quarks, each
 weighted by quartic_sum(a) = sum(k**4 for k = 0..a) for the row's auxiliary
 index a, so the three generations climb steeply with a. L = (3/2) * B6 comes
 from the ladder; Q and top_lump, the model's only calibrated constants, are
-solved in floats from one anchor row.
+solved in floats by one function, `_solve`, each from one row: Q from an anchor
+row, then top_lump from the top row.
 
 `_rows` evaluates that sum for each row of a weight matrix such as
 `_COEFFICIENTS`, TABLE's compositions as floats: a small int's float is exact,
@@ -185,31 +186,29 @@ def fermion_mass(comp: Coefficients, bases: AuxBaseSet,
                      lump)[0])
 
 
-def _inconsistent(what: str, constants: ModelConstants) -> CalibrationError:
-    # the table is built in, so only the two constants the solves read can be at fault
-    return CalibrationError(f"inconsistent calibration: {what} (alpha_e = {constants.alpha_e}, "
-                            f"m_electron = {constants.m_electron})")
-
-
 def _quark_base(constants: ModelConstants, ev: Evaluation, anchor: str) -> float:
     if anchor not in ANCHOR_CHOICES:
         raise ValueError(f"anchor must be one of {', '.join(ANCHOR_CHOICES)}, got {anchor!r}")
-    row = _BY_NAME[anchor]
-    # 0.0 for the unknown base, so its term adds nothing
-    fixed = _rows((row.composition,), ev.electron, ev.lepton_base, 0.0, 0.0)[0]
-    base = (row.table_mass.mev - fixed) / row.composition.quark_w
+    return _solve(constants, ev, anchor)
+
+
+def _solve(constants: ModelConstants, ev: Evaluation, name: str, quark: float = 0.0) -> float:
+    """Row `name`'s one unknown base in MeV: (table mass - known) / w, which must be > 0.
+
+    The unknown is the lump if the row has one (the top, after the quark base `quark`), else
+    the quark base; `known` is the row with the unknown's term at 0.0, and `w` its weight.
+    """
+    row = _BY_NAME[name]
+    weights = row.composition
+    known = _rows((weights,), ev.electron, ev.lepton_base, quark, 0.0)[0]
+    base = (row.table_mass.mev - known) / (weights.lump or weights.quark_w)
     if base <= 0.0:
-        raise _inconsistent(f"anchor row {anchor!r} gives a non-positive quark base", constants)
+        what = ("the solved top lump is not positive" if weights.lump
+                else f"anchor row {name!r} gives a non-positive quark base")
+        # the table is built in, so only the two constants the solve reads can be at fault
+        raise CalibrationError(f"inconsistent calibration: {what} (alpha_e = "
+                               f"{constants.alpha_e}, m_electron = {constants.m_electron})")
     return base
-
-
-def _top_lump(constants: ModelConstants, ev: Evaluation, quark: float) -> float:
-    row = _BY_NAME["t"]
-    lump = row.table_mass.mev - _rows((row.composition,), ev.electron, ev.lepton_base, quark,
-                                      0.0)[0]
-    if lump <= 0.0:
-        raise _inconsistent("the solved top lump is not positive", constants)
-    return lump
 
 
 def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> MassValue:
@@ -223,7 +222,7 @@ def calibrate_quark_base_7(constants: ModelConstants, anchor: str = "d") -> Mass
 
 def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> MassValue:
     """Solve the top's lumped level-8 contribution from its table row."""
-    return mev(_top_lump(constants, evaluate(constants), quark_base_7.mev))
+    return mev(_solve(constants, evaluate(constants), "t", quark_base_7.mev))
 
 
 class Evaluation(NamedTuple):
@@ -308,7 +307,7 @@ def evaluate(constants: ModelConstants, anchor: str | None = None) -> Evaluation
     if anchor is None:
         return ev
     quark = _quark_base(constants, ev, anchor)
-    return _calibrated_ev(ev, ev.lepton_base, quark, _top_lump(constants, ev, quark))
+    return _calibrated_ev(ev, ev.lepton_base, quark, _solve(constants, ev, "t", quark))
 
 
 def _calibrated_ev(ev: Evaluation, lepton: float, quark: float, lump: float) -> Evaluation:

@@ -26,8 +26,8 @@ from dimorb.compare import (
     render,
 )
 from dimorb.ladder import boson_ladder, electroweak_mix
-from dimorb.quantities import ModelConstants, round_to_sig
-from dimorb.spectrum import calibrate, full_spectrum
+from dimorb.quantities import _TO_MEV, ModelConstants, mev, round_to_sig
+from dimorb.spectrum import ANCHOR_CHOICES, TABLE, calibrate, full_spectrum
 
 C = ModelConstants()
 
@@ -287,6 +287,19 @@ def test_claim_names_cover_the_ladder_and_spectrum():
     ):
         assert expected in names
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("anchor", ANCHOR_CHOICES)
+@pytest.mark.parametrize("constants", [C, ModelConstants(0.0075, mev(0.52), theta_w_deg=31.0)])
+def test_each_spectrum_claim_is_its_row_in_the_rows_display_unit(constants, anchor):
+    # the unit `fermions` prints each row in, as TABLE states it
+    spectrum = full_spectrum(constants, calibrate(constants, anchor).bases)
+    claims = {name: (value, unit) for name, value, unit, _ in computed_claims(
+        spectrum, boson_ladder(constants), electroweak_mix(constants), baryon_fractions())}
+    for row, (name, mass) in zip(TABLE, spectrum, strict=True):
+        value, unit = claims[compare._SPECTRUM_CLAIM_NAMES.get(name, name)]
+        assert (name, unit.value) == (row.name, row.display_unit.value)
+        assert value.hex() == (mass.mev / _TO_MEV[row.display_unit]).hex()
 
 
 def test_render_markdown_ladder_rows():

@@ -1,4 +1,4 @@
-"""The `dimorb` command's exit codes and json output, checked in a fresh process.
+"""The `dimorb` command's exit codes, json output and closed stdout, checked in a fresh process.
 
 The command is the one in DIMORB_BIN, split as a shell would split it, or
 `python -m dimorb` when that is unset; so the same checks cover the installed
@@ -106,3 +106,41 @@ def test_the_readme_command_lines_run_in_order(tmp_path):
         # the built-in reference set misses the tolerance on some rows
         assert child.returncode == (3 if "--check" in argv else 0), (argv, child.stderr)
         assert b"Traceback" not in child.stderr, argv
+
+
+def _stdout_error(child, reason: str) -> None:
+    # one line, so no "Exception ignored" from the flush at exit and no traceback
+    assert (child.returncode, child.stderr.decode().splitlines()) == (
+        2, [f"dimorb: error: cannot write stdout: {reason}"])
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    "bosons",
+    "compare",
+    "fermions --calibrate",
+    # more text than stdout's buffer holds, so a write fails before the flush
+    "sweep alpha --from 0.0073 --to 0.0146 --steps 20",
+    "sweep alpha --from 0.0073 --to 0.0146 --steps 3000",
+    # argparse writes the help, and from 3.11 on drops a failed write
+    "--help",
+    "bosons --help",
+])
+def test_a_stdout_whose_reader_is_gone_exits_2_with_one_line(argv, unbuffered, tmp_path):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run([*COMMAND, *argv.split()], cwd=tmp_path, stdout=write,
+                               stderr=subprocess.PIPE, env={**ENV, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    _stdout_error(child, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.parametrize("argv", ["bosons", "sweep alpha --from 0.0073 --to 0.0146 --steps 3000",
+                                  "--help"])
+def test_a_closed_fd_1_exits_2_with_one_line(argv, tmp_path):
+    # Python sets sys.stdout to None when fd 1 is closed at start
+    child = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *COMMAND, *argv.split()],
+                           env=ENV, cwd=tmp_path, stderr=subprocess.PIPE)
+    _stdout_error(child, "[Errno 9] Bad file descriptor")

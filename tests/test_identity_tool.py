@@ -1,12 +1,17 @@
 """`tools/identity.py` finds no difference between a tree and itself, finds a changed byte
-of a written file and a name dropped from a module's `__all__`, lists every difference, and
-fails on an argv that raised in either tree, though both trees raise alike."""
+of a written file and a name dropped from a module's `__all__`, lists every difference,
+fails on an argv that raised in either tree, though both trees raise alike, and reports a
+stdout it cannot write in one line."""
 
 import importlib.util
+import os
 import shlex
 import shutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
@@ -122,3 +127,30 @@ def test_main_fails_on_an_argv_that_raised_alike_in_both_trees(capsys, monkeypat
     assert identity.main(["parent", "change"]) == 1
     out = capsys.readouterr().out
     assert out.count("\n  case ") == 3 and out.endswith("\n  and 1 more raised\n")
+
+
+# the script's entry on the first three cases of the corpus, run in a process of its own
+_ON_A_SLICE = """import importlib.util, sys
+spec = importlib.util.spec_from_file_location("identity", sys.argv[1])
+identity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(identity)
+whole = identity.corpus
+identity.corpus = lambda seed: whole(seed)[:3]
+sys.exit(identity._script([sys.argv[2], sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_stdout_whose_reader_is_gone_is_one_stderr_line_and_exit_1(unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", _ON_A_SLICE, str(ROOT / "tools" / "identity.py"), str(ROOT)],
+            stdout=write, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert (child.returncode, child.stderr.decode().splitlines()) == (
+        1, ["identity.py: cannot write stdout: [Errno 32] Broken pipe"])

@@ -17,7 +17,8 @@ of argvs that raised in each tree and each of them, then each difference. It lis
 to the first `LISTED` (20) of each: an argv that raised with its case, tree and exception,
 a difference with its case, what differs (the exit code, stdout or stderr of an argv, the
 files left or a module's public names) and both values, each cut to `SHOWN` (240)
-characters. It exits 1 if any output differs or any argv raised.
+characters. It exits 1 if any output differs or any argv raised, and when its stdout
+cannot be written, with one stderr line that says so.
 
 The corpus is fixed by `--seed` (default 1):
 - the golden argvs of `bench/golden/cli_oneshot.json`, with its input files,
@@ -382,8 +383,21 @@ def main(argv=None) -> int:
     return 1 if failed else 0
 
 
+def _script(argv=None) -> int:
+    """`main`, but a stdout whose reader is gone is one stderr line and exit 1, not a traceback."""
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # fd 1 at os.devnull keeps the flush at exit quiet (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"identity.py: cannot write stdout: {exc}", file=sys.stderr)
+        return 1
+    return code
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
         _worker(sys.argv[2])
     else:
-        sys.exit(main())
+        sys.exit(_script())
