@@ -53,7 +53,6 @@ _EXPORTS = {
         "full_spectrum",
         "lepton_aux_base",
         "load_bases",
-        "parse_calibration",
         "spectrum_row",
     ),
     "compare": (

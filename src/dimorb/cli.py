@@ -15,7 +15,8 @@ one `dimorb: error:` line and picks the exit code, also for a stdout that `_writ
 write (`--help` included); `main()` then keeps the flush at exit quiet. Arguments are
 checked before any file is read or output written. Every input file goes through `_load`,
 so one that cannot be read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed
-or used exits 2 and names its path.
+or used exits 2 and names its path. A stderr that is closed or not open for writing loses
+the diagnostics and nothing else: `main()` points it at `os.devnull` first.
 """
 
 from __future__ import annotations
@@ -257,7 +258,8 @@ def _cmd_bosons(args, constants: ModelConstants) -> int:
 
 def _cmd_calibrate(args, constants: ModelConstants) -> int:
     ev = evaluate(constants, args.anchors)
-    Path(args.out).write_text(_spectrum._calibration_text(mev(ev.quark_base), mev(ev.top_lump)))
+    bases = _spectrum.AuxBaseSet(*map(mev, (ev.lepton_base, ev.quark_base, ev.top_lump)))
+    Path(args.out).write_text(_spectrum.format_calibration(bases))
     print(f"wrote {args.out}", file=sys.stderr)
     rows = _spectrum._residuals(ev.rows, args.anchors)
     _write(format_rows("table", ["name", "role", "rel_error"], rows, args.digits))
@@ -352,6 +354,11 @@ def run(argv=None) -> int:
 
 def main() -> None:
     import gc  # only the process entry point needs it
+    try:
+        os.write(2, b"")  # fails when fd 2 is closed or not open for writing
+    except OSError:  # lose only the diagnostics: print() to a None sys.stderr writes stdout
+        sys.stderr = open(os.devnull, "w")
+        os.dup2(sys.stderr.fileno(), 2)
     code = run()
     if sys.stdout is not None:  # None when fd 1 was closed at start
         try:

@@ -372,36 +372,27 @@ _CAL_UNITS = {"quark_base_7_mev": _MEV, "top_lump_8_gev": _GEV}
 _CAL_TEXT = "# calibrated auxiliary bases\n" + "".join(f"{key}=%.17g\n" for key in _CAL_UNITS)
 
 
-def _calibration_text(quark, lump) -> str:
-    """The text of a calibration file that holds these two MassValues."""
+def format_calibration(bases: AuxBaseSet) -> str:
+    _, quark, lump = bases
+    if quark is None or lump is None:
+        raise ValueError("cannot format an AuxBaseSet with missing calibrated bases")
     return _CAL_TEXT % tuple(map(_convert, (quark, lump), _CAL_UNITS.values()))
 
 
-def format_calibration(bases: AuxBaseSet) -> str:
-    if bases.quark_base_7 is None or bases.top_lump_8 is None:
-        raise ValueError("cannot format an AuxBaseSet with missing calibrated bases")
-    return _calibration_text(bases.quark_base_7, bases.top_lump_8)
-
-
-def parse_calibration(text: str) -> dict[str, float]:
+def load_bases(text: str, constants: ModelConstants) -> AuxBaseSet:
+    """The full base set from calibration-file text; bad text raises CalibrationFileError."""
     values = parse_key_values(text, tuple(_CAL_UNITS), CalibrationFileError)
+    bases = []
     for key, unit in _CAL_UNITS.items():
         if key not in values:
             raise CalibrationFileError(f"missing key {key!r}")
         if not values[key] > 0.0:
             raise CalibrationFileError(f"{key} must be positive, got {values[key]!r}")
         try:
-            MassValue(values[key], unit)  # a value no MassValue can hold, such as inf
+            bases.append(MassValue(values[key], unit))  # a value no MassValue can hold, such as inf
         except ValueError as exc:
             raise CalibrationFileError(f"{key} is out of range: {exc}") from None
-    return values
-
-
-def load_bases(text: str, constants: ModelConstants) -> AuxBaseSet:
-    """Rebuild the full base set from calibration-file text."""
-    values = parse_calibration(text)
-    return AuxBaseSet(lepton_aux_base(constants),
-                      *(MassValue(values[key], unit) for key, unit in _CAL_UNITS.items()))
+    return AuxBaseSet(lepton_aux_base(constants), *bases)
 
 
 def _sweep(constants: ModelConstants, field: str, unit: Unit | None, points: list) -> list:

@@ -75,16 +75,17 @@ def test_explicit_default_flag_changes_nothing(capsys):
     assert plain == flagged
 
 
-def test_calibrate_writes_file(tmp_path, capsys):
+@pytest.mark.parametrize("anchor", spectrum.ANCHOR_CHOICES)
+def test_calibrate_writes_file(anchor, tmp_path, capsys):
     out_path = tmp_path / "cal.txt"
-    code, out, err = _run(capsys, "calibrate", "--out", str(out_path))
+    code, out, err = _run(capsys, "calibrate", "--out", str(out_path), "--anchors", anchor)
     assert code == 0
     assert f"wrote {out_path}" in err
-    assert out_path.read_text() == format_calibration(calibrate(ModelConstants()).bases)
+    assert out_path.read_text() == format_calibration(calibrate(ModelConstants(), anchor).bases)
     assert "anchor" in out and "held-out" in out
     # a second run produces identical bytes
     first = out_path.read_text()
-    assert _run(capsys, "calibrate", "--out", str(out_path))[0] == 0
+    assert _run(capsys, "calibrate", "--out", str(out_path), "--anchors", anchor)[0] == 0
     assert out_path.read_text() == first
 
 
@@ -1242,9 +1243,9 @@ def test_each_command_prints_from_one_evaluation(command, tmp_path, capsys, monk
         if command == "fermions --calibration":
             # the uncalibrated record, calibrated from the file's two values
             assert ev.quark_base is None
-            values = spectrum.parse_calibration(calibration.read_text())
-            ev = spectrum._calibrated_ev(ev, ev.lepton_base, values["quark_base_7_mev"],
-                                         values["top_lump_8_gev"] * 1e3)
+            bases = spectrum.load_bases(calibration.read_text(), constants)
+            ev = spectrum._calibrated_ev(ev, ev.lepton_base, bases.quark_base_7.mev,
+                                         bases.top_lump_8.mev)
         masses = [float(row["mass"]) for row in _csv_cells(out)]
         assert masses == [*ev.rows[:-1], ev.rows[-1] / 1e3]
     else:

@@ -1,4 +1,5 @@
-"""The `dimorb` command's exit codes, json output and closed stdout, checked in a fresh process.
+"""The `dimorb` command's exit codes, json output, closed stdout and closed stderr, checked in a
+fresh process.
 
 The command is the one in DIMORB_BIN, split as a shell would split it, or
 `python -m dimorb` when that is unset; so the same checks cover the installed
@@ -84,7 +85,10 @@ def test_json_output_parses(argv, tmp_path):
     (2, "bom-then-not-utf8.conf", "bosons"),
 ])
 def test_exit_code(code, config, argv, tmp_path):
-    assert _dimorb(argv.split(), tmp_path, config).returncode == code
+    child = _dimorb(argv.split(), tmp_path, config)
+    assert child.returncode == code, child.stderr
+    # a usage error or unreadable data prints nothing on stdout; a tolerance breach its report
+    assert (child.stdout == b"") == (code in (1, 2))
 
 
 def test_a_bad_tol_writes_nothing_to_stdout(tmp_path):
@@ -144,3 +148,24 @@ def test_a_closed_fd_1_exits_2_with_one_line(argv, tmp_path):
     child = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *COMMAND, *argv.split()],
                            env=ENV, cwd=tmp_path, stderr=subprocess.PIPE)
     _stdout_error(child, "[Errno 9] Bad file descriptor")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv", ["bosons --alpha 2", "bosons --digits x",
+                                  "fermions --calibration missing.txt", "compare --check",
+                                  "calibrate --out cal.txt"])
+def test_a_stderr_that_cannot_be_written_changes_nothing_else(argv, redirect, unbuffered,
+                                                              tmp_path):
+    # Python sets sys.stderr to None when fd 2 is closed at start, and print() to None writes
+    # stdout; a read-only fd 2 makes the first diagnostic raise
+    outcomes = []
+    for i, shell_redirect in enumerate(("", redirect)):  # a writable stderr is the reference
+        where = tmp_path / str(i)
+        where.mkdir()
+        child = subprocess.run(["sh", "-c", f'exec "$@" {shell_redirect}', "sh", *COMMAND,
+                                *argv.split()], cwd=where, capture_output=True,
+                               env={**ENV, "PYTHONUNBUFFERED": unbuffered})
+        files = {path.name: path.read_bytes() for path in where.iterdir()}
+        outcomes.append((child.returncode, child.stdout, files))
+    assert outcomes[1] == outcomes[0]

@@ -1,7 +1,7 @@
 """`tools/identity.py` finds no difference between a tree and itself, finds a changed byte
-of a written file and a name dropped from a module's `__all__`, lists every difference,
-fails on an argv that raised in either tree, though both trees raise alike, and reports a
-stdout it cannot write in one line."""
+of a written file and a name dropped from a module's `__all__` (and names it), lists every
+difference, fails on an argv that raised in either tree, though both trees raise alike, and
+reports a stdout it cannot write in one line."""
 
 import importlib.util
 import os
@@ -60,13 +60,21 @@ def test_a_tree_matches_itself_and_a_changed_digit_is_found(tmp_path):
     assert all(i is not None for i, _, _, _ in found)  # the public names did not change
 
 
-def test_a_name_dropped_from_a_module_is_found(tmp_path):
+def test_a_name_dropped_from_a_module_is_found(tmp_path, capsys, monkeypatch):
     changed = _changed_tree(tmp_path, "compare", ', "OBSERVED_HEADER"]', "]")
-    before = identity.run_tree(sys.executable, str(ROOT), [])
-    found = identity.differences([], before, identity.run_tree(sys.executable, changed, []))
+    results = {str(ROOT): identity.run_tree(sys.executable, str(ROOT), []),
+               changed: identity.run_tree(sys.executable, changed, [])}
+    found = identity.differences([], results[str(ROOT)], results[changed])
     assert [(i, what) for i, what, _, _ in found] == [(None, "public names dimorb.compare.__all__")]
     _, _, parent, change = found[0]
     assert set(parent) - set(change) == {"OBSERVED_HEADER"}
+    # main names the dropped name itself, however long the lists are
+    monkeypatch.setattr(identity, "corpus", lambda seed: [])
+    monkeypatch.setattr(identity, "run_tree", lambda python, tree, cases: results[tree])
+    assert identity.main([str(ROOT), changed]) == 1
+    assert capsys.readouterr().out.endswith(
+        "\n  public names dimorb.compare.__all__\n"
+        "    only in the parent: ['OBSERVED_HEADER']\n    only in the change: []\n")
 
 
 def test_main_lists_each_difference_up_to_its_cap(tmp_path, capsys, monkeypatch):

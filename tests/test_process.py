@@ -31,7 +31,7 @@ PUBLIC = {
                  "SpectrumRow", "TABLE", "UncalibratedBaseError", "calibrate",
                  "calibrate_quark_base_7", "calibrate_top_lump", "composition", "fermion_mass",
                  "format_calibration", "full_spectrum", "lepton_aux_base", "load_bases",
-                 "parse_calibration", "spectrum_row"),
+                 "spectrum_row"),
     "compare": ("ComparisonReport", "ComparisonRow", "ObservedFormatError", "ObservedRecord",
                 "ObservedUnit", "baryon_fractions", "compare_all", "computed_claims",
                 "default_observed", "format_observed_csv", "parse_observed", "render"),
@@ -189,18 +189,3 @@ def test_process_writes_the_whole_calibration_file(tmp_path):
     assert child.returncode == 0
     assert (tmp_path / "cal.txt").read_text() == format_calibration(
         calibrate(ModelConstants()).bases)
-
-
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["bosons"], 0),
-        (["bosons", "--alpha", "2"], 1),
-        (["fermions", "--calibration", "missing.txt"], 2),
-        (["compare", "--check"], 3),
-    ],
-)
-def test_process_exit_codes(argv, code, tmp_path):
-    child = _dimorb(*argv, cwd=tmp_path)
-    assert child.returncode == code, child.stderr
-    assert (child.stdout == b"") == (code in (1, 2))

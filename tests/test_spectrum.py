@@ -41,7 +41,6 @@ from dimorb.spectrum import (
     full_spectrum,
     lepton_aux_base,
     load_bases,
-    parse_calibration,
     spectrum_row,
 )
 
@@ -335,8 +334,7 @@ def test_calibration_file_tolerates_comments():
         "quark_base_7_mev = 14.5\n"
         "top_lump_8_gev=162.0  \n"
     )
-    values = parse_calibration(text)
-    assert values == {"quark_base_7_mev": 14.5, "top_lump_8_gev": 162.0}
+    assert load_bases(text, C) == (lepton_aux_base(C), mev(14.5), gev(162.0))
 
 
 @pytest.mark.parametrize(
@@ -355,7 +353,7 @@ def test_calibration_file_tolerates_comments():
 )
 def test_calibration_file_rejects_malformed_text(text, match):
     with pytest.raises(CalibrationFileError, match=match):
-        parse_calibration(text)
+        load_bases(text, C)
 
 
 def test_format_calibration_needs_both_bases():

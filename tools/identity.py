@@ -15,10 +15,11 @@ An exception that escapes `run` is recorded as that argv's exit code. For each
 interpreter the script prints the number of argvs and of differences, then the number
 of argvs that raised in each tree and each of them, then each difference. It lists up
 to the first `LISTED` (20) of each: an argv that raised with its case, tree and exception,
-a difference with its case, what differs (the exit code, stdout or stderr of an argv, the
-files left or a module's public names) and both values, each cut to `SHOWN` (240)
-characters. It exits 1 if any output differs or any argv raised, and when its stdout
-cannot be written, with one stderr line that says so.
+a difference in outputs with its case, what differs (the exit code, stdout or stderr of an
+argv, or the files left) and both values, and a difference in public names with the names
+only in the parent and those only in the change, each value cut to `SHOWN` (240)
+characters. It exits 1 if any output differs or any argv raised, and when its stdout cannot
+be written, with one stderr line that says so.
 
 The corpus is fixed by `--seed` (default 1):
 - the golden argvs of `bench/golden/cli_oneshot.json`, with its input files,
@@ -372,12 +373,14 @@ def main(argv=None) -> int:
         if len(crashed) > LISTED:
             print(f"  and {len(crashed) - LISTED} more raised")
         for i, what, u, v in found[:LISTED]:
-            if i is None:
-                print(f"  {what}")
-            else:
-                print(f"  case {i}, {what}\n    files: {sorted(cases[i]['files'])}, "
-                      f"config: {cases[i]['config']!r}")
-            print(f"    parent: {_shown(u)}\n    change: {_shown(v)}")
+            if i is None:  # two lists of names: show the names each side alone has
+                u, v = set(u or ()), set(v or ())
+                print(f"  {what}\n    only in the parent: {_shown(sorted(u - v))}\n"
+                      f"    only in the change: {_shown(sorted(v - u))}")
+                continue
+            print(f"  case {i}, {what}\n    files: {sorted(cases[i]['files'])}, "
+                  f"config: {cases[i]['config']!r}\n"
+                  f"    parent: {_shown(u)}\n    change: {_shown(v)}")
         if len(found) > LISTED:
             print(f"  and {len(found) - LISTED} more")
     return 1 if failed else 0
