@@ -12,11 +12,11 @@ of that `Evaluation`, or a fixed unit conversion or rounding of one, apart from 
 constants, the fixed baryon split and the closed-form column of `bosons`; `sweep` gets
 its points' rows from one column pass. Handlers raise and `run()` alone reports: it prints the
 one `dimorb: error:` line and picks the exit code, also for a stdout that `_write` cannot
-write (`--help` included); `main()` then keeps the flush at exit quiet. Arguments are
-checked before any file is read or output written. Every input file goes through `_load`,
+write (`--help` included) and a `--out` file, which is written whole or not at all. Arguments
+are checked before any file is read or output written. Every input file goes through `_load`,
 so one that cannot be read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed
-or used exits 2 and names its path. A stderr that is closed or not open for writing loses
-the diagnostics and nothing else: `main()` points it at `os.devnull` first.
+or used exits 2 and names its path. Diagnostics go through `_say` alone, so a stderr that
+cannot be written loses them and nothing else.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class _UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1, not argparse's default 2
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        _say(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise SystemExit(EXIT_USAGE)
 
     def print_help(self, file=None):
         if file is None:  # argparse from 3.11 on drops a failed write; `_write` reports it
@@ -231,6 +231,15 @@ def _resolve_constants(args) -> ModelConstants:
     return _constants({}, values)
 
 
+def _say(text: str) -> None:
+    """Write `text` as a line to stderr; a stderr that cannot be written loses it alone."""
+    try:
+        sys.stderr.write(f"{text}\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # sys.stderr is None when fd 2 was closed at start
+        pass
+
+
 def _write(text: str) -> None:
     """Write `text` to stdout and flush it, so that a stdout it cannot write exits 2."""
     try:
@@ -259,8 +268,23 @@ def _cmd_bosons(args, constants: ModelConstants) -> int:
 def _cmd_calibrate(args, constants: ModelConstants) -> int:
     ev = evaluate(constants, args.anchors)
     bases = _spectrum.AuxBaseSet(*map(mev, (ev.lepton_base, ev.quark_base, ev.top_lump)))
-    Path(args.out).write_text(_spectrum.format_calibration(bases))
-    print(f"wrote {args.out}", file=sys.stderr)
+    # a new file beside it (or beside a symlink's target) is renamed onto it
+    target = os.path.realpath(args.out) if os.path.islink(args.out) else args.out
+    # one there that is not a regular file, as /dev/null or a loop of links, is opened as is
+    in_place = os.path.lexists(target) and not os.path.isfile(target)
+    temp = args.out if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w" if in_place else "x") as file:
+            file.write(_spectrum.format_calibration(bases))
+        if not in_place:
+            os.replace(temp, target)
+    except OSError as exc:
+        if not in_place and not isinstance(exc, FileExistsError) and os.path.exists(temp):
+            os.remove(temp)  # one that was there before, as a killed run's, is not ours
+        # errno and reason alone, as the temporary file's name holds the process id
+        raise OSError(f"cannot write calibration file {args.out!r}: "
+                      f"[Errno {exc.errno}] {exc.strerror}") from None
+    _say(f"wrote {args.out}")
     rows = _spectrum._residuals(ev.rows, args.anchors)
     _write(format_rows("table", ["name", "role", "rel_error"], rows, args.digits))
     return EXIT_OK
@@ -300,14 +324,13 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
     if args.format == "json" and (report.skipped_computed or report.skipped_observed):
         # json output is a pure array, so the skip summary goes to stderr
         if report.skipped_computed:
-            print(f"skipped computed: {', '.join(report.skipped_computed)}", file=sys.stderr)
+            _say(f"skipped computed: {', '.join(report.skipped_computed)}")
         if report.skipped_observed:
-            print(f"skipped observed: {', '.join(report.skipped_observed)}", file=sys.stderr)
+            _say(f"skipped observed: {', '.join(report.skipped_observed)}")
     if args.check:
         breaches = [row.name for row in report.rows if row.rel_error > args.tol]
         if breaches:
-            print(f"tolerance check failed at {args.tol:g}: {', '.join(breaches)}",
-                  file=sys.stderr)
+            _say(f"tolerance check failed at {args.tol:g}: {', '.join(breaches)}")
             return EXIT_TOLERANCE
     return EXIT_OK
 
@@ -347,24 +370,19 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # from argparse: a usage error, or --help written
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ValueError, OSError) as exc:
-        print(f"dimorb: error: {exc}", file=sys.stderr)
+        _say(f"dimorb: error: {exc}")
         # the table is built in, so a CalibrationError means out-of-range constants
         return EXIT_USAGE if isinstance(exc, (_UsageError, CalibrationError)) else EXIT_DATA
 
 
 def main() -> None:
     import gc  # only the process entry point needs it
-    try:
-        os.write(2, b"")  # fails when fd 2 is closed or not open for writing
-    except OSError:  # lose only the diagnostics: print() to a None sys.stderr writes stdout
-        sys.stderr = open(os.devnull, "w")
-        os.dup2(sys.stderr.fileno(), 2)
     code = run()
-    if sys.stdout is not None:  # None when fd 1 was closed at start
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
         try:
-            sys.stdout.flush()
-        except OSError:  # as run() reported; fd 1 at os.devnull keeps the flush at exit quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            stream.flush()  # a stream is None when its fd was closed at start
+        except (AttributeError, OSError):  # the fd at os.devnull keeps the flush at exit quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
     # frozen objects are skipped by the full collection CPython runs at exit
     gc.freeze()
     sys.exit(code)

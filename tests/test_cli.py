@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import functools
 import io
 import json
@@ -87,6 +88,59 @@ def test_calibrate_writes_file(anchor, tmp_path, capsys):
     first = out_path.read_text()
     assert _run(capsys, "calibrate", "--out", str(out_path), "--anchors", anchor)[0] == 0
     assert out_path.read_text() == first
+
+
+def test_calibrate_replaces_a_symlinks_target_not_the_link(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real.txt").write_text("# an older file\n")
+    (tmp_path / "cal.txt").symlink_to("real.txt")
+    assert _run(capsys, "calibrate", "--out", "cal.txt")[0] == 0
+    assert os.readlink(tmp_path / "cal.txt") == "real.txt"
+    whole = format_calibration(calibrate(ModelConstants()).bases)
+    assert (tmp_path / "real.txt").read_text() == whole
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cal.txt", "real.txt"]
+
+
+def test_calibrate_to_a_loop_of_links_exits_2_and_keeps_the_link(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cal.txt").symlink_to("cal.txt")
+    code, out, err = _run(capsys, "calibrate", "--out", "cal.txt")
+    assert (code, out) == (2, "")
+    assert err == ("dimorb: error: cannot write calibration file 'cal.txt': "
+                   f"[Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["cal.txt"]
+    assert os.readlink(tmp_path / "cal.txt") == "cal.txt"
+
+
+def test_calibrate_leaves_a_file_that_holds_its_temporary_name(tmp_path, capsys):
+    # as one a killed run with the same process id left behind
+    files = {"cal.txt": b"# an older file\n", f"cal.txt.{os.getpid()}.tmp": b"not ours\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    code, out, err = _run(capsys, "calibrate", "--out", str(tmp_path / "cal.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dimorb: error: cannot write calibration file '{tmp_path / 'cal.txt'}'")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("argv", ["calibrate --out cal.txt", "bosons --alpha 2",
+                                  "bosons --digits x", "fermions --calibration missing.txt",
+                                  "compare --check --tol 1e-9", "compare --format json"])
+def test_a_stderr_that_cannot_be_written_changes_neither_exit_code_nor_stdout(argv, tmp_path,
+                                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    outcomes = []
+    # a writable stderr, then one whose reader has gone, then none, as with fd 2 closed at start
+    for stderr in (io.StringIO(), _BrokenPipe(), None):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+            outcomes.append((run(argv.split()), out.getvalue()))
+    assert outcomes[2] == outcomes[1] == outcomes[0]
 
 
 def test_calibrate_alternate_anchor(tmp_path, capsys):

@@ -1,15 +1,20 @@
-"""The `dimorb` command's exit codes, json output, closed stdout and closed stderr, checked in a
-fresh process.
+"""The `dimorb` command's exit codes, json output, unwritable stdout and stderr, and a
+calibration file written whole or not at all, checked in a fresh process.
 
 The command is the one in DIMORB_BIN, split as a shell would split it, or
 `python -m dimorb` when that is unset; so the same checks cover the installed
 console script (`DIMORB_BIN=dimorb`) and a source checkout.
 """
 
+import contextlib
+import errno
 import json
 import os
 import re
+import resource
 import shlex
+import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +23,8 @@ import pytest
 
 import dimorb
 from dimorb.compare import default_observed, format_observed_csv
+from dimorb.quantities import ModelConstants
+from dimorb.spectrum import calibrate, format_calibration
 
 SRC = str(Path(dimorb.__file__).resolve().parents[1])
 ENV = {key: value for key, value in os.environ.items() if key != "DIMORB_CONFIG"}
@@ -91,10 +98,6 @@ def test_exit_code(code, config, argv, tmp_path):
     assert (child.stdout == b"") == (code in (1, 2))
 
 
-def test_a_bad_tol_writes_nothing_to_stdout(tmp_path):
-    assert _dimorb(["compare", "--check", "--tol", "0"], tmp_path).stdout == b""
-
-
 def test_a_decode_error_after_a_byte_order_mark_names_the_file_offset(tmp_path):
     child = _dimorb(["bosons"], tmp_path, "bom-then-not-utf8.conf")
     assert (child.returncode, child.stdout) == (2, b"")
@@ -118,6 +121,17 @@ def _stdout_error(child, reason: str) -> None:
         2, [f"dimorb: error: cannot write stdout: {reason}"])
 
 
+@contextlib.contextmanager
+def _dead_pipe():
+    """The write end of a pipe whose reader has gone."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     "bosons",
@@ -131,14 +145,24 @@ def _stdout_error(child, reason: str) -> None:
     "bosons --help",
 ])
 def test_a_stdout_whose_reader_is_gone_exits_2_with_one_line(argv, unbuffered, tmp_path):
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        child = subprocess.run([*COMMAND, *argv.split()], cwd=tmp_path, stdout=write,
+    with _dead_pipe() as stdout:
+        child = subprocess.run([*COMMAND, *argv.split()], cwd=tmp_path, stdout=stdout,
                                stderr=subprocess.PIPE, env={**ENV, "PYTHONUNBUFFERED": unbuffered})
-    finally:
-        os.close(write)
     _stdout_error(child, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", ["bosons", "bosons --alpha 2", "calibrate --out cal.txt",
+                                  "--help"])
+def test_a_stdout_and_stderr_whose_readers_are_gone_exit_as_the_stdout_alone(argv, unbuffered,
+                                                                             tmp_path):
+    codes = []
+    for both in (False, True):
+        with _dead_pipe() as stdout, _dead_pipe() as stderr:
+            codes.append(subprocess.run([*COMMAND, *argv.split()], cwd=tmp_path, stdout=stdout,
+                                        stderr=stderr if both else subprocess.DEVNULL,
+                                        env={**ENV, "PYTHONUNBUFFERED": unbuffered}).returncode)
+    assert codes[1] == codes[0] == (1 if "--alpha" in argv else 2)
 
 
 @pytest.mark.parametrize("argv", ["bosons", "sweep alpha --from 0.0073 --to 0.0146 --steps 3000",
@@ -151,21 +175,63 @@ def test_a_closed_fd_1_exits_2_with_one_line(argv, tmp_path):
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null", None],
+                         ids=["closed", "read-only", "reader-gone"])
 @pytest.mark.parametrize("argv", ["bosons --alpha 2", "bosons --digits x",
                                   "fermions --calibration missing.txt", "compare --check",
-                                  "calibrate --out cal.txt"])
+                                  "compare --check --tol 1e-9", "calibrate --out cal.txt"])
 def test_a_stderr_that_cannot_be_written_changes_nothing_else(argv, redirect, unbuffered,
                                                               tmp_path):
     # Python sets sys.stderr to None when fd 2 is closed at start, and print() to None writes
-    # stdout; a read-only fd 2 makes the first diagnostic raise
+    # stdout; a read-only fd 2 or a pipe whose reader has gone makes each diagnostic raise
     outcomes = []
     for i, shell_redirect in enumerate(("", redirect)):  # a writable stderr is the reference
         where = tmp_path / str(i)
         where.mkdir()
-        child = subprocess.run(["sh", "-c", f'exec "$@" {shell_redirect}', "sh", *COMMAND,
-                                *argv.split()], cwd=where, capture_output=True,
-                               env={**ENV, "PYTHONUNBUFFERED": unbuffered})
+        env = {**ENV, "PYTHONUNBUFFERED": unbuffered}
+        if shell_redirect is None:
+            with _dead_pipe() as stderr:
+                child = subprocess.run([*COMMAND, *argv.split()], cwd=where, env=env,
+                                       stdout=subprocess.PIPE, stderr=stderr)
+        else:
+            child = subprocess.run(["sh", "-c", f'exec "$@" {shell_redirect}', "sh", *COMMAND,
+                                    *argv.split()], cwd=where, capture_output=True, env=env)
         files = {path.name: path.read_bytes() for path in where.iterdir()}
         outcomes.append((child.returncode, child.stdout, files))
     assert outcomes[1] == outcomes[0]
+
+
+def _file_size_limit(limit: int):
+    """A `preexec_fn` that caps the files the child writes at `limit` bytes."""
+    def cap():
+        # ignored, SIGXFSZ lets the write past the cap fail with EFBIG instead of killing
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+    return cap
+
+
+@pytest.mark.parametrize("older", [False, True], ids=["new", "older"])
+@pytest.mark.parametrize("limit", [0, 40, 82, 84, 98])
+def test_a_calibration_file_cut_short_leaves_the_older_one(limit, older, tmp_path):
+    # from 82 or 84 bytes on, the cut file reads back with a wrong top lump
+    whole = format_calibration(calibrate(ModelConstants()).bases).encode()
+    assert limit < len(whole)
+    before = {"cal.txt": format_calibration(calibrate(ModelConstants(), "s").bases).encode()}
+    if older:
+        (tmp_path / "cal.txt").write_bytes(before["cal.txt"])
+    child = subprocess.run([*COMMAND, "calibrate", "--out", "cal.txt"], cwd=tmp_path, env=ENV,
+                           capture_output=True, preexec_fn=_file_size_limit(limit))
+    assert (child.returncode, child.stdout, child.stderr.decode().splitlines()) == (
+        2, b"", ["dimorb: error: cannot write calibration file 'cal.txt': "
+                 f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"])
+    # no temporary file is left beside it
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == (
+        before if older else {})
+
+
+def test_a_calibration_file_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    # a rename onto /dev/null would replace the device where the rename is allowed
+    child = _dimorb(["calibrate", "--out", os.devnull], tmp_path)
+    assert (child.returncode, child.stderr) == (0, f"wrote {os.devnull}\n".encode())
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert list(tmp_path.iterdir()) == []

@@ -26,7 +26,8 @@ The corpus is fixed by `--seed` (default 1):
   and the shell lines of the README, run in order in one directory;
 - every command in every format at `--digits` 1, 6, 17 and 20, under the
   default constants and under a second constant set, each command's `--help`,
-  and `--digits` at the largest precision `format` accepts and one past it;
+  `--digits` at the largest precision `format` accepts and one past it, and
+  `calibrate --out` to a path that cannot be written;
 - sweeps of all five constants in every format;
 - a seeded fuzz of every command: constants drawn from edge values (0, the
   smallest subnormal, the largest float, inf, nan, 90) and log-uniform ones, set
@@ -143,7 +144,10 @@ def _grid_cases() -> list:
                  ["sweep", "alpha", "--from", "1", "--to", "2", "--steps", "0"],
                  # the largest precision `format` accepts, and one past it
                  ["bosons", "--format", "csv", "--digits", "2147483647"],
-                 ["bosons", "--format", "csv", "--digits", "2147483648"]):
+                 ["bosons", "--format", "csv", "--digits", "2147483648"],
+                 # a calibration file that cannot be written: its directory is missing, or
+                 # the path is a directory
+                 ["calibrate", "--out", "missing/cal.txt"], ["calibrate", "--out", "."]):
         cases.append(_case([argv]))
     return cases
 
