@@ -12,7 +12,9 @@ of that `Evaluation`, or a fixed unit conversion or rounding of one, apart from 
 constants, the fixed baryon split and the closed-form column of `bosons`; `sweep` gets
 its points' rows from one column pass. Handlers raise and `run()` alone reports: it prints the
 one `dimorb: error:` line and picks the exit code, also for a stdout that `_write` cannot
-write (`--help` included) and a `--out` file, which is written whole or not at all. Arguments
+write (`--help` included) and a `--out` file, which is written whole or not at all. A rejected
+constant set is a `_FieldError` that cites its fields, and `run()` names each one's source (a
+flag, `config:<path>`, the default or the sweep) before the library's message. Arguments
 are checked before any file is read or output written. Every input file goes through `_load`,
 so one that cannot be read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed
 or used exits 2 and names its path. Diagnostics go through `_say` alone, so a stderr that
@@ -45,7 +47,6 @@ from .quantities import (
 from .spectrum import (
     ANCHOR_CHOICES,
     TABLE,
-    CalibrationError,
     evaluate,
     load_bases,
 )
@@ -80,7 +81,7 @@ _EPILOG = """examples:
 
 
 class _UsageError(ValueError):
-    """A bad argument or constant: exit 1, where other `ValueError`s exit 2."""
+    """A bad argument: exit 1, as for a rejected constant set, where other `ValueError`s exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,42 +194,30 @@ def _load(path: str, what: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _constants(fields: dict, values: dict[str, tuple[float, str]]) -> ModelConstants:
-    """`ModelConstants(**fields)` once each config-key `(value, source)` is set in `fields`.
-
-    Any value the constants reject raises a `_UsageError`; one outside its
-    field's own range names the field and its source: the flag,
-    `config:<path>` or the sweep.
-    """
-    for key, (raw, source) in values.items():
-        field, wrap, _ = _CONSTANTS[key]
-        try:
-            fields[field] = wrap(raw)
-        except ValueError as exc:
-            raise _UsageError(f"{field} from {source} is out of range: {exc}") from None
+def _field_value(key: str, raw: float):
+    """Config key `key`'s field value of `raw`; one its wrapper rejects raises a `_FieldError`."""
+    field, wrap, _ = _CONSTANTS[key]
     try:
-        return ModelConstants(**fields)
-    except _FieldError as exc:
-        source = next(where for key, (_, where) in values.items()
-                      if _CONSTANTS[key][0] == exc.field)
-        raise _UsageError(f"{exc.field} from {source} is out of range: {exc}") from None
+        return wrap(raw)
     except ValueError as exc:
-        raise _UsageError(exc) from None
+        raise _FieldError(str(exc), field) from None
 
 
-def _resolve_constants(args) -> ModelConstants:
+def _resolve_constants(args, sources: dict[str, str]) -> ModelConstants:
+    """The run's constant set; `sources` gets the flag or `config:<path>` of each field set."""
     # precedence: defaults < config file < command line flags
-    values: dict[str, tuple[float, str]] = {}
-    config_path = os.environ.get(ENV_CONFIG)
-    if config_path:
-        config = _load(config_path, "config",
+    values: dict[str, float] = {}
+    if config_path := os.environ.get(ENV_CONFIG):
+        values = _load(config_path, "config",
                        lambda text: parse_key_values(text, tuple(_CONSTANTS)))
-        values.update((key, (raw, f"config:{config_path}")) for key, raw in config.items())
-    for key in _CONSTANTS:
+        sources.update((_CONSTANTS[key][0], f"config:{config_path}") for key in values)
+    for key, (field, _, _) in _CONSTANTS.items():
         flag = getattr(args, key)
         if flag is not None:
-            values[key] = (flag, "--" + key.replace("_", "-"))
-    return _constants({}, values)
+            values[key] = flag
+            sources[field] = "--" + key.replace("_", "-")
+    return ModelConstants(**{_CONSTANTS[key][0]: _field_value(key, raw)
+                             for key, raw in values.items()})
 
 
 def _say(text: str) -> None:
@@ -341,16 +330,17 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     points = [args.start, *(args.start + i * step for i in range(1, args.steps))]
     field, wrap, _ = _CONSTANTS[args.param]
     rows = _spectrum._sweep(constants, field, getattr(wrap(1.0), "unit", None), points)
-    # the points the rows stop before, in turn, through `_constants`, which words the first
-    # one's rejection and names the sweep as the value's source
+    # the points the rows stop before, in turn, through the checked constructor, so the
+    # first one's rejection is raised; `run()` names the sweep as the field's source
     for point in points[len(rows):]:
-        _constants(constants._asdict(), {args.param: (point, f"the sweep of {args.param}")})
+        constants._replace(**{field: _field_value(args.param, point)})
     columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
     _write(format_rows(args.format, columns, rows, args.digits))
     return EXIT_OK
 
 
 def run(argv=None) -> int:
+    sources = dict.fromkeys(ModelConstants._fields, "the default")  # named by a rejection
     try:
         args = _shared_parser().parse_args(argv)
         # the flags argparse cannot check, before the config file is read
@@ -366,13 +356,19 @@ def run(argv=None) -> int:
         if args.command == "compare" and args.check and not (
                 math.isfinite(args.tol) and args.tol > 0.0):
             raise _UsageError("--tol must be a finite positive number")
-        return args.handler(args, _resolve_constants(args))
+        constants = _resolve_constants(args, sources)
+        if args.command == "sweep":  # every set rejected from here on holds a swept value
+            sources[_CONSTANTS[args.param][0]] = f"the sweep of {args.param}"
+        return args.handler(args, constants)
     except SystemExit as exc:  # from argparse: a usage error, or --help written
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except _FieldError as exc:  # a rejected constant set; the table is built in, so exit 1
+        cited = ", ".join(f"{field} from {sources[field]}" for field in exc.fields)
+        _say(f"dimorb: error: {cited} {'are' if exc.fields[1:] else 'is'} out of range: {exc}")
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         _say(f"dimorb: error: {exc}")
-        # the table is built in, so a CalibrationError means out-of-range constants
-        return EXIT_USAGE if isinstance(exc, (_UsageError, CalibrationError)) else EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_DATA
 
 
 def main() -> None:

@@ -131,11 +131,11 @@ class OrbitalIndex(_Checked, _OrbitalFields):
 
 
 class _FieldError(ValueError):
-    """A constant outside its own range, read as "<field> <reason>"."""
+    """A rejected constant set: `text`, which cites the `ModelConstants` fields in `fields`."""
 
-    def __init__(self, field: str, reason: str) -> None:
-        super().__init__(f"{field} {reason}")
-        self.field = field
+    def __init__(self, text: str, *fields: str) -> None:
+        super().__init__(text)
+        self.fields = fields
 
 
 class _ConstantsFields(NamedTuple):
@@ -185,11 +185,12 @@ def _check_field(field: str, value) -> None:
     high = _UPPER.get(field)
     if high is not None:
         if not _number(value) or not 0.0 < value < high:
-            raise _FieldError(field, f"must lie strictly inside (0, {high:g}), got {value!r}")
+            raise _FieldError(f"{field} must lie strictly inside (0, {high:g}), got {value!r}",
+                              field)
     elif not isinstance(value, MassValue):
-        raise _FieldError(field, f"must be a MassValue, got {value!r}")
+        raise _FieldError(f"{field} must be a MassValue, got {value!r}", field)
     elif value.magnitude <= 0.0:
-        raise _FieldError(field, f"must be positive, got {value}")
+        raise _FieldError(f"{field} must be positive, got {value}", field)
 
 
 class _LocatedError(ValueError):

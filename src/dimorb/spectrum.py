@@ -48,6 +48,7 @@ from .quantities import (
     _MEV,
     _TO_MEV,
     _UPPER,
+    _FieldError,
     mev,
     parse_key_values,
 )
@@ -59,8 +60,8 @@ class UncalibratedBaseError(ValueError):
     """A row needs an auxiliary base that has not been provided."""
 
 
-class CalibrationError(ValueError):
-    """An anchor row produced an unusable calibrated constant."""
+class CalibrationError(_FieldError):
+    """An anchor row produced an unusable calibrated constant; `fields` are those it cites."""
 
 
 class CalibrationFileError(KeyValueError):
@@ -206,8 +207,8 @@ def _solve(constants: ModelConstants, ev: Evaluation, name: str, quark: float = 
         what = ("the solved top lump is not positive" if weights.lump
                 else f"anchor row {name!r} gives a non-positive quark base")
         # the table is built in, so only the two constants the solve reads can be at fault
-        raise CalibrationError(f"inconsistent calibration: {what} (alpha_e = "
-                               f"{constants.alpha_e}, m_electron = {constants.m_electron})")
+        raise CalibrationError(f"inconsistent calibration: {what} (alpha_e = {constants.alpha_e}, "
+                               f"m_electron = {constants.m_electron})", "alpha_e", "m_electron")
     return base
 
 
@@ -252,16 +253,16 @@ def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> tuple[float, ..
 _LAST: tuple = (None, None)
 
 
-def _overflow(what: str, **fields) -> ValueError:
-    """The error of a set whose `what` leaves float range, naming the fields it is read from."""
+def _overflow(what: str, **fields) -> _FieldError:
+    """The error of a set whose `what` leaves float range, citing the fields it is read from."""
     values = ", ".join(f"{name} = {value}" for name, value in fields.items())
-    return ValueError(f"constants out of range: {what} overflows a float ({values})")
+    return _FieldError(f"constants out of range: {what} overflows a float ({values})", *fields)
 
 
 def _core(constants: ModelConstants) -> Evaluation:
     """The float core: the uncalibrated `Evaluation` of a set's five fields, kept in `_LAST`.
 
-    ModelConstants rejects a set with it: it raises a `ValueError` naming the fields concerned
+    ModelConstants rejects a set with it: it raises a `_FieldError` citing the fields concerned
     when the ladder top in MeV (compare's unit for a boson row), the tau row (which bounds every
     lepton row and B6) or alpha_w leaves float range, in that order.
     """

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import csv
 import errno
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -9,6 +11,7 @@ import os
 import re
 import struct
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -675,10 +678,40 @@ def test_out_of_range_constants_exit_1(capsys):
         (["sweep", "alpha", "--from=-1e308", "--to", "1e308", "--steps", "3"], None,
          "alpha_e from the sweep of alpha is out of range: "
          "alpha_e must lie strictly inside (0, 1), got -1e+308\n"),
+        # a set rejected as a whole: each field its message cites, with its source, before it
+        (["bosons"], "m_z_gev=1e300\n",
+         "dimorb: error: m_z from config:{config}, alpha_e from the default are out of range: "
+         "constants out of range: the top boson mass m_z / alpha_e**8 in MeV overflows a float "
+         "(m_z = 1e+300 GeV, alpha_e = 0.0072973525693)\n"),
+        (["sweep", "m_z_gev", "--from", "1.2e288", "--to", "1.6e288", "--steps", "3",
+          "--alpha", "0.0072973525693"], None,
+         "dimorb: error: m_z from the sweep of m_z_gev, alpha_e from --alpha are out of range: "
+         "constants out of range: the top boson mass m_z / alpha_e**8 in MeV overflows a float "
+         "(m_z = 1.6e+288 GeV, alpha_e = 0.0072973525693)\n"),
+        (["compare", "--m-electron-mev", "1e306"], None,
+         "dimorb: error: m_electron from --m-electron-mev, alpha_e from the default are out of "
+         "range: constants out of range: the tau mass m_electron * (1 + 25.5 / alpha_e) "
+         "overflows a float (m_electron = 1e+306 MeV, alpha_e = 0.0072973525693)\n"),
+        (["sweep", "m_z_gev", "--from", "4e-309", "--to", "2e-310", "--steps", "3"],
+         "theta_w_deg=29.69\n",
+         "dimorb: error: m_electron from the default, alpha_e from the default, m_z from the "
+         "sweep of m_z_gev, theta_w_deg from config:{config} are out of range: constants out of "
+         "range: alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w)) overflows a float "
+         "(m_electron = 0.510999 MeV, alpha_e = 0.0072973525693, m_z = 2e-310 GeV, "
+         "theta_w_deg = 29.69)\n"),
+        (["fermions", "--calibrate", "--alpha", "0.001"], "m_electron_mev=0.510999\n",
+         "dimorb: error: alpha_e from --alpha, m_electron from config:{config} are out of range: "
+         "inconsistent calibration: anchor row 'd' gives a non-positive quark base "
+         "(alpha_e = 0.001, m_electron = 0.510999 MeV)\n"),
+        (["compare", "--alpha", "0.05"], None,
+         "dimorb: error: alpha_e from --alpha, m_electron from the default are out of range: "
+         "inconsistent calibration: the solved top lump is not positive "
+         "(alpha_e = 0.05, m_electron = 0.510999 MeV)\n"),
     ],
     ids=["flag", "flag-nan", "config", "mev-overflow", "sweep", "field-flag", "field-config",
          "field-config-angle", "field-zero-mass", "field-sweep", "sweep-to-inf",
-         "sweep-step-overflow"],
+         "sweep-step-overflow", "top-config-default", "top-sweep-flag", "tau-flag-default",
+         "alpha_w-sweep-config", "quark-base-flag-config", "top-lump-flag-default"],
 )
 def test_bad_mass_constant_names_field_and_source(argv, config, named, tmp_path, capsys,
                                                   monkeypatch):
@@ -747,8 +780,8 @@ _TINY_Z = ("--m-electron-mev", "5e-324", "--theta-w-deg", "89.99")
 )
 def test_a_sweep_names_its_first_failing_point(param, start, stop, flags, accepted, kind,
                                                capsys):
-    # `accepted` marks each point that `_constants` accepts (+) or rejects (-); the sweep
-    # exits with the error of the first it rejects
+    # `accepted` marks each point that `_point_through_constants` accepts (+) or rejects (-);
+    # the sweep exits with the error of the first it rejects
     steps = len(accepted)
     step = (stop - start) / (steps - 1)
     points = [start, *(start + i * step for i in range(1, steps))]
@@ -776,6 +809,42 @@ def test_uncalibratable_constants_exit_1_and_name_them(argv, tmp_path, capsys):
     assert "inconsistent calibration" in err
     assert "alpha_e = " in err and "m_electron = " in err
     assert not out_path.exists()
+
+
+def _identity_tool():
+    """`tools/identity.py`, which builds the identity corpus and runs a case in-process."""
+    spec = importlib.util.spec_from_file_location(
+        "identity", Path(__file__).resolve().parents[1] / "tools" / "identity.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+# each field named with a source its value can come from, as a rejection names it: the
+# field's flag, the case's config file (under the corpus tool's name for its directory), the
+# default or a sweep of the field
+_NAMED_SOURCE = {field: re.compile(rf"\b{field} from (--{key.replace('_', '-')}|"
+                                   rf"config:<tmp>/config\.txt|the default|the sweep of {key})"
+                                   r"[,: ]")
+                 for key, (field, _, _) in cli._CONSTANTS.items()}
+
+
+def test_every_rejection_in_the_identity_corpus_names_the_source_of_each_field_it_cites():
+    # a rejected constant set exits 1; every other use of a field name is in an exit-2 line
+    # about a file, such as the list of config keys, which names theta_w_deg
+    tool = _identity_tool()
+    unnamed = []
+    for case in tool.corpus(1):
+        for argv, (code, _, err) in zip(case["argvs"], tool._run_case(run, case)["steps"]):
+            if code != 1:
+                continue
+            missing = [(field, line) for line in err.splitlines()
+                       if line.startswith("dimorb: error: ")
+                       for field, named in _NAMED_SOURCE.items()
+                       if re.search(rf"\b{field}\b", line) and not named.search(line)]
+            if missing:
+                unnamed.append((argv, case["config"], missing))
+    assert not unnamed, f"{len(unnamed)} argvs, among them {unnamed[:3]}"
 
 
 def _run_quiet(argv):
@@ -912,15 +981,26 @@ def _nudged(x: float, ulps: int) -> float:
     return x
 
 
-def _flag_values(flags) -> dict:
-    # the `(value, source)` pairs `cli._resolve_constants` makes of constant flags
-    return {flag[2:].replace("-", "_"): (float(value), flag)
-            for flag, value in zip(flags[::2], flags[1::2])}
+def _flag_values(flags) -> argparse.Namespace:
+    # constant flags as `cli.run` parses them: one attribute each config key, None if not given
+    given = {flag[2:].replace("-", "_"): float(value)
+             for flag, value in zip(flags[::2], flags[1::2])}
+    return argparse.Namespace(**{**dict.fromkeys(cli._CONSTANTS), **given})
 
 
 def _point_through_constants(param: str, point: float, flags) -> cli.ModelConstants:
-    start = cli._constants({}, _flag_values(flags))
-    return cli._constants(start._asdict(), {param: (point, f"the sweep of {param}")})
+    """The set of a sweep of `param` at `point`, built as `cli.run` builds it; a rejected one
+    raises a `_UsageError` worded by hand: each cited field with its source, then the message."""
+    sources = dict.fromkeys(cli.ModelConstants._fields, "the default")
+    try:
+        start = cli._resolve_constants(_flag_values(flags), sources)
+        field = cli._CONSTANTS[param][0]
+        sources[field] = f"the sweep of {param}"
+        return start._replace(**{field: cli._field_value(param, point)})
+    except cli._FieldError as exc:
+        cited = ", ".join(f"{name} from {sources[name]}" for name in exc.fields)
+        verb = "is" if len(exc.fields) == 1 else "are"
+        raise cli._UsageError(f"{cited} {verb} out of range: {exc}") from None
 
 
 def _accepted(param: str, point: float, flags) -> bool:
@@ -1260,9 +1340,7 @@ def _csv_cells(out):
                                      "fermions --calibration", "compare"])
 def test_each_command_prints_from_one_evaluation(command, tmp_path, capsys, monkeypatch):
     calibration, observed = tmp_path / "cal.txt", tmp_path / "observed.csv"
-    constants = cli._constants({}, {"alpha": (0.0075, "--alpha"),
-                                    "m_electron_mev": (0.52, "--m-electron-mev"),
-                                    "theta_w_deg": (31.0, "--theta-w-deg")})
+    constants = cli._resolve_constants(_flag_values(_FLAGS_17[:-2]), {})
     calibration.write_text(format_calibration(calibrate(constants).bases))
     observed.write_text(_EVERY_KIND_CSV)
     evaluations = []

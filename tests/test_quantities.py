@@ -165,28 +165,30 @@ def test_constants_reject_out_of_range_fields(kwargs):
 _OVERFLOWS = "constants out of range: {} overflows a float ({})"
 
 
-@pytest.mark.parametrize("kwargs, what, values", [
+@pytest.mark.parametrize("kwargs, what, values, fields", [
     ({"m_z": gev(1e300)}, "the top boson mass m_z / alpha_e**8 in MeV",
-     "m_z = 1e+300 GeV, alpha_e = 0.0072973525693"),
+     "m_z = 1e+300 GeV, alpha_e = 0.0072973525693", ("m_z", "alpha_e")),
     # alpha_e**2 underflows to zero
     ({"alpha_e": 1e-200}, "the top boson mass m_z / alpha_e**8 in MeV",
-     "m_z = 91.177 GeV, alpha_e = 1e-200"),
+     "m_z = 91.177 GeV, alpha_e = 1e-200", ("m_z", "alpha_e")),
     ({"m_electron": mev(1e306)}, "the tau mass m_electron * (1 + 25.5 / alpha_e)",
-     "m_electron = 1e+306 MeV, alpha_e = 0.0072973525693"),
+     "m_electron = 1e+306 MeV, alpha_e = 0.0072973525693", ("m_electron", "alpha_e")),
     ({"m_electron": mev(1e300), "m_z": gev(1e-10)},
      "alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
      "m_electron = 1e+300 MeV, alpha_e = 0.0072973525693, m_z = 1e-10 GeV, "
-     "theta_w_deg = 29.69"),
+     "theta_w_deg = 29.69", ("m_electron", "alpha_e", "m_z", "theta_w_deg")),
     # m_z * cos(theta_w) underflows to zero
     ({"m_z": gev(5e-324), "theta_w_deg": 89.9999},
      "alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
      "m_electron = 0.510999 MeV, alpha_e = 0.0072973525693, m_z = 4.94066e-324 GeV, "
-     "theta_w_deg = 89.9999"),
+     "theta_w_deg = 89.9999", ("m_electron", "alpha_e", "m_z", "theta_w_deg")),
 ], ids=["top", "top-underflow", "tau", "alpha_w", "alpha_w-underflow"])
-def test_constants_out_of_float_range_name_the_constants_involved(kwargs, what, values):
+def test_constants_out_of_float_range_name_the_constants_involved(kwargs, what, values, fields):
     with pytest.raises(ValueError) as info:
         ModelConstants(**kwargs)
     assert str(info.value) == _OVERFLOWS.format(what, values)
+    # the fields the message cites, in its order, for a caller to name each one's source
+    assert info.value.fields == fields
 
 
 @given(

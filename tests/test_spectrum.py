@@ -249,8 +249,26 @@ def test_top_lump_inconsistent_inputs():
     # a large alpha makes the level-7 terms overshoot the top row
     strange = ModelConstants(alpha_e=0.05)
     base = calibrate_quark_base_7(strange)
-    with pytest.raises(CalibrationError, match="inconsistent calibration"):
+    with pytest.raises(CalibrationError, match="inconsistent calibration") as info:
         calibrate_top_lump(strange, base)
+    assert str(info.value) == ("inconsistent calibration: the solved top lump is not positive "
+                               "(alpha_e = 0.05, m_electron = 0.510999 MeV)")
+    assert info.value.fields == ("alpha_e", "m_electron")
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda c: calibrate_quark_base_7(c, "u"), lambda c: calibrate(c, "u"),
+    lambda c: evaluate(c, "u"),
+], ids=["calibrate_quark_base_7", "calibrate", "evaluate"])
+def test_a_non_positive_quark_base_cites_the_two_constants_of_the_solve(solve):
+    # a small alpha makes the lepton terms of the u row overshoot its table mass
+    with pytest.raises(CalibrationError) as info:
+        solve(ModelConstants(alpha_e=0.001))
+    assert str(info.value) == ("inconsistent calibration: anchor row 'u' gives a non-positive "
+                               "quark base (alpha_e = 0.001, m_electron = 0.510999 MeV)")
+    assert info.value.fields == ("alpha_e", "m_electron")
+    assert isinstance(info.value, ValueError)
 
 
 def test_calibration_residuals():
@@ -538,6 +556,7 @@ def test_evaluate_equals_every_public_path_bit_for_bit(inputs, units, theta, pla
     try:
         cal = calibrate(c, anchor)
     except CalibrationError as exc:
+        assert exc.fields == ("alpha_e", "m_electron")
         with pytest.raises(CalibrationError, match=re.escape(str(exc))):
             evaluate(c, anchor)
         return
