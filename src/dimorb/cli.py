@@ -1,11 +1,11 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage or out-of-range constants (including ones the
-fermion table cannot be calibrated with), 2 unreadable or malformed data
-(config, calibration, observed CSV) or output that cannot be written (`--out` or
-stdout), 3 tolerance breach under `compare --check`. Data goes to stdout, diagnostics
-to stderr, and output is deterministic on one Python: same inputs, same bytes
-(argparse's words vary by version).
+Exit codes: 0 success, 1 usage or out-of-range constants (including ones the fermion table
+cannot be calibrated with), 2 unreadable or malformed data (config, calibration, observed CSV)
+or output that cannot be written (`--out`, or stdout, also one whose encoding cannot hold the
+text), 3 tolerance breach under `compare --check`. Data goes to stdout, diagnostics to stderr,
+and output is deterministic on one Python: same inputs, same bytes (argparse's words vary by
+version).
 
 Each command but `sweep` makes one `evaluate` call. Every number it prints is a field
 of that `Evaluation`, or a fixed unit conversion or rounding of one, apart from input
@@ -35,12 +35,13 @@ from . import spectrum as _spectrum
 from .ladder import _LEVELS, closed_form_mass
 from .quantities import (
     ALPHA_E_DEFAULT,
+    MassValue,
     ModelConstants,
+    Unit,
     _FieldError,
     _LocatedError,
     _TO_MEV,
     format_rows,
-    gev,
     mev,
     parse_key_values,
 )
@@ -62,13 +63,13 @@ MAX_SWEEP_STEPS = 100000
 MAX_DIGITS = 2**31 - 1  # the largest precision `format` accepts on every supported Python
 
 # config key (the flag is "--" plus the key with "-" for "_"):
-# (ModelConstants field, wrapper, --help text)
+# (ModelConstants field, unit of a mass or None, --help text)
 _CONSTANTS = {
-    "alpha": ("alpha_e", float, f"fine structure constant (default {ALPHA_E_DEFAULT})"),
-    "m_electron_mev": ("m_electron", mev, "electron mass in MeV (default 0.510999)"),
-    "m_z_gev": ("m_z", gev, "Z0 mass in GeV (default 91.177)"),
-    "theta_w_deg": ("theta_w_deg", float, "mixing angle in degrees (default 29.69)"),
-    "planck_gev": ("planck_ref", gev, "Planck-scale reference in GeV (default 1.2e19)"),
+    "alpha": ("alpha_e", None, f"fine structure constant (default {ALPHA_E_DEFAULT})"),
+    "m_electron_mev": ("m_electron", Unit.MEV, "electron mass in MeV (default 0.510999)"),
+    "m_z_gev": ("m_z", Unit.GEV, "Z0 mass in GeV (default 91.177)"),
+    "theta_w_deg": ("theta_w_deg", None, "mixing angle in degrees (default 29.69)"),
+    "planck_gev": ("planck_ref", Unit.GEV, "Planck-scale reference in GeV (default 1.2e19)"),
 }
 
 _EPILOG = """examples:
@@ -96,18 +97,13 @@ class _Parser(argparse.ArgumentParser):
         super().print_help(file)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    g = p.add_argument_group("model constants (override config and defaults)")
+def build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    g = common.add_argument_group("model constants (override config and defaults)")
     for key, (_, _, text) in _CONSTANTS.items():
         g.add_argument("--" + key.replace("_", "-"), type=float, metavar="X", help=text)
-    p.add_argument("--digits", type=int, default=6, metavar="N",
-                   help="significant digits in rendered numbers (default 6)")
-    return p
-
-
-def build_parser() -> _Parser:
-    common = _common_flags()
+    common.add_argument("--digits", type=int, default=6, metavar="N",
+                        help="significant digits in rendered numbers (default 6)")
     parser = _Parser(
         prog="dimorb",
         description="Deterministic calculator for the dimensional-orbital mass model.",
@@ -168,10 +164,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> _Parser:
-    # parse_args leaves the parser as it found it, so one parser serves every run()
-    return build_parser()
+# parse_args leaves the parser as it found it, so one parser serves every run()
+_shared_parser = functools.cache(build_parser)
 
 
 def _load(path: str, what: str, parse):
@@ -195,10 +189,10 @@ def _load(path: str, what: str, parse):
 
 
 def _field_value(key: str, raw: float):
-    """Config key `key`'s field value of `raw`; one its wrapper rejects raises a `_FieldError`."""
-    field, wrap, _ = _CONSTANTS[key]
+    """Config key `key`'s field value of `raw`, as a mass in its unit if any, or a `_FieldError`."""
+    field, unit, _ = _CONSTANTS[key]
     try:
-        return wrap(raw)
+        return raw if unit is None else MassValue(raw, unit)
     except ValueError as exc:
         raise _FieldError(str(exc), field) from None
 
@@ -236,7 +230,7 @@ def _write(text: str) -> None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.write(text)
         sys.stdout.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise OSError(f"cannot write stdout: {exc}") from None
 
 
@@ -328,8 +322,8 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     step = (args.stop - args.start) / max(args.steps - 1, 1)
     # point 0 is --from itself: 0 * step is nan for an infinite step
     points = [args.start, *(args.start + i * step for i in range(1, args.steps))]
-    field, wrap, _ = _CONSTANTS[args.param]
-    rows = _spectrum._sweep(constants, field, getattr(wrap(1.0), "unit", None), points)
+    field, unit, _ = _CONSTANTS[args.param]
+    rows = _spectrum._sweep(constants, field, unit, points)
     # the points the rows stop before, in turn, through the checked constructor, so the
     # first one's rejection is raised; `run()` names the sweep as the field's source
     for point in points[len(rows):]:

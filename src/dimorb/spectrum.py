@@ -239,15 +239,6 @@ class Evaluation(NamedTuple):
     sin2_theta_w: float
 
 
-def _ladder_gev(alpha_e: float, me_gev: float, mz_gev: float) -> tuple[float, ...]:
-    """The seven ladder masses B5..B11 in GeV, from the three anchors."""
-    step = alpha_e * alpha_e  # each level above B7 divides by it once
-    b8 = mz_gev / step
-    b9 = b8 / step
-    b10 = b9 / step
-    return (alpha_e * me_gev, me_gev / alpha_e, mz_gev, b8, b9, b10, b10 / step)
-
-
 # `_core`'s last (constants, result), one tuple so that a thread reads a matching pair; a
 # sweep's points are evaluated by `_sweep`, column by column, and leave it as it is
 _LAST: tuple = (None, None)
@@ -272,7 +263,12 @@ def _core(constants: ModelConstants) -> Evaluation:
     lepton = 1.5 * me_mev / alpha_e  # L = (3/2) * B6, in MeV
     top = alpha_w = math.inf
     try:
-        ladder = _ladder_gev(alpha_e, _convert(m_electron, _GEV), _convert(m_z, _GEV))
+        # B5..B11 in GeV: B5 and B6 from Me, B7 = M_Z, and each level above divides by step
+        me_gev, mz_gev, step = _convert(m_electron, _GEV), _convert(m_z, _GEV), alpha_e * alpha_e
+        b8 = mz_gev / step
+        b9 = b8 / step
+        b10 = b9 / step
+        ladder = (alpha_e * me_gev, me_gev / alpha_e, mz_gev, b8, b9, b10, b10 / step)
         top = ladder[-1] * 1e3
         theta = math.radians(theta_w_deg)
         alpha_w = math.sqrt(ladder[1] / (ladder[2] * math.cos(theta)))  # from B6 and B7 = M_Z
@@ -350,10 +346,9 @@ def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult
     model's actual predictive claim lives.
     """
     ev = evaluate(constants, anchor)
-    residuals: dict[str, float] = {}
-    held_out: dict[str, float] = {}
-    for name, role, err in _residuals(ev.rows, anchor):
-        (residuals if role == "anchor" else held_out)[name] = err
+    rows = _residuals(ev.rows, anchor)
+    residuals = {name: err for name, role, err in rows if role == "anchor"}
+    held_out = {name: err for name, role, err in rows if role != "anchor"}
     # L, Q and the lump: finite, as _core's tau check bounds what they are solved from, and > 0
     bases = tuple.__new__(AuxBaseSet, [tuple.__new__(MassValue, (m, _MEV)) for m in ev[2:5]])
     return tuple.__new__(CalibrationResult, (bases, residuals, held_out))
@@ -421,7 +416,7 @@ def _sweep(constants: ModelConstants, field: str, unit: Unit | None, points: lis
     muon, tau = (each(add, me, each(mul, _COEFFICIENTS[row][3], lepton)) for row in (_MU, _TAU))
     b6, b11 = each(truediv, each(_convert, m_electron, _GEV), alpha), mz
     try:
-        for _ in range(4):  # B8..B11, as `_ladder_gev` divides M_Z by alpha_e**2 level by level
+        for _ in range(4):  # B8..B11, as `_core` divides M_Z by alpha_e**2 level by level
             b11 = each(truediv, b11, step)
         cos = each(math.cos, each(math.radians, theta_w_deg))
         columns = [muon, tau, b6, b11, each(math.sqrt, each(truediv, b6, each(mul, mz, cos)))]

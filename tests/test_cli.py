@@ -3,7 +3,6 @@ import contextlib
 import csv
 import errno
 import functools
-import importlib.util
 import io
 import json
 import math
@@ -11,7 +10,6 @@ import os
 import re
 import struct
 import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -811,15 +809,6 @@ def test_uncalibratable_constants_exit_1_and_name_them(argv, tmp_path, capsys):
     assert not out_path.exists()
 
 
-def _identity_tool():
-    """`tools/identity.py`, which builds the identity corpus and runs a case in-process."""
-    spec = importlib.util.spec_from_file_location(
-        "identity", Path(__file__).resolve().parents[1] / "tools" / "identity.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 # each field named with a source its value can come from, as a rejection names it: the
 # field's flag, the case's config file (under the corpus tool's name for its directory), the
 # default or a sweep of the field
@@ -829,13 +818,14 @@ _NAMED_SOURCE = {field: re.compile(rf"\b{field} from (--{key.replace('_', '-')}|
                  for key, (field, _, _) in cli._CONSTANTS.items()}
 
 
-def test_every_rejection_in_the_identity_corpus_names_the_source_of_each_field_it_cites():
+def test_every_rejection_in_the_identity_corpus_names_the_source_of_each_field_it_cites(
+        identity_run):
     # a rejected constant set exits 1; every other use of a field name is in an exit-2 line
     # about a file, such as the list of config keys, which names theta_w_deg
-    tool = _identity_tool()
+    _, cases, records = identity_run
     unnamed = []
-    for case in tool.corpus(1):
-        for argv, (code, _, err) in zip(case["argvs"], tool._run_case(run, case)["steps"]):
+    for case, record in zip(cases, records):
+        for argv, (code, _, err) in zip(case["argvs"], record["steps"]):
             if code != 1:
                 continue
             missing = [(field, line) for line in err.splitlines()
@@ -1087,9 +1077,9 @@ def test_a_sweep_point_is_accepted_and_rejected_as_its_constant_set_is(data, ulp
 
 
 def _count_core_calls(monkeypatch, **more) -> dict[str, int]:
-    # `_core` checks a set, `_ladder_gev` computes the ladder that alpha_w is read from,
-    # and `more` maps further keys to the names of other spectrum functions to count
-    names = {"core": "_core", "ladder": "_ladder_gev", **more}
+    # `_core` checks a set and computes the ladder that alpha_w is read from, and `more`
+    # maps further keys to the names of other spectrum functions to count
+    names = {"core": "_core", **more}
     calls = dict.fromkeys(names, 0)
     for key, name in names.items():
         def counted(*args, _wrapped=getattr(spectrum, name), _key=key):
@@ -1107,7 +1097,7 @@ def test_a_sweep_evaluates_its_points_in_one_pass(steps, capsys, monkeypatch):
     code, out, _ = _run(capsys, "sweep", "alpha", "--from", "0.007", "--to", "0.008",
                         "--steps", str(steps), "--format", "csv")
     assert (code, len(out.splitlines())) == (0, 1 + steps)
-    assert calls == {"core": 1, "ladder": 1, "sweep": 1}
+    assert calls == {"core": 1, "sweep": 1}
 
 
 @pytest.mark.parametrize("argv", [["bosons", "--closed-form"], ["calibrate", "--out"],
@@ -1117,7 +1107,7 @@ def test_each_command_computes_the_core_once(argv, capsys, monkeypatch, tmp_path
         argv = [*argv, str(tmp_path / "cal.txt")]
     calls = _count_core_calls(monkeypatch)
     assert _run(capsys, *argv)[0] == 0
-    assert calls == {"core": 1, "ladder": 1}
+    assert calls == {"core": 1}
 
 
 def test_digits_flag(capsys):
@@ -1311,14 +1301,29 @@ def test_help_exits_zero(capsys):
     assert _run(capsys, "compare", "--help")[0] == 0
 
 
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+def test_a_stdout_that_cannot_encode_the_report_exits_2_with_one_line(fmt, tmp_path, capsys,
+                                                                      monkeypatch):
+    # an observed row the model has no claim for is listed by its name, as given
+    (tmp_path / "obs.csv").write_text("name,value,unit,uncertainty,source\nmüon,1,MeV,,\n",
+                                      encoding="utf-8")
+    written = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(written, encoding="ascii"))
+    code = run(["compare", "--observed", str(tmp_path / "obs.csv"), "--format", fmt])
+    assert (code, written.getvalue()) == (2, b"")
+    assert re.fullmatch(r"dimorb: error: cannot write stdout: 'ascii' codec can't encode "
+                        r"character '\\xfc' in position \d+: ordinal not in range\(128\)\n",
+                        capsys.readouterr().err)
+
+
 def test_each_constant_flag_states_the_default_it_gets():
     # the --help text spells each default by hand (1.2e19, not the 1.2e+19 of format)
     defaults = ModelConstants()
-    for key, (field, wrap, text) in cli._CONSTANTS.items():
-        stated = wrap(float(re.fullmatch(r".* \(default (\S+)\)", text)[1]))
+    for key, (field, unit, text) in cli._CONSTANTS.items():
+        stated = float(re.fullmatch(r".* \(default (\S+)\)", text)[1])
         default = getattr(defaults, field)
-        # a mass in the flag's unit, which `wrap` gives
-        assert stated == (default.to(stated.unit) if hasattr(stated, "unit") else default), key
+        # a mass in the flag's unit, where the flag has one
+        assert stated == (default.to(unit).magnitude if unit else default), key
 
 
 _FLAGS_17 = ("--alpha", "0.0075", "--m-electron-mev", "0.52", "--theta-w-deg", "31",

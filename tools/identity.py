@@ -26,8 +26,11 @@ The corpus is fixed by `--seed` (default 1):
   and the shell lines of the README, run in order in one directory;
 - every command in every format at `--digits` 1, 6, 17 and 20, under the
   default constants and under a second constant set, each command's `--help`,
-  `--digits` at the largest precision `format` accepts and one past it, and
-  `calibrate --out` to a path that cannot be written;
+  `--digits` at the largest precision `format` accepts and one past it, `--steps`
+  one past its cap, `calibrate --out` to a path that cannot be written and to
+  `/dev/null`, `fermions --calibration` and `compare --observed` on a missing path,
+  a directory and a file that begins with a byte-order mark, a config file that
+  does, and an observed file with an empty name and one with a repeated name;
 - sweeps of all five constants in every format;
 - a seeded fuzz of every command: constants drawn from edge values (0, the
   smallest subnormal, the largest float, inf, nan, 90) and log-uniform ones, set
@@ -36,7 +39,9 @@ The corpus is fixed by `--seed` (default 1):
   token such as `-inf` or `-8.8e+44` as an option, not as the flag's value.
 
 It needs the standard library alone: no pytest and no install, so it runs on
-every interpreter, 3.10 included. The corpus is read from the tree this script is in;
+every interpreter, 3.10 included. `digest` gives a short SHA-256 of a case's record, and
+`tests/test_identity_digest.py` checks each seed-1 case's against the committed
+`tests/golden/identity-seed1.txt`. The corpus is read from the tree this script is in;
 the two trees given are only run. Given one tree twice (`python tools/identity.py . .`,
 a CI step on each Python), it checks that no argv raises and, since each tree runs in a
 worker process of its own with a random hash seed, that no output depends on that seed.
@@ -44,6 +49,7 @@ worker process of its own with a random hash seed, that no output depends on tha
 
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -80,6 +86,8 @@ OBSERVED = ("# observed values\nname,value,unit,uncertainty,source\n"
             "top_quark,176,GeV,13,collider\nmuon,105.66,MeV,,pdg\ntheta_w,28.7,degree,,fit\n"
             "boson_7,91187.6,MeV,2.1,lep\nalpha_w,0.03,dimensionless,0.01,\n"
             "graviton,1,GeV,,none\n")
+CALIBRATION = ("# calibrated auxiliary bases\nquark_base_7_mev=14.120342769037393\n"
+               "top_lump_8_gev=162.35953776888141\n")
 
 
 # the corpus: a case is {"files": {name: text}, "config": text or None, "argvs": [argv, ...]}
@@ -145,10 +153,23 @@ def _grid_cases() -> list:
                  # the largest precision `format` accepts, and one past it
                  ["bosons", "--format", "csv", "--digits", "2147483647"],
                  ["bosons", "--format", "csv", "--digits", "2147483648"],
+                 ["sweep", "alpha", "--from", "1", "--to", "2", "--steps", "100001"],
                  # a calibration file that cannot be written: its directory is missing, or
-                 # the path is a directory
-                 ["calibrate", "--out", "missing/cal.txt"], ["calibrate", "--out", "."]):
+                 # the path is a directory; and one that is no regular file, written in place
+                 ["calibrate", "--out", "missing/cal.txt"], ["calibrate", "--out", "."],
+                 ["calibrate", "--out", "/dev/null"]):
         cases.append(_case([argv]))
+    # input files that are missing, a directory, or begin with a byte-order mark
+    bom = {"cal.txt": "\ufeff" + CALIBRATION, "obs.csv": "\ufeff" + OBSERVED}
+    for calibration, observed in (("missing.txt", "missing.csv"), (".", "."),
+                                  ("cal.txt", "obs.csv")):
+        cases.append(_case([["fermions", "--calibration", calibration],
+                            ["compare", "--observed", observed]], bom))
+    cases.append(_case([["bosons"]], config="\ufeffm_z_gev=90\n"))
+    # an observed file with an empty name, and one with a repeated name
+    for rows in (",1,MeV,,\n", "muon,105.66,MeV,,\nmuon,105.7,MeV,,\n"):
+        cases.append(_case([["compare", "--observed", "obs.csv"]],
+                           {"obs.csv": "name,value,unit,uncertainty,source\n" + rows}))
     return cases
 
 
@@ -257,10 +278,10 @@ def _run_case(run, case: dict) -> dict:
     home = os.getcwd()
     try:
         for name, text in case["files"].items():
-            Path(where, name).write_text(text)
+            Path(where, name).write_text(text, encoding="utf-8")
         os.environ.pop("DIMORB_CONFIG", None)
         if case["config"] is not None:
-            Path(where, "config.txt").write_text(case["config"])
+            Path(where, "config.txt").write_text(case["config"], encoding="utf-8")
             os.environ["DIMORB_CONFIG"] = os.path.join(where, "config.txt")
         os.chdir(where)
         steps = []
@@ -273,13 +294,18 @@ def _run_case(run, case: dict) -> dict:
                     code = "raised " + traceback.format_exc().splitlines()[-1]
             steps.append([code, out.getvalue().replace(where, "<tmp>"),
                           err.getvalue().replace(where, "<tmp>")])
-        files = {path.name: path.read_text(errors="replace").replace(where, "<tmp>")
+        files = {path.name: path.read_text("utf-8", "replace").replace(where, "<tmp>")
                  for path in sorted(Path(where).iterdir())}
         return {"steps": steps, "files": files}
     finally:
         os.chdir(home)
         os.environ.pop("DIMORB_CONFIG", None)
         shutil.rmtree(where, ignore_errors=True)
+
+
+def digest(result: dict) -> str:
+    """A short SHA-256 of one case's record from `_run_case`: its steps and the files it left."""
+    return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _surface(dimorb) -> dict:
