@@ -41,6 +41,7 @@ from .quantities import (
     _FieldError,
     _LocatedError,
     _TO_MEV,
+    _format_columns,
     format_rows,
     mev,
     parse_key_values,
@@ -320,16 +321,16 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
 
 def _cmd_sweep(args, constants: ModelConstants) -> int:
     step = (args.stop - args.start) / max(args.steps - 1, 1)
-    # point 0 is --from itself: 0 * step is nan for an infinite step
-    points = [args.start, *(args.start + i * step for i in range(1, args.steps))]
+    # start + i * step; point 0 is --from itself: 0 * step is nan for an infinite step
+    points = [args.start, *map(args.start.__add__, map(step.__rmul__, range(1, args.steps)))]
     field, unit, _ = _CONSTANTS[args.param]
-    rows = _spectrum._sweep(constants, field, unit, points)
-    # the points the rows stop before, in turn, through the checked constructor, so the
+    columns = _spectrum._sweep(constants, field, unit, points)
+    # the points the columns stop before, in turn, through the checked constructor, so the
     # first one's rejection is raised; `run()` names the sweep as the field's source
-    for point in points[len(rows):]:
+    for point in points[len(columns[0]):]:
         constants._replace(**{field: _field_value(args.param, point)})
-    columns = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
-    _write(format_rows(args.format, columns, rows, args.digits))
+    names = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
+    _write(_format_columns(args.format, names, columns, len(columns[0]), args.digits))
     return EXIT_OK
 
 

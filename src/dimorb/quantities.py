@@ -1,7 +1,7 @@
 """Mass values with explicit units, index types, the model's input constants,
 the `key=value` text format that config and calibration files share, and the
-row writer behind every table the command line prints, which classes each column
-once and writes each row with one precompiled `%` template.
+writer behind every table the command line prints, which takes its cells column
+by column, classes each column once and writes each row with one `%` template.
 
 Values are checked where they enter: in public constructors, `ModelConstants`'
 range check and the config, calibration and observed-file parsers. Inside, the
@@ -261,13 +261,19 @@ def _csv_special(text: str) -> bool:
 
 
 def format_rows(fmt: str, columns, rows, digits: int) -> str:
-    """Lay out a sequence of rows as an aligned "table", "markdown", "csv" or "json" text.
+    """Lay out a sequence of rows as an aligned "table", "markdown", "csv" or "json" text."""
+    return _format_columns(fmt, columns, [*zip(*rows)] or [()] * len(columns), len(rows), digits)
+
+
+def _format_columns(fmt: str, names, cells_by_column, n: int, digits: int) -> str:
+    """`format_rows` of `n` rows given column by column, each column a sequence of its cells.
 
     Floats show `digits` significant digits; json rounds the value instead, but writes a finite
     float that rounds past the largest float as the other formats do. Booleans read true/false;
     None is an empty cell, left out of a json object. Each row is one `template % cells`: a column
     of one nonzero float is a literal of it, a column of floats is formatted by it (a table takes
-    their texts first, for its widths), and other cells are turned into text one by one.
+    their texts first, for its widths, from one `%` over the column), and other cells are turned
+    into text one by one.
     """
     if digits < 1:
         raise ValueError(f"need at least one significant digit, got {digits!r}")
@@ -286,12 +292,12 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
                 return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(value)]
             number = value if exact else float(format(value, spec))  # round_to_sig's value
             return repr(number) if math.isfinite(number) else format(value, spec)
-    n, lone, pieces, args, widths = len(rows), len(columns) == 1, [], [], []
-    quoted = is_csv and (_csv_special("".join(columns)) or lone and not columns[0])
-    for name, cells in zip(columns, [*zip(*rows)] or [()] * len(columns)):
+    lone, pieces, args, widths = len(names) == 1, [], [], []
+    quoted = is_csv and (_csv_special("".join(names)) or lone and not names[0])
+    for name, cells in zip(names, cells_by_column):
         floats = n and type(cells[0]) is float and {*map(type, cells)} == {float}
-        # equal nonzero floats share a text (0.0 and -0.0 do not), as does one nan object repeated
-        fixed = floats and cells[0] and cells.count(cells[0]) == n
+        # one nonzero float or one nan object repeated (0.0 and -0.0 differ); ends tested first
+        fixed = floats and cells[0] and cells[-1] in cells[:1] and cells.count(cells[0]) == n
         prefix = f"{',' if pieces else ''}\n    {quote(name)}: " if is_json else ""
         literal = prefix.replace("%", "%%")  # the prefix as the template holds it
         if fixed:
@@ -309,7 +315,9 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
             args.append(cells)
         else:
             piece = "%s"
-            texts = [*map(format if floats else _cell, cells, specs)]
+            # float text never holds a newline, so one `%` over the column splits into its cells
+            texts = (("\n".join(["%" + spec] * n) % tuple(cells)).split("\n") if floats
+                     else [*map(_cell, cells, specs)])
             args.append(texts)
             if table:
                 widths.append(max([len(name), *map(len, texts)]))
@@ -323,20 +331,21 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
             body = body.replace("{,\n", "{\n").replace("{\n  }", "{}")
         return f"[\n{body}\n]\n" if n else "[]\n"
     if fmt == "markdown":
-        head = f"| {' | '.join(columns)} |\n| {' | '.join(['---'] * len(columns))} |\n"
+        head = f"| {' | '.join(names)} |\n| {' | '.join(['---'] * len(names))} |\n"
         return "".join([head, *map(("| " + " | ".join(pieces) + " |\n").__mod__, rest)])
     if table:
         # each cell padded on the right to its column's width, as str.ljust pads it
         template = "  ".join(f"%-{w}s" if p == "%s" else p.ljust(w) for p, w in zip(pieces, widths))
-        lines = ["  ".join(map(str.ljust, columns, widths)), "  ".join("-" * w for w in widths),
+        lines = ["  ".join(map(str.ljust, names, widths)), "  ".join("-" * w for w in widths),
                  *map(template.__mod__, rest), ""]
         return "\n".join(map(str.rstrip, lines))
     if not quoted:
-        return "".join([",".join(columns) + "\n", *map((",".join(pieces) + "\n").__mod__, rest)])
+        return "".join([",".join(names) + "\n", *map((",".join(pieces) + "\n").__mod__, rest)])
     import csv  # only a text that needs quoting comes here
     import io
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([columns, *(map(_cell, r, specs) for r in rows)])
+    csv.writer(out, lineterminator="\n").writerows(
+        [names, *(map(_cell, r, specs) for r in zip(*cells_by_column))])
     return out.getvalue()
 
 

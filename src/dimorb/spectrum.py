@@ -22,7 +22,7 @@ which compensates its rounding from Python 3.12 on.
 
 The float core is here too, since its range check reads the tau row. `_core` gives the
 uncalibrated `Evaluation` of a set's five fields when the set is built and words a failed
-check with them; `_sweep` gives its bits and checks for a sweep's points, column by column.
+check with them; `_sweep` gives its bits and checks for a sweep's points as six columns.
 `evaluate` returns that record, calibrated from an anchor by `_calibrated_ev`;
 `_ev_from_bases` calibrates it from a base set, the one source of an inf row, and checks
 each row. Each command prints the fields of one `Evaluation`, or fixed unit conversions or
@@ -392,37 +392,42 @@ def load_bases(text: str, constants: ModelConstants) -> AuxBaseSet:
 
 
 def _sweep(constants: ModelConstants, field: str, unit: Unit | None, points: list) -> list:
-    """The rows (point, muon, tau, B6, B11, alpha_w) of a sweep of `field`, column by column.
+    """The columns (point, muon, tau, B6, B11, alpha_w) of a sweep of `field`, a list each.
 
-    A point is a mass in `unit`, or a float where `unit` is None. Each row is, bit for bit, that
-    of `_core` of its point's set. The rows stop before the first point out of its field's own
-    range or rejected by `_core`. There are none when alpha_e**2 or m_z * cos(theta_w)
-    underflows at some point, which `_core` rejects too; the caller finds the point.
+    A point is a mass in `unit`, or a float where `unit` is None. Each column holds, bit for bit,
+    `_core`'s value at each point's set, up to the first point out of its field's own range or
+    rejected by `_core`. Every column is empty when alpha_e**2 or m_z * cos(theta_w) underflows
+    at some point, which `_core` rejects too; the caller finds the point. A column the swept
+    field does not enter is one value, from `constants`' own fields, until it is returned. That
+    set passed `_core`'s checks when it was built, so only the columns that vary are checked.
     """
     def each(f, *args):  # `f` at each point: a list holds one value a point, else it is fixed
         if list not in map(type, args):
             return f(*args)
         return [*map(f, *(arg if type(arg) is list else repeat(arg) for arg in args))]
 
+    def to(mass, target):  # `_convert` of a mass, or its arithmetic over a column in `unit`
+        return (_convert(mass, target) if type(mass) is not list else mass if target is unit
+                else each(truediv, each(mul, mass, _TO_MEV[unit]), _TO_MEV[target]))
+
     scale, high = (_TO_MEV[unit] if unit else 1.0), _UPPER.get(field, math.inf)
     n = next((i for i, x in enumerate(points) if not 0.0 < x * scale < high), len(points))
     points, where = points[:n], ModelConstants._fields.index(field)
-    swept = [*zip(points, repeat(unit))] if unit else points  # a mass as `_convert` reads it
-    alpha, m_electron, m_z, theta_w_deg, _ = (swept if i == where else value
+    alpha, m_electron, m_z, theta_w_deg, _ = (points if i == where else value
                                               for i, value in enumerate(constants))
-    me, mz = each(_convert, m_electron, _MEV), each(_convert, m_z, _GEV)
+    me, mz = to(m_electron, _MEV), to(m_z, _GEV)
     lepton, step = each(truediv, each(mul, 1.5, me), alpha), each(mul, alpha, alpha)
     # a lepton row is 1*Me + lepton_w*L, its other terms an exact +0.0 (the module docstring)
     muon, tau = (each(add, me, each(mul, _COEFFICIENTS[row][3], lepton)) for row in (_MU, _TAU))
-    b6, b11 = each(truediv, each(_convert, m_electron, _GEV), alpha), mz
+    b6, b11 = each(truediv, to(m_electron, _GEV), alpha), mz
     try:
         for _ in range(4):  # B8..B11, as `_core` divides M_Z by alpha_e**2 level by level
             b11 = each(truediv, b11, step)
         cos = each(math.cos, each(math.radians, theta_w_deg))
-        columns = [muon, tau, b6, b11, each(math.sqrt, each(truediv, b6, each(mul, mz, cos)))]
+        alpha_w = each(math.sqrt, each(truediv, b6, each(mul, mz, cos)))
     except ZeroDivisionError:
-        return []
-    muon, tau, b6, b11, alpha_w = (c if type(c) is list else [c] * n for c in columns)
-    for column in each(mul, b11, _TO_MEV[_GEV]), tau, alpha_w:  # `_core`'s checks
-        n = min(n, next(compress(count(), map(not_, map(math.isfinite, column))), n))
-    return [*zip(points[:n], muon, tau, b6, b11, alpha_w)]
+        return [[] for _ in range(6)]
+    for column in each(mul, b11, _TO_MEV[_GEV]), tau, alpha_w:  # `_core`'s checks, where they vary
+        if type(column) is list:
+            n = min(n, next(compress(count(), map(not_, map(math.isfinite, column))), n))
+    return [c[:n] if type(c) is list else [c] * n for c in (points, muon, tau, b6, b11, alpha_w)]

@@ -11,11 +11,16 @@ of such a case is pinned per Python, as `exit=<exit codes>,<version>=<digest>,..
 Python the line does not list, the case is checked by its exit codes alone, and the test says
 so on the terminal.
 
-On a mismatch the test lists the first `LISTED` differing cases with their argvs and outputs,
-and writes the file this tree gives under pytest's temporary directory. A change that means
-to change output bytes commits that file, so its diff lists the cases that changed.
+The committed lines are matched to the corpus's cases in order by first argv, with `difflib`,
+so a case added or lost anywhere in the corpus shows as that one case, not as a shift of every
+later index; the index is written, not read. A case with no line is added, a line with no case
+is lost, and either fails the test, as does a matched case whose digest changed. On a mismatch
+the test lists the first `LISTED` such cases, a case with its argvs and outputs, and writes the
+file this tree gives under pytest's temporary directory. A change that means to change output
+bytes commits that file, so its diff lists the cases that changed.
 """
 
+import difflib
 import platform
 import shlex
 from pathlib import Path
@@ -33,11 +38,11 @@ HEADER = """\
 """
 
 
-def _committed() -> dict[int, tuple[str, str]]:
-    """Each index's (digest field, first argv) in the committed file."""
+def _committed() -> list[tuple[str, str, str]]:
+    """Each (index, digest field, first argv) of the committed file, in its order."""
     lines = DIGESTS.read_text().splitlines() if DIGESTS.exists() else []
-    return {int(index): (token, argv) for index, token, argv in
-            ((line + " ").split(" ", 2) for line in lines if line and not line.startswith("#"))}
+    return [(index, token, argv.rstrip()) for index, token, argv in
+            ((line + " ").split(" ", 2) for line in lines if line and not line.startswith("#"))]
 
 
 def _codes(record: dict) -> str:
@@ -63,10 +68,17 @@ def test_every_case_of_the_corpus_gives_its_committed_digest(identity_run, tmp_p
     identity, cases, records = identity_run
     assert not identity.raised(cases, {"cases": records})
     committed = _committed()
+    firsts = [shlex.join(case["argvs"][0]) if case["argvs"] else "" for case in cases]
+    matcher = difflib.SequenceMatcher(None, [argv for _, _, argv in committed], firsts,
+                                      autojunk=False)
+    # each case's committed digest field, for the cases whose first argv a line matches
+    tokens = {block.b + k: committed[block.a + k][1]
+              for block in matcher.get_matching_blocks() for k in range(block.size)}
+    lost = [committed[j] for tag, j1, j2, _, _ in matcher.get_opcodes() if tag != "equal"
+            for j in range(j1, j2)]
     lines, differing, by_exit_code = [], [], []
-    for i, (case, record) in enumerate(zip(cases, records)):
-        token, argv = committed.get(i, ("", ""))
-        first = shlex.join(case["argvs"][0]) if case["argvs"] else ""
+    for i, (case, record, first) in enumerate(zip(cases, records, firsts)):
+        token = tokens.get(i, "")
         pinned, digest = _pinned(token), identity.digest(record)
         if pinned is None:
             new, same = digest, digest == token
@@ -77,17 +89,18 @@ def test_every_case_of_the_corpus_gives_its_committed_digest(identity_run, tmp_p
             if PYTHON not in pinned:
                 by_exit_code.append(i)
         lines.append(f"{i} {new} {first}".rstrip() + "\n")
-        if not same or argv.rstrip() != first:
+        if not same:
             differing.append(i)
-    differing += sorted(set(committed) - set(range(len(cases))))  # cases the corpus lost
     if by_exit_code:
         with capsys.disabled():
             print(f"\n{DIGESTS.name} pins no digest for Python {PYTHON}: cases "
                   f"{', '.join(map(str, by_exit_code))} checked by exit code only")
-    if differing:
+    if differing or lost:
         fresh = tmp_path / DIGESTS.name
         fresh.write_text(HEADER + "".join(lines))
-        listed = "".join(f"case {i}:\n{_outputs(cases[i], records[i])}"
-                         for i in differing[:LISTED] if i < len(cases))
-        pytest.fail(f"{len(differing)} of {len(cases)} cases differ from {DIGESTS}; this tree's "
-                    f"file is {fresh}\n{listed}", pytrace=False)
+        listed = [f"case {i}{'' if i in tokens else ' (added)'}:\n{_outputs(cases[i], records[i])}"
+                  for i in differing]
+        listed += [f"line {index} (lost): {argv}\n" for index, _, argv in lost]
+        pytest.fail(f"{len(differing)} of {len(cases)} cases differ from {DIGESTS} and "
+                    f"{len(lost)} of its lines match no case; this tree's file is {fresh}\n"
+                    f"{''.join(listed[:LISTED])}", pytrace=False)

@@ -19,6 +19,7 @@ from dimorb.quantities import (
     ModelConstants,
     OrbitalIndex,
     Unit,
+    _format_columns,
     format_rows,
     gev,
     mev,
@@ -420,6 +421,28 @@ def test_markdown_rows_match_the_pipe_layout_byte_for_byte():
         lines = [columns, ["---"] * len(columns), *_cell_texts(rows, digits)]
         expected = "".join("| " + " | ".join(texts) + " |\n" for texts in lines)
         assert format_rows("markdown", columns, rows, digits) == expected, (columns, rows)
+
+
+@pytest.mark.parametrize("fmt", ["table", "markdown", "csv", "json"])
+def test_the_row_writer_equals_the_column_writer_given_lists(fmt):
+    # a sweep hands `_format_columns` one list a column, where `format_rows` unzips its rows
+    one_row = [(list(_LONG_COLUMNS), [[cells[0] for cells in _LONG_COLUMNS.values()]], 6)]
+    for columns, rows, digits in chain(_LONG_TABLES, one_row, _REPEATED_TABLES):
+        cells_by_column = [[row[i] for row in rows] for i in range(len(columns))]
+        assert format_rows(fmt, columns, rows, digits) == _format_columns(
+            fmt, columns, cells_by_column, len(rows), digits), (columns, rows, digits)
+
+
+@pytest.mark.parametrize("digits", [1, 6, 17, 20])
+def test_a_table_float_column_reads_as_each_cell_formatted_alone(digits):
+    # the column is turned into text by one `%` over all its cells, then split at newlines
+    cells = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1 / 3, -1.7976931348623157e308]
+    texts = [format(cell, f".{digits}g") for cell in cells]
+    width = max(map(len, ["x", *texts]))
+    expected = "".join(text.ljust(width).rstrip() + "\n"
+                       for text in ["x", "-" * width, *texts])
+    assert format_rows("table", ["x"], [[cell] for cell in cells], digits) == expected
+    assert _format_columns("table", ["x"], [cells], len(cells), digits) == expected
 
 
 @pytest.mark.parametrize("digits", [0, -1])

@@ -428,10 +428,62 @@ def test_evaluate_reuses_the_core_only_for_the_instance_just_built(monkeypatch):
     ("m_z", Unit.GEV, [91.0, 5e-324], ModelConstants(m_electron=mev(5e-324), theta_w_deg=89.99)),
 ], ids=["alpha-squared-underflow", "m_z-cos-underflow"])
 def test_a_sweep_with_a_zero_divisor_at_some_point_has_no_rows(field, unit, points, constants):
-    # the first point alone gives a row; the caller finds the point the second set fails at
+    # the first point alone gives one cell in every column; with the second every column is
+    # empty, and the caller finds the point the second set fails at
     from dimorb import spectrum
-    assert len(spectrum._sweep(constants, field, unit, points[:1])) == 1
-    assert spectrum._sweep(constants, field, unit, points) == []
+    assert list(map(len, spectrum._sweep(constants, field, unit, points[:1]))) == [1] * 6
+    assert spectrum._sweep(constants, field, unit, points) == [[]] * 6
+
+
+# each sweep parameter's points: near its default, and far out, where the columns may stop;
+# a mass near the largest float overflows the tau row or the top boson first
+_FAR_MASS = st.one_of(_log_uniform(-325.0, 308.2), _log_uniform(300.0, 308.2))
+_SWEEP_POINTS = {
+    "alpha": st.one_of(st.floats(1e-3, 0.999), _log_uniform(-200.0, 0.0)),
+    "m_electron_mev": st.one_of(_log_uniform(-3.0, 3.0), _FAR_MASS),
+    "m_z_gev": st.one_of(_log_uniform(0.0, 4.0), _FAR_MASS),
+    "theta_w_deg": st.floats(-1.0, 91.0),
+    "planck_gev": st.one_of(_log_uniform(10.0, 25.0), _FAR_MASS),
+}
+# start sets: the default, and two where alpha_w or the top boson is near its bound
+_SWEEP_STARTS = [C, ModelConstants(m_electron=mev(1e-300), theta_w_deg=89.99),
+                 ModelConstants(alpha_e=0.5, m_z=gev(1e-300))]
+
+
+@pytest.mark.parametrize("param", sorted(_SWEPT))
+@given(data=st.data(), steps=st.integers(1, 6), same=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_each_sweep_column_is_the_core_of_each_points_set_bit_for_bit(param, data, steps, same):
+    # a mass is swept in its own unit, as the command line sweeps it, or in the other one
+    from dimorb import spectrum
+    field = ModelConstants._fields[_SWEPT[param]]
+    unit = data.draw(st.sampled_from([None] if field in ("alpha_e", "theta_w_deg")
+                                     else [Unit.GEV if param.endswith("gev") else Unit.MEV,
+                                           *Unit]))
+    constants = data.draw(st.sampled_from(_SWEEP_STARTS))
+    start = data.draw(_SWEEP_POINTS[param])
+    stop = start if same else data.draw(_SWEEP_POINTS[param])
+    step = (stop - start) / max(steps - 1, 1)
+    points = [start, *(start + i * step for i in range(1, steps))]
+    columns = spectrum._sweep(constants, field, unit, points)
+    kept = len(columns[0])
+    assert list(map(len, columns)) == [kept] * 6
+    for i, point in enumerate(points[:kept]):
+        ev = spectrum._core(constants._replace(**{field: point if unit is None
+                                                  else MassValue(point, unit)}))
+        expected = [point, ev.rows[spectrum._MU], ev.rows[spectrum._TAU], ev.ladder_gev[1],
+                    ev.ladder_gev[6], ev.alpha_w]
+        assert [column[i].hex() for column in columns] == [value.hex() for value in expected]
+    if kept < len(points):
+        # the first point left out is rejected as its set; with none kept, a zero divisor at
+        # a later point may have emptied the columns, and some point is rejected
+        rejected = []
+        for point in points[kept:]:
+            try:
+                constants._replace(**{field: point if unit is None else MassValue(point, unit)})
+            except ValueError:
+                rejected.append(point)
+        assert rejected and (kept == 0 or rejected[0] is points[kept])
 
 
 @pytest.mark.parametrize("fields", [
