@@ -28,8 +28,9 @@ The corpus is fixed by `--seed` (default 1):
   default constants and under a second constant set, each command's `--help`,
   `--digits` at the largest precision `format` accepts and one past it, `--steps`
   one past its cap, `calibrate --out` to a path that cannot be written and to
-  `/dev/null`, `fermions --calibration` and `compare --observed` on a missing path,
-  a directory and a file that begins with a byte-order mark, a config file that
+  `/dev/null`, `fermions --calibration` and `compare --observed` on a missing path
+  (also given as `./missing.txt`, `missing/` and the empty path), a directory and a
+  file that begins with a byte-order mark, a config file that
   does, and an observed file with an empty name and one with a repeated name;
 - sweeps of all five constants in every format;
 - a seeded fuzz of every command: constants drawn from edge values (0, the
@@ -159,10 +160,12 @@ def _grid_cases() -> list:
                  ["calibrate", "--out", "missing/cal.txt"], ["calibrate", "--out", "."],
                  ["calibrate", "--out", "/dev/null"]):
         cases.append(_case([argv]))
-    # input files that are missing, a directory, or begin with a byte-order mark
+    # input files that are missing (also as a path with "./", a trailing "/" or none at all),
+    # a directory, or begin with a byte-order mark
     bom = {"cal.txt": "\ufeff" + CALIBRATION, "obs.csv": "\ufeff" + OBSERVED}
     for calibration, observed in (("missing.txt", "missing.csv"), (".", "."),
-                                  ("cal.txt", "obs.csv")):
+                                  ("cal.txt", "obs.csv"), ("./missing.txt", "./missing.csv"),
+                                  ("missing/", "missing/"), ("", "")):
         cases.append(_case([["fermions", "--calibration", calibration],
                             ["compare", "--observed", observed]], bom))
     cases.append(_case([["bosons"]], config="\ufeffm_z_gev=90\n"))
