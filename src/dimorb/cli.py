@@ -17,7 +17,8 @@ constant set is a `_FieldError` that cites its fields, and `run()` names each on
 flag, `config:<path>`, the default or the sweep) before the library's message. Arguments
 are checked before any file is read or output written. Every input file goes through `_load`,
 so one that cannot be read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed
-or used exits 2 and names its path. Diagnostics go through `_say` alone, so a stderr that
+or used exits 2 and names its path as given; an empty `--calibration` or `--observed` path is
+such a file, not an absent flag. Diagnostics go through `_say` alone, so a stderr that
 cannot be written loses them and nothing else.
 """
 
@@ -29,7 +30,6 @@ import functools
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import spectrum as _spectrum
 from .ladder import _LEVELS, closed_form_mass
@@ -170,14 +170,16 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _load(path: str, what: str, parse):
-    """`parse` of the UTF-8 text of the `what` file at `path`, less one leading BOM.
+    """`parse` of the UTF-8 text of the `what` file at `path`, less one leading BOM, read by
+    `open` with its newline translation.
 
     Any failure to read, decode (at a position counted from the file's first
     byte) or parse raises a `ValueError` naming the path, as
     "<path>[:<line>[:<column>]]: <reason>" for a parse error.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as file:
+            text = file.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {what} file {path!r}: {exc}") from None
     try:
@@ -275,7 +277,7 @@ def _cmd_calibrate(args, constants: ModelConstants) -> int:
 
 
 def _cmd_fermions(args, constants: ModelConstants) -> int:
-    if args.calibration:
+    if args.calibration is not None:
         # the rows are evaluated in the loader, so a base it cannot use names the file
         ev = _load(args.calibration, "calibration", lambda text: _spectrum._ev_from_bases(
             evaluate(constants), load_bases(text, constants)))
@@ -290,7 +292,7 @@ def _cmd_fermions(args, constants: ModelConstants) -> int:
 
 def _cmd_compare(args, constants: ModelConstants) -> int:
     from .compare import BARYON_SPLIT, _claims, _compare, default_observed, parse_observed, render
-    if args.observed:
+    if args.observed is not None:
         records = _load(args.observed, "observed", parse_observed)
     else:
         records = default_observed()

@@ -19,17 +19,14 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from enum import Enum
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .ladder import BosonLadder, ElectroweakMix
 from .quantities import (MassValue, Unit, _Checked, _convert, _GEV, _LocatedError, _MEV,
                          _number, format_rows, round_to_sig)
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [*_EXPORTS["compare"], "BARYON_SPLIT", "OBSERVED_HEADER"]
 
@@ -60,14 +57,6 @@ class ObservedFormatError(_LocatedError):
     """Malformed observed CSV, at the offending line and column."""
 
 
-class _ObservedFields(NamedTuple):
-    name: str
-    value: float
-    unit: ObservedUnit
-    uncertainty: float | None
-    source: str
-
-
 def _finite(x) -> bool:
     if not _number(x):  # a bool or a numeric string is not an observed number
         return False
@@ -77,7 +66,11 @@ def _finite(x) -> bool:
         return False
 
 
-class ObservedRecord(_Checked, _ObservedFields):
+class ObservedRecord(_Checked,
+                     namedtuple("ObservedRecord", "name value unit uncertainty source")):
+    """One observed value: a float `value` in its `ObservedUnit`, with a float `uncertainty` or
+    None, and `name` and `source` as text."""
+
     __slots__ = ()
 
     def __new__(cls, name: str, value: float, unit: ObservedUnit,
@@ -96,19 +89,15 @@ class ObservedRecord(_Checked, _ObservedFields):
         return tuple.__new__(cls, (name, value, unit, uncertainty, source))
 
 
-class ComparisonRow(NamedTuple):
-    name: str
-    computed: float          # expressed in the observed row's unit
-    observed: float
-    unit: ObservedUnit
-    rel_error: float
-    within_uncertainty: bool | None = None
+ComparisonRow = namedtuple("ComparisonRow", "name computed observed unit rel_error "
+                                            "within_uncertainty", defaults=(None,))
+ComparisonRow.__doc__ = """One matched name: the `computed` and `observed` floats, both in the
+observed row's `ObservedUnit`, their relative error, and whether they agree within the
+observed uncertainty (None when it has none)."""
 
-
-class ComparisonReport(NamedTuple):
-    rows: tuple[ComparisonRow, ...]
-    skipped_computed: tuple[str, ...]
-    skipped_observed: tuple[str, ...]
+ComparisonReport = namedtuple("ComparisonReport", "rows skipped_computed skipped_observed")
+ComparisonReport.__doc__ = """A tuple of `ComparisonRow`s, and tuples of the computed and the
+observed names that matched nothing."""
 
 
 # one of the seven orbital sets carries the baryonic matter

@@ -18,8 +18,8 @@ the ladder; `boson_ladder` is the authoritative path.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from . import _EXPORTS
 from .quantities import MassValue, ModelConstants, OrbitalIndex, Unit, _convert, _GEV, gev
@@ -65,11 +65,9 @@ def quartic_sum(a: int) -> int:
     return n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) // 30
 
 
-class BosonRow(NamedTuple):
-    orbital: OrbitalIndex
-    gauge: GaugeLabel
-    symmetry: str
-    mass: MassValue
+BosonRow = namedtuple("BosonRow", "orbital gauge symmetry mass")
+BosonRow.__doc__ = """One level of the ladder: its `OrbitalIndex`, `GaugeLabel`, the name of the
+symmetry it breaks, and its `MassValue`."""
 
 
 def _orbital(d: int | OrbitalIndex) -> int:
@@ -89,17 +87,13 @@ class BosonLadder(tuple):
         return self.row(d).mass
 
 
-class ElectroweakMix(NamedTuple):
-    """Mixing view of the electroweak level.
+ElectroweakMix = namedtuple("ElectroweakMix", "alpha_w theta_w_deg sin2_theta_w")
+ElectroweakMix.__doc__ = """Mixing view of the electroweak level, three floats.
 
-    alpha_w is defined so that alpha_w**2 * cos(theta_w) * M_Z = B6, i.e.
-    it absorbs the anchor mismatch between the strong level and the Z0
-    mass into a coupling specific to the weak level.
-    """
-
-    alpha_w: float
-    theta_w_deg: float
-    sin2_theta_w: float
+alpha_w is defined so that alpha_w**2 * cos(theta_w) * M_Z = B6, i.e.
+it absorbs the anchor mismatch between the strong level and the Z0
+mass into a coupling specific to the weak level.
+"""
 
 
 def electroweak_mix(constants: ModelConstants) -> ElectroweakMix:

@@ -14,9 +14,9 @@ an exact factor of 10**3, so a mass finite in MeV is finite in either unit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
 from itertools import repeat
-from typing import NamedTuple
 
 from . import _EXPORTS
 
@@ -48,7 +48,7 @@ def _convert(mass, target: Unit) -> float:
 
 
 class _Checked:
-    """Base of a checked NamedTuple: `_make`, and so `_replace`, builds through its constructor."""
+    """Base of a checked record: `_make`, and so `_replace`, builds through its constructor."""
 
     __slots__ = ()
 
@@ -62,13 +62,8 @@ def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-class _MassFields(NamedTuple):
-    magnitude: float
-    unit: Unit
-
-
-class MassValue(_Checked, _MassFields):
-    """A non-negative mass magnitude tagged with its unit.
+class MassValue(_Checked, namedtuple("MassValue", "magnitude unit")):
+    """A non-negative float mass magnitude tagged with its `Unit`.
 
     The magnitude must also stay finite when expressed in MeV, so `mev`
     never overflows.
@@ -115,12 +110,8 @@ def gev(magnitude: float) -> MassValue:
     return MassValue(magnitude, _GEV)
 
 
-class _OrbitalFields(NamedTuple):
-    d: int
-
-
-class OrbitalIndex(_Checked, _OrbitalFields):
-    """Main orbital number D; the model's mass levels live at D = 5..11."""
+class OrbitalIndex(_Checked, namedtuple("OrbitalIndex", "d")):
+    """Main orbital number D, an int; the model's mass levels live at D = 5..11."""
 
     __slots__ = ()
 
@@ -138,17 +129,11 @@ class _FieldError(ValueError):
         self.fields = fields
 
 
-class _ConstantsFields(NamedTuple):
-    alpha_e: float
-    m_electron: MassValue
-    m_z: MassValue
-    theta_w_deg: float
-    planck_ref: MassValue
-
-
-class ModelConstants(_Checked, _ConstantsFields):
+class ModelConstants(_Checked, namedtuple("ModelConstants",
+                                          "alpha_e m_electron m_z theta_w_deg planck_ref")):
     """Input constants that fix every output of the model.
 
+    alpha_e and theta_w_deg are floats, the three masses `MassValue`s.
     alpha_e, the electron mass and the Z0 mass drive the mass ladder (seven
     levels, D = 5..11) and the fermion spectrum; theta_w_deg only enters the
     electroweak mixing view, and planck_ref only the closed-form

@@ -33,9 +33,9 @@ private functions and build their records from those floats unchecked.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import compress, count, repeat
 from operator import add, mul, not_, truediv
-from typing import NamedTuple
 
 from . import _EXPORTS
 from .quantities import (
@@ -68,26 +68,18 @@ class CalibrationFileError(KeyValueError):
     """A calibration file could not be parsed."""
 
 
-class Coefficients(NamedTuple):
-    """Integer weights of one table row; see the module docstring."""
+Coefficients = namedtuple("Coefficients", "electrons muons lump lepton_w quark_w")
+Coefficients.__doc__ = """Integer weights of one table row; see the module docstring."""
 
-    electrons: int
-    muons: int
-    lump: int
-    lepton_w: int
-    quark_w: int
+SpectrumRow = namedtuple("SpectrumRow", "name orbitals constituents composition table_mass "
+                                        "display_unit note", defaults=("",))
+SpectrumRow.__doc__ = """One row of the built-in composition table.
 
-
-class SpectrumRow(NamedTuple):
-    """One row of the built-in composition table."""
-
-    name: str
-    orbitals: str            # occupied level_index slots, e.g. "6_0 + 7_0 + 7_1"
-    constituents: str        # the same row spelled as named pieces
-    composition: Coefficients
-    table_mass: MassValue    # the mass the table states for this row
-    display_unit: Unit
-    note: str = ""           # "given" for inputs, "massless" for zero rows
+`orbitals` names the occupied level_index slots, e.g. "6_0 + 7_0 + 7_1", and `constituents`
+spells the same row as named pieces. `composition` holds its `Coefficients`, `table_mass` is
+the `MassValue` the table states for it and `display_unit` the `Unit` it is printed in.
+`note` is "given" for inputs, "massless" for zero rows, and empty otherwise.
+"""
 
 
 def lepton_aux_base(constants: ModelConstants) -> MassValue:
@@ -98,12 +90,11 @@ def lepton_aux_base(constants: ModelConstants) -> MassValue:
     return mev(evaluate(constants).lepton_base)
 
 
-class AuxBaseSet(NamedTuple):
-    """The three auxiliary bases; the two calibrated ones may be absent."""
+class AuxBaseSet(namedtuple("AuxBaseSet", "lepton_base_7 quark_base_7 top_lump_8",
+                            defaults=(None, None))):
+    """The three auxiliary bases, each a `MassValue`; the two calibrated ones may be None."""
 
-    lepton_base_7: MassValue
-    quark_base_7: MassValue | None = None
-    top_lump_8: MassValue | None = None
+    __slots__ = ()
 
     @classmethod
     def lepton_only(cls, constants: ModelConstants) -> "AuxBaseSet":
@@ -139,7 +130,7 @@ TABLE: tuple[SpectrumRow, ...] = (
 
 _BY_NAME = {row.name: row for row in TABLE}
 _NAMES = tuple(row.name for row in TABLE)
-# plain tuples of floats, which unpack faster than the NamedTuples; see the module docstring
+# plain tuples of floats, which unpack faster than the records; see the module docstring
 _COEFFICIENTS = tuple(tuple(map(float, row.composition)) for row in TABLE)
 # the rows before u have no quark or lump weight, so they alone need no anchor
 _LEPTONS = _COEFFICIENTS[:TABLE.index(_BY_NAME["u"])]
@@ -226,17 +217,11 @@ def calibrate_top_lump(constants: ModelConstants, quark_base_7: MassValue) -> Ma
     return mev(_solve(constants, evaluate(constants), "t", quark_base_7.mev))
 
 
-class Evaluation(NamedTuple):
-    """Every number of one constant set as floats, in MeV unless named; rows follow TABLE."""
-
-    ladder_gev: tuple[float, ...]
-    electron: float
-    lepton_base: float
-    quark_base: float | None
-    top_lump: float | None
-    rows: tuple[float | None, ...]
-    alpha_w: float
-    sin2_theta_w: float
+Evaluation = namedtuple("Evaluation", "ladder_gev electron lepton_base quark_base top_lump rows "
+                                      "alpha_w sin2_theta_w")
+Evaluation.__doc__ = """Every number of one constant set as floats, in MeV unless named:
+`ladder_gev` and `rows` are tuples, the rows in TABLE's order, and without an anchor the two
+calibrated bases and the quark rows are None."""
 
 
 # `_core`'s last (constants, result), one tuple so that a thread reads a matching pair; a
@@ -284,7 +269,7 @@ def _core(constants: ModelConstants) -> Evaluation:
     if not math.isfinite(alpha_w):  # as is alpha_w**2, since sqrt keeps finiteness
         raise _overflow("alpha_w**2 = m_electron / (alpha_e * m_z * cos(theta_w))",
                         m_electron=m_electron, alpha_e=alpha_e, m_z=m_z, theta_w_deg=theta_w_deg)
-    # tuple.__new__ skips the keyword handling of the NamedTuple's own __new__
+    # tuple.__new__ skips the keyword handling of the record's own __new__
     result = tuple.__new__(Evaluation,
                            (ladder, me_mev, lepton, None, None, rows, alpha_w, sin2_theta_w))
     _LAST = (constants, result)
@@ -332,10 +317,9 @@ def _residuals(rows, anchor: str) -> list[tuple[str, str, float]]:
              abs(rows[i] - table_mass) / table_mass) for i, name, table_mass in _PREDICTED]
 
 
-class CalibrationResult(NamedTuple):
-    bases: AuxBaseSet
-    residuals: dict[str, float]
-    non_anchor_residuals: dict[str, float]
+CalibrationResult = namedtuple("CalibrationResult", "bases residuals non_anchor_residuals")
+CalibrationResult.__doc__ = """`bases`, an `AuxBaseSet`, then two dicts of relative error by row
+name; see `calibrate`."""
 
 
 def calibrate(constants: ModelConstants, anchor: str = "d") -> CalibrationResult:

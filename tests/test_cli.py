@@ -189,6 +189,14 @@ def test_fermions_missing_calibration_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, what", [(["fermions", "--calibration", ""], "calibration"),
+                                       (["compare", "--observed", "", "--check"], "observed")])
+def test_an_empty_input_path_is_read_and_named_not_taken_as_no_flag(argv, what, capsys):
+    # not the in-memory calibration or the built-in observed set, which exit 0 (3 under --check)
+    assert _run(capsys, *argv) == (2, "", f"dimorb: error: cannot read {what} file '': "
+                                          "[Errno 2] No such file or directory: ''\n")
+
+
 def test_fermions_bad_calibration_file(tmp_path, capsys):
     path = tmp_path / "cal.txt"
     path.write_text("quark_base_7_mev=oops\ntop_lump_8_gev=1\n")
@@ -1140,6 +1148,12 @@ def test_config_file_via_environment(tmp_path, capsys, monkeypatch):
     # a flag still wins over the config file
     _, out, _ = _run(capsys, "bosons", "--format", "csv", "--m-z-gev", "91.177")
     assert out.splitlines()[3].split(",")[-1] == "91.177"
+
+
+def test_an_empty_config_variable_means_unset(capsys, monkeypatch):
+    unset = _run(capsys, "bosons")  # the autouse fixture unsets it
+    monkeypatch.setenv("DIMORB_CONFIG", "")
+    assert _run(capsys, "bosons") == unset
 
 
 def test_config_file_errors(tmp_path, capsys, monkeypatch):
