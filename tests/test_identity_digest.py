@@ -1,7 +1,7 @@
 """The output contract: every case of the seed-1 identity corpus gives its committed digest.
 
 `tests/golden/identity-seed1.txt` holds one line for each case of `tools/identity.py`'s corpus
-at seed 1: the case's index, a digest and its first argv. The digest is `identity.digest` of
+at seed 1: a digest and the case's first argv. The digest is `identity.digest` of
 the case's record, a short SHA-256 of each argv's exit code, stdout and stderr and of the
 files the case leaves. The corpus runs in-process in this tree, once a session (the
 `identity_run` fixture).
@@ -12,8 +12,8 @@ Python the line does not list, the case is checked by its exit codes alone, and 
 so on the terminal.
 
 The committed lines are matched to the corpus's cases in order by first argv, with `difflib`,
-so a case added or lost anywhere in the corpus shows as that one case, not as a shift of every
-later index; the index is written, not read. A case with no line is added, a line with no case
+so a case added or lost anywhere in the corpus shows as that one case and that one line of the
+file, not as a shift of every later case. A case with no line is added, a line with no case
 is lost, and either fails the test, as does a matched case whose digest changed. On a mismatch
 the test lists the first `LISTED` such cases, a case with its argvs and outputs, and writes the
 file this tree gives under pytest's temporary directory. A change that means to change output
@@ -31,18 +31,18 @@ DIGESTS = Path(__file__).resolve().parent / "golden" / "identity-seed1.txt"
 PYTHON = platform.python_version()
 LISTED = 20
 HEADER = """\
-# Digests of tools/identity.py's corpus at seed 1, one line a case: index, digest, first argv.
+# Digests of tools/identity.py's corpus at seed 1, one line a case: digest, first argv.
 # A digest is identity.digest of the case's exit codes, stdout, stderr and files left; one
 # that argparse words by Python is pinned per Python: exit=<codes>,<version>=<digest>,...
 # Checked by tests/test_identity_digest.py, which writes this file anew on a mismatch.
 """
 
 
-def _committed() -> list[tuple[str, str, str]]:
-    """Each (index, digest field, first argv) of the committed file, in its order."""
+def _committed() -> list[tuple[str, str]]:
+    """Each (digest field, first argv) of the committed file, in its order."""
     lines = DIGESTS.read_text().splitlines() if DIGESTS.exists() else []
-    return [(index, token, argv.rstrip()) for index, token, argv in
-            ((line + " ").split(" ", 2) for line in lines if line and not line.startswith("#"))]
+    return [(token, argv.rstrip()) for token, argv in
+            ((line + " ").split(" ", 1) for line in lines if line and not line.startswith("#"))]
 
 
 def _codes(record: dict) -> str:
@@ -69,12 +69,12 @@ def test_every_case_of_the_corpus_gives_its_committed_digest(identity_run, tmp_p
     assert not identity.raised(cases, {"cases": records})
     committed = _committed()
     firsts = [shlex.join(case["argvs"][0]) if case["argvs"] else "" for case in cases]
-    matcher = difflib.SequenceMatcher(None, [argv for _, _, argv in committed], firsts,
+    matcher = difflib.SequenceMatcher(None, [argv for _, argv in committed], firsts,
                                       autojunk=False)
     # each case's committed digest field, for the cases whose first argv a line matches
-    tokens = {block.b + k: committed[block.a + k][1]
+    tokens = {block.b + k: committed[block.a + k][0]
               for block in matcher.get_matching_blocks() for k in range(block.size)}
-    lost = [committed[j] for tag, j1, j2, _, _ in matcher.get_opcodes() if tag != "equal"
+    lost = [committed[j][1] for tag, j1, j2, _, _ in matcher.get_opcodes() if tag != "equal"
             for j in range(j1, j2)]
     lines, differing, by_exit_code = [], [], []
     for i, (case, record, first) in enumerate(zip(cases, records, firsts)):
@@ -88,7 +88,7 @@ def test_every_case_of_the_corpus_gives_its_committed_digest(identity_run, tmp_p
             same = pinned["exit"] == _codes(record) and pinned.get(PYTHON, digest) == digest
             if PYTHON not in pinned:
                 by_exit_code.append(i)
-        lines.append(f"{i} {new} {first}".rstrip() + "\n")
+        lines.append(f"{new} {first}".rstrip() + "\n")
         if not same:
             differing.append(i)
     if by_exit_code:
@@ -100,7 +100,7 @@ def test_every_case_of_the_corpus_gives_its_committed_digest(identity_run, tmp_p
         fresh.write_text(HEADER + "".join(lines))
         listed = [f"case {i}{'' if i in tokens else ' (added)'}:\n{_outputs(cases[i], records[i])}"
                   for i in differing]
-        listed += [f"line {index} (lost): {argv}\n" for index, _, argv in lost]
+        listed += [f"line (lost): {argv}\n" for argv in lost]
         pytest.fail(f"{len(differing)} of {len(cases)} cases differ from {DIGESTS} and "
                     f"{len(lost)} of its lines match no case; this tree's file is {fresh}\n"
                     f"{''.join(listed[:LISTED])}", pytrace=False)
