@@ -9,8 +9,9 @@ version).
 
 Each command but `sweep` makes one `evaluate` call. Every number it prints is a field
 of that `Evaluation`, or a fixed unit conversion or rounding of one, apart from input
-constants, the fixed baryon split and the closed-form column of `bosons`; `sweep` gets
-its points' rows from one column pass. Handlers raise and `run()` alone reports: it prints the
+constants, the fixed baryon split and the closed-form column of `bosons`; `sweep` evaluates
+its points in one pass, and a column the swept constant does not enter is that field of the
+start set's `Evaluation`, given to the writer once for every row. Handlers raise and `run()` alone reports: it prints the
 one `dimorb: error:` line and picks the exit code, also for a stdout that `_write` cannot
 write (`--help` included) and a `--out` file, which is written whole or not at all. A rejected
 constant set is a `_FieldError` that cites its fields, and `run()` names each one's source (a
@@ -324,7 +325,8 @@ def _cmd_compare(args, constants: ModelConstants) -> int:
 def _cmd_sweep(args, constants: ModelConstants) -> int:
     step = (args.stop - args.start) / max(args.steps - 1, 1)
     # start + i * step; point 0 is --from itself: 0 * step is nan for an infinite step
-    points = [args.start, *map(args.start.__add__, map(step.__rmul__, range(1, args.steps)))]
+    start = args.start
+    points = [start, *[start + i * step for i in range(1, args.steps)]]
     field, unit, _ = _CONSTANTS[args.param]
     columns = _spectrum._sweep(constants, field, unit, points)
     # the points the columns stop before, in turn, through the checked constructor, so the
@@ -332,7 +334,8 @@ def _cmd_sweep(args, constants: ModelConstants) -> int:
     for point in points[len(columns[0]):]:
         constants._replace(**{field: _field_value(args.param, point)})
     names = [args.param, "muon_mev", "tau_mev", "boson_6_gev", "boson_11_gev", "alpha_w"]
-    _write(_format_columns(args.format, names, columns, len(columns[0]), args.digits))
+    _write(_format_columns(args.format, names, columns, len(columns[0]), args.digits,
+                           float_columns=True))
     return EXIT_OK
 
 

@@ -250,7 +250,8 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
     return _format_columns(fmt, columns, [*zip(*rows)] or [()] * len(columns), len(rows), digits)
 
 
-def _format_columns(fmt: str, names, cells_by_column, n: int, digits: int) -> str:
+def _format_columns(fmt: str, names, cells_by_column, n: int, digits: int,
+                    float_columns: bool = False) -> str:
     """`format_rows` of `n` rows given column by column, each column a sequence of its cells.
 
     Floats show `digits` significant digits; json rounds the value instead, but writes a finite
@@ -280,9 +281,15 @@ def _format_columns(fmt: str, names, cells_by_column, n: int, digits: int) -> st
     lone, pieces, args, widths = len(names) == 1, [], [], []
     quoted = is_csv and (_csv_special("".join(names)) or lone and not names[0])
     for name, cells in zip(names, cells_by_column):
-        floats = n and type(cells[0]) is float and {*map(type, cells)} == {float}
-        # one nonzero float or one nan object repeated (0.0 and -0.0 differ); ends tested first
-        fixed = floats and cells[0] and cells[-1] in cells[:1] and cells.count(cells[0]) == n
+        one = type(cells) is float  # a column given as the one value of all its cells
+        if one:
+            cells = [cells] if n else []
+        floats = n and (one or float_columns or type(cells[0]) is float
+                        and {*map(type, cells)} == {float})
+        # one value given, or one nonzero float or one nan object repeated (0.0 and -0.0 differ)
+        # in a column not said to be floats; ends tested first
+        fixed = floats and (one or not float_columns and cells[0] and cells[-1] in cells[:1]
+                            and cells.count(cells[0]) == n)
         prefix = f"{',' if pieces else ''}\n    {quote(name)}: " if is_json else ""
         literal = prefix.replace("%", "%%")  # the prefix as the template holds it
         if fixed:
@@ -330,7 +337,8 @@ def _format_columns(fmt: str, names, cells_by_column, n: int, digits: int) -> st
     import io
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(
-        [names, *(map(_cell, r, specs) for r in zip(*cells_by_column))])
+        [names, *(map(_cell, r, specs) for r in zip(*(
+            repeat(cells, n) if type(cells) is float else cells for cells in cells_by_column)))])
     return out.getvalue()
 
 

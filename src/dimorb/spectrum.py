@@ -22,7 +22,8 @@ which compensates its rounding from Python 3.12 on.
 
 The float core is here too, since its range check reads the tau row. `_core` gives the
 uncalibrated `Evaluation` of a set's five fields when the set is built and words a failed
-check with them; `_sweep` gives its bits and checks for a sweep's points as six columns.
+check with them; `_sweep` gives its bits and checks for a sweep's points, in one pass over
+them that evaluates only what the swept field enters, as six columns.
 `evaluate` returns that record, calibrated from an anchor by `_calibrated_ev`;
 `_ev_from_bases` calibrates it from a base set, the one source of an inf row, and checks
 each row. Each command prints the fields of one `Evaluation`, or fixed unit conversions or
@@ -34,8 +35,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import compress, count, repeat
-from operator import add, mul, not_, truediv
+from itertools import repeat
+from operator import mul, truediv
 
 from . import _EXPORTS
 from .quantities import (
@@ -225,7 +226,7 @@ calibrated bases and the quark rows are None."""
 
 
 # `_core`'s last (constants, result), one tuple so that a thread reads a matching pair; a
-# sweep's points are evaluated by `_sweep`, column by column, and leave it as it is
+# sweep's points are evaluated by `_sweep`, point by point, and leave it as it is
 _LAST: tuple = (None, None)
 
 
@@ -376,42 +377,65 @@ def load_bases(text: str, constants: ModelConstants) -> AuxBaseSet:
 
 
 def _sweep(constants: ModelConstants, field: str, unit: Unit | None, points: list) -> list:
-    """The columns (point, muon, tau, B6, B11, alpha_w) of a sweep of `field`, a list each.
+    """The columns (point, muon, tau, B6, B11, alpha_w) of a sweep of `field`.
 
-    A point is a mass in `unit`, or a float where `unit` is None. Each column holds, bit for bit,
-    `_core`'s value at each point's set, up to the first point out of its field's own range or
-    rejected by `_core`. Every column is empty when alpha_e**2 or m_z * cos(theta_w) underflows
-    at some point, which `_core` rejects too; the caller finds the point. A column the swept
-    field does not enter is one value, from `constants`' own fields, until it is returned. That
-    set passed `_core`'s checks when it was built, so only the columns that vary are checked.
+    A point is a mass in `unit`, or a float where `unit` is None. One loop takes the points in
+    turn, up to the first one out of its field's own range or rejected by `_core`'s checks of
+    the top boson in MeV, the tau row and alpha_w. At each point it evaluates only the columns
+    the field enters, with `_core`'s own operations, so each holds `_core`'s value at each
+    point's set bit for bit; that column is a list, and any other one float, `constants`' own,
+    that stands for every point (the set passed the checks when it was built). Every column is
+    an empty list when alpha_e**2 or m_z * cos(theta_w) underflows at some point, which `_core`
+    rejects too; the caller finds the point.
     """
-    def each(f, *args):  # `f` at each point: a list holds one value a point, else it is fixed
-        if list not in map(type, args):
-            return f(*args)
-        return [*map(f, *(arg if type(arg) is list else repeat(arg) for arg in args))]
-
-    def to(mass, target):  # `_convert` of a mass, or its arithmetic over a column in `unit`
-        return (_convert(mass, target) if type(mass) is not list else mass if target is unit
-                else each(truediv, each(mul, mass, _TO_MEV[unit]), _TO_MEV[target]))
-
+    ev, where = evaluate(constants), ModelConstants._fields.index(field)
     scale, high = (_TO_MEV[unit] if unit else 1.0), _UPPER.get(field, math.inf)
-    n = next((i for i, x in enumerate(points) if not 0.0 < x * scale < high), len(points))
-    points, where = points[:n], ModelConstants._fields.index(field)
-    alpha, m_electron, m_z, theta_w_deg, _ = (points if i == where else value
-                                              for i, value in enumerate(constants))
-    me, mz = to(m_electron, _MEV), to(m_z, _GEV)
-    lepton, step = each(truediv, each(mul, 1.5, me), alpha), each(mul, alpha, alpha)
-    # a lepton row is 1*Me + lepton_w*L, its other terms an exact +0.0 (the module docstring)
-    muon, tau = (each(add, me, each(mul, _COEFFICIENTS[row][3], lepton)) for row in (_MU, _TAU))
-    b6, b11 = each(truediv, to(m_electron, _GEV), alpha), mz
+
+    def swept(index, value, target=None):  # an input `_core` reads, at each point in turn
+        if index != where:
+            return repeat(value)
+        return points if target is unit else map(truediv, map(mul, points, repeat(
+            _TO_MEV[unit])), repeat(_TO_MEV[target]))  # as `_convert` converts a mass
+
+    _, b6, mz, _, _, _, b11 = ev.ladder_gev
+    muon, tau, alpha_w = ev.rows[_MU], ev.rows[_TAU], ev.alpha_w
+    cos = math.cos(math.radians(constants.theta_w_deg))
+    inputs = zip(points, swept(0, constants.alpha_e), swept(1, ev.electron, _MEV),
+                 swept(1, _convert(constants.m_electron, _GEV), _GEV), swept(2, mz, _GEV))
+    # what the field enters: the lepton rows and B6, B11 and the top, the angle, alpha_w
+    leptons, levels, angle, mixing = where < 2, where in (0, 2), where == 3, where < 4
+    mu_w, tau_w = _COEFFICIENTS[_MU][3], _COEFFICIENTS[_TAU][3]
+    columns = kept, muons, taus, b6s, b11s, alpha_ws = [[] for _ in range(6)]
     try:
-        for _ in range(4):  # B8..B11, as `_core` divides M_Z by alpha_e**2 level by level
-            b11 = each(truediv, b11, step)
-        cos = each(math.cos, each(math.radians, theta_w_deg))
-        alpha_w = each(math.sqrt, each(truediv, b6, each(mul, mz, cos)))
+        for x, alpha, me, me_gev, mz in inputs:
+            if not 0.0 < x * scale < high:
+                break
+            if leptons:  # a lepton row is 1*Me + lepton_w*L, its other terms an exact +0.0
+                lepton = 1.5 * me / alpha
+                muon, tau, b6 = me + mu_w * lepton, me + tau_w * lepton, me_gev / alpha
+                muons.append(muon)
+                taus.append(tau)
+                b6s.append(b6)
+                if not math.isfinite(tau):
+                    break
+            if levels:  # B8..B11, as `_core` divides M_Z by alpha_e**2 level by level
+                step = alpha * alpha
+                b11 = mz / step / step / step / step
+                b11s.append(b11)
+                if not math.isfinite(b11 * 1e3):
+                    break
+            if angle:
+                cos = math.cos(math.radians(x))
+            if mixing:
+                alpha_w = math.sqrt(b6 / (mz * cos))
+                alpha_ws.append(alpha_w)
+                if not math.isfinite(alpha_w):
+                    break
+            kept.append(x)
     except ZeroDivisionError:
         return [[] for _ in range(6)]
-    for column in each(mul, b11, _TO_MEV[_GEV]), tau, alpha_w:  # `_core`'s checks, where they vary
-        if type(column) is list:
-            n = min(n, next(compress(count(), map(not_, map(math.isfinite, column))), n))
-    return [c[:n] if type(c) is list else [c] * n for c in (points, muon, tau, b6, b11, alpha_w)]
+    for column in columns:  # the cells of a rejected point, if any
+        del column[len(kept):]
+    # a column the field does not enter still holds the set's own value, as the loop left it
+    return [kept, *(column if varies else value for column, varies, value in zip(
+        columns[1:], (leptons, leptons, leptons, levels, mixing), (muon, tau, b6, b11, alpha_w)))]

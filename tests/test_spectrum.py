@@ -423,6 +423,13 @@ def test_evaluate_reuses_the_core_only_for_the_instance_just_built(monkeypatch):
 
 
 
+def _at_each_point(columns: list) -> list:
+    """`spectrum._sweep`'s columns, a fixed column's one float standing for every kept point."""
+    kept = len(columns[0])
+    assert all(type(c) is float or type(c) is list and len(c) == kept for c in columns[1:])
+    return [c if type(c) is list else [c] * kept for c in columns]
+
+
 @pytest.mark.parametrize("field, unit, points, constants", [
     ("alpha_e", None, [0.007, 1e-170], C),
     ("m_z", Unit.GEV, [91.0, 5e-324], ModelConstants(m_electron=mev(5e-324), theta_w_deg=89.99)),
@@ -431,7 +438,8 @@ def test_a_sweep_with_a_zero_divisor_at_some_point_has_no_rows(field, unit, poin
     # the first point alone gives one cell in every column; with the second every column is
     # empty, and the caller finds the point the second set fails at
     from dimorb import spectrum
-    assert list(map(len, spectrum._sweep(constants, field, unit, points[:1]))) == [1] * 6
+    one = _at_each_point(spectrum._sweep(constants, field, unit, points[:1]))
+    assert list(map(len, one)) == [1] * 6
     assert spectrum._sweep(constants, field, unit, points) == [[]] * 6
 
 
@@ -445,6 +453,9 @@ _SWEEP_POINTS = {
     "theta_w_deg": st.floats(-1.0, 91.0),
     "planck_gev": st.one_of(_log_uniform(10.0, 25.0), _FAR_MASS),
 }
+# the columns (muon, tau, B6, B11, alpha_w) each swept field enters, which `_sweep` gives as lists
+_ENTERS = {"alpha": (1, 1, 1, 1, 1), "m_electron_mev": (1, 1, 1, 0, 1),
+           "m_z_gev": (0, 0, 0, 1, 1), "theta_w_deg": (0, 0, 0, 0, 1), "planck_gev": (0,) * 5}
 # start sets: the default, and two where alpha_w or the top boson is near its bound
 _SWEEP_STARTS = [C, ModelConstants(m_electron=mev(1e-300), theta_w_deg=89.99),
                  ModelConstants(alpha_e=0.5, m_z=gev(1e-300))]
@@ -465,9 +476,11 @@ def test_each_sweep_column_is_the_core_of_each_points_set_bit_for_bit(param, dat
     stop = start if same else data.draw(_SWEEP_POINTS[param])
     step = (stop - start) / max(steps - 1, 1)
     points = [start, *(start + i * step for i in range(1, steps))]
-    columns = spectrum._sweep(constants, field, unit, points)
+    returned = spectrum._sweep(constants, field, unit, points)
+    columns = _at_each_point(returned)
     kept = len(columns[0])
-    assert list(map(len, columns)) == [kept] * 6
+    if kept:  # else every column may be empty, for a zero divisor
+        assert tuple(type(c) is list for c in returned[1:]) == tuple(map(bool, _ENTERS[param]))
     for i, point in enumerate(points[:kept]):
         ev = spectrum._core(constants._replace(**{field: point if unit is None
                                                   else MassValue(point, unit)}))
