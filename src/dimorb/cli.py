@@ -11,16 +11,16 @@ Each command but `sweep` makes one `evaluate` call. Every number it prints is a 
 of that `Evaluation`, or a fixed unit conversion or rounding of one, apart from input
 constants, the fixed baryon split and the closed-form column of `bosons`; `sweep` evaluates
 its points in one pass, and a column the swept constant does not enter is that field of the
-start set's `Evaluation`, given to the writer once for every row. Handlers raise and `run()` alone reports: it prints the
-one `dimorb: error:` line and picks the exit code, also for a stdout that `_write` cannot
-write (`--help` included) and a `--out` file, which is written whole or not at all. A rejected
-constant set is a `_FieldError` that cites its fields, and `run()` names each one's source (a
-flag, `config:<path>`, the default or the sweep) before the library's message. Arguments
-are checked before any file is read or output written. Every input file goes through `_load`,
-so one that cannot be read, decoded as UTF-8 (a leading byte-order mark is dropped), parsed
-or used exits 2 and names its path as given; an empty `--calibration` or `--observed` path is
-such a file, not an absent flag. Diagnostics go through `_say` alone, so a stderr that
-cannot be written loses them and nothing else.
+start set's `Evaluation`, given to the writer once for every row. Handlers raise and `run()`
+alone reports: it prints the one `dimorb: error:` line and picks the exit code, also for a
+stdout that `_write` cannot write (`--help` included) and a `--out` file, which is written
+whole or not at all. A rejected constant set is a `_FieldError` that cites its fields, and
+`run()` names each one's source (a flag, `config:<path>`, the default or the sweep) before the
+library's message. Arguments are checked before any file is read or output written. Every
+input file goes through `_load`, so one that cannot be read, decoded as UTF-8 (a leading
+byte-order mark is dropped), parsed or used exits 2 and names its path as given; an empty
+`--calibration` or `--observed` path is such a file, not an absent flag. Diagnostics go
+through `_say` alone, so a stderr that cannot be written loses them and nothing else.
 """
 
 from __future__ import annotations

@@ -252,14 +252,16 @@ def format_rows(fmt: str, columns, rows, digits: int) -> str:
 
 def _format_columns(fmt: str, names, cells_by_column, n: int, digits: int,
                     float_columns: bool = False) -> str:
-    """`format_rows` of `n` rows given column by column, each column a sequence of its cells.
+    """`format_rows` of `n` rows given column by column, each column a sequence of its cells
+    or one float that is every cell of it.
 
     Floats show `digits` significant digits; json rounds the value instead, but writes a finite
     float that rounds past the largest float as the other formats do. Booleans read true/false;
     None is an empty cell, left out of a json object. Each row is one `template % cells`: a column
-    of one nonzero float is a literal of it, a column of floats is formatted by it (a table takes
-    their texts first, for its widths, from one `%` over the column), and other cells are turned
-    into text one by one.
+    given as one float, or of one nonzero float, is a literal of it, a column of floats is
+    formatted by it (a table takes their texts first, for its widths, from one `%` over the
+    column), and other cells are turned into text one by one. Each sequence is scanned for its
+    class, unless `float_columns` says that every one holds floats alone.
     """
     if digits < 1:
         raise ValueError(f"need at least one significant digit, got {digits!r}")

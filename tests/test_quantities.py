@@ -445,6 +445,31 @@ def test_a_table_float_column_reads_as_each_cell_formatted_alone(digits):
     assert _format_columns("table", ["x"], [cells], len(cells), digits) == expected
 
 
+_GIVEN_FLOATS = [0.0, -0.0, 5e-324, 1e308, math.nan, -math.inf, 1 / 3, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("digits", [1, 6, 17, 20])
+@pytest.mark.parametrize("fmt", ["table", "markdown", "csv", "json"])
+def test_a_column_given_as_one_float_or_said_to_be_floats_reads_as_scanned_lists(fmt, digits):
+    # a sweep gives a column its constant does not enter as its one float and says that its
+    # list columns hold floats, so the writer scans none of them; a name with a comma takes
+    # csv through csv.writer
+    for n in (0, 1, 200):
+        varying = [_GIVEN_FLOATS[i % len(_GIVEN_FLOATS)] * (1 + i) for i in range(n)]
+        for value in _GIVEN_FLOATS:
+            for names in (["x", "fixed", "y"], ["x", "fixed,", "y"]):
+                lists = [varying, [value] * n, varying[::-1]]
+                expected = format_rows(fmt, names, [*map(list, zip(*lists))], digits)
+                given = [varying, value, varying[::-1]]
+                assert _format_columns(fmt, names, given, n, digits) == expected
+                for columns in given, lists:
+                    assert _format_columns(fmt, names, columns, n, digits,
+                                           float_columns=True) == expected, (names, n, value)
+            for name in "fixed", "":  # csv quotes a lone empty cell
+                assert _format_columns(fmt, [name], [value], n, digits, float_columns=True) == (
+                    format_rows(fmt, [name], [[value]] * n, digits))
+
+
 @pytest.mark.parametrize("digits", [0, -1])
 @pytest.mark.parametrize("fmt", ["table", "markdown", "csv", "json"])
 def test_every_format_rejects_fewer_than_one_digit_alike(fmt, digits):
