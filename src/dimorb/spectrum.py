@@ -394,8 +394,10 @@ def _sweep(constants: ModelConstants, field: str, unit: Unit | None, points: lis
     def swept(index, value, target=None):  # an input `_core` reads, at each point in turn
         if index != where:
             return repeat(value)
-        return points if target is unit else map(truediv, map(mul, points, repeat(
-            _TO_MEV[unit])), repeat(_TO_MEV[target]))  # as `_convert` converts a mass
+        if target is unit:
+            return points
+        # `_convert`'s arithmetic over the points
+        return map(truediv, map(mul, points, repeat(_TO_MEV[unit])), repeat(_TO_MEV[target]))
 
     _, b6, mz, _, _, _, b11 = ev.ladder_gev
     muon, tau, alpha_w = ev.rows[_MU], ev.rows[_TAU], ev.alpha_w
