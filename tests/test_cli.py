@@ -1100,7 +1100,7 @@ def _count_core_calls(monkeypatch, **more) -> dict[str, int]:
 @pytest.mark.parametrize("steps", [1, 2, 7])
 def test_a_sweep_evaluates_its_points_in_one_pass(steps, capsys, monkeypatch):
     # the float core runs once, for the constants the sweep starts from, which alone are
-    # checked as a set; every point is evaluated in one column pass
+    # checked as a set; every point is evaluated in one pass over the points
     calls = _count_core_calls(monkeypatch, sweep="_sweep")
     code, out, _ = _run(capsys, "sweep", "alpha", "--from", "0.007", "--to", "0.008",
                         "--steps", str(steps), "--format", "csv")
