@@ -5,6 +5,7 @@ reports a stdout it cannot write in one line."""
 
 import importlib.util
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -28,11 +29,13 @@ def test_the_corpus_is_fixed_by_its_seed_and_covers_every_command():
                                                    "sweep"}
     assert any(case["config"] for case in cases)
     # a value that starts with "-" reaches the program only as "--flag=VALUE": argparse reads a
-    # lone "-inf" or "-8.8e+44" after a flag as an option, and the argv stops at a usage error
+    # lone "-inf" or "-8.8e+44" after a flag as an option, and the argv stops at a usage error;
+    # only a plain negative decimal such as "-1" or "-.5" it reads as the value, on every Python
     value_flags = {*identity.FLAGS, "--digits", "--from", "--to", "--steps", "--tol", "--format",
                    "--anchors", "--out", "--observed", "--calibration"}
     assert not [argv for argv in argvs
                 if any(flag in value_flags and value.startswith("-")
+                       and not re.fullmatch(r"-\d+|-\d*\.\d+", value)
                        for flag, value in zip(argv, argv[1:]))]
 
 

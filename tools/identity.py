@@ -33,6 +33,9 @@ The corpus is fixed by `--seed` (default 1):
   file that begins with a byte-order mark, a config file that
   does, and an observed file with an empty name and one with a repeated name;
 - sweeps of all five constants in every format;
+- the command line's output examples, with their own input and config files and mostly
+  without `--digits`: each command's default output, usage errors, rejected constants,
+  tolerances and input files, and sweeps at 17 digits;
 - a seeded fuzz of every command: constants drawn from edge values (0, the
   smallest subnormal, the largest float, inf, nan, 90) and log-uniform ones, set
   by flag and by config file, and drawn calibration and observed files. Each of
@@ -173,6 +176,133 @@ def _grid_cases() -> list:
     for rows in (",1,MeV,,\n", "muon,105.66,MeV,,\nmuon,105.7,MeV,,\n"):
         cases.append(_case([["compare", "--observed", "obs.csv"]],
                            {"obs.csv": "name,value,unit,uncertainty,source\n" + rows}))
+    # the command line's output examples: argvs without --digits, and their own input files
+    head = "name,value,unit,uncertainty,source\n"
+    leptons = head + "muon,105.6,MeV,,reference table\ntau,1786,MeV,,reference table\n"
+    # the ladder is fixed by alpha_e, Me and M_Z alone, so a theta_w_deg sweep keeps four
+    # columns at one value, a planck_gev sweep five and a zero-width sweep all six; 17 digits
+    # print every float exactly, so any reordered arithmetic shows
+    sweeps = [["sweep", param, "--from", start, "--to", stop, "--steps", "3", "--digits", "17"]
+              for param, start, stop in (("alpha", "0.0073", "0.0146"), ("theta_w_deg", "28", "31"),
+                                         ("planck_gev", "1e19", "1.4e19"),
+                                         ("m_electron_mev", "0.5", "0.5"))]
+    # the tau row of this electron mass is finite, about 1.8e308, and one digit rounds it up
+    # past the largest float; json writes the rounded text too, not json.dumps' Infinity
+    past = ["sweep", "m_electron_mev", "--from", "5.142999054417304e+304", "--to",
+            "5.142999054417304e+304", "--steps", "1"]
+    for argvs in ([["bosons"]], [["bosons", "--format", "csv"]], [["bosons", "--format", "json"]],
+                  [["bosons", "--closed-form", "--format", "csv"]], [["fermions", "--calibrate"]],
+                  [["fermions", "--calibrate", "--format", "csv"]],
+                  [["fermions", "--calibrate", "--digits", "10"]],
+                  [["fermions", "--calibrate", "--format", "json", *digits]
+                   for digits in ([], ["--digits", "17"])],
+                  [["fermions", "--calibration", "nope.txt"]],
+                  [["fermions", "--calibrate", "--calibration", "x.txt"]],
+                  # an empty path is read and named, not taken as no flag
+                  [["fermions", "--calibration", ""], ["compare", "--observed", "", "--check"]],
+                  [["compare"]], [["compare", "--format", "csv"]],
+                  [["compare", "--format", "json"]],  # the skip list goes to stderr
+                  [["compare", "--check", "--tol", "0.005"]],  # theta_w sits 3.4% away
+                  # a bad --tol is named before the observed file is read
+                  [argv for tol in ("0", "-1", "nan", "inf") for argv in (
+                      ["compare", "--check", "--tol", tol],
+                      ["compare", "--check", "--tol", tol, "--observed", "absent.csv"])],
+                  [["sweep", "alpha", "--from", "0.001", "--to", "0.002", "--steps", "0"],
+                   ["sweep", "alpha", "--from", "-1", "--to", "0.5", "--steps", "2"]],
+                  [[*argv, "--format", "csv"] for argv in sweeps], sweeps,
+                  [["sweep", param, "--from", start, "--to", stop, "--steps", "3", "--format",
+                    "json", "--digits", "17"] for param, start, stop in (
+                      ("alpha", "0.0073", "0.0146"), ("m_z_gev", "80", "100"),
+                      ("m_electron_mev", "0.5", "0.5"))],
+                  [[*past, "--format", fmt, "--digits", "1"] for fmt in FORMATS["sweep"]],
+                  [["frobnicate"], ["bosons", "--alpha", "not-a-number"],
+                   ["bosons", "--format", "yaml"]],
+                  [["bosons", "--alpha", "2.0"], ["bosons", "--m-electron-mev", "-1"],
+                   ["bosons", "--theta-w-deg", "95"]],
+                  # each rejected field named with its source
+                  [["bosons", "--m-z-gev", "-1"], ["bosons", "--m-electron-mev", "nan"],
+                   ["compare", "--planck-gev", "1e306"],  # finite in GeV, not in MeV
+                   ["sweep", "m_z_gev", "--from", "90", "--to", "-90", "--steps", "2"],
+                   # values the constructor's own field check rejects, past the mass wrappers
+                   ["bosons", "--alpha", "2"], ["bosons", "--m-z-gev", "0"],
+                   ["sweep", "theta_w_deg", "--from", "10", "--to", "95", "--steps", "2"],
+                   # an infinite step: the first point is --from itself, not --from + 0 * inf
+                   ["sweep", "alpha", "--from", "0.007", "--to", "inf", "--steps", "2"],
+                   ["sweep", "alpha", "--from=-1e308", "--to", "1e308", "--steps", "3"],
+                   # a set rejected as a whole: each field its message cites, with its source
+                   ["sweep", "m_z_gev", "--from", "1.2e288", "--to", "1.6e288", "--steps", "3",
+                    "--alpha", "0.0072973525693"], ["compare", "--m-electron-mev", "1e306"],
+                   ["compare", "--alpha", "0.05"]],
+                  [["compare", "--alpha", "0.001"],
+                   ["fermions", "--calibrate", "--m-electron-mev", "5"],
+                   ["calibrate", "--alpha", "0.001", "--out", "cal.txt"]],
+                  [["compare", "--digits", "2147483647"], ["compare", "--digits", "2147483648"],
+                   ["calibrate", "--out", "cal.txt", "--digits", "2147483648"]],
+                  [["calibrate", "--out", "cal.txt", "--digits", "2147483647"]],
+                  [["fermions", "--calibration", "calibration.txt"],
+                   ["compare", "--observed", "observed.txt"]]):
+        cases.append(_case(argvs))
+    for config, argvs in (
+            ("# test config\nm_z_gev=90\n", [["bosons", "--format", "csv"],
+                                             ["bosons", "--format", "csv", "--m-z-gev", "91.177"]]),
+            # every flag is checked before the config file is read
+            ("m_z_gev ninety\n", [["bosons"], ["bosons", "--digits", "0"],
+                                  ["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps",
+                                   "0"],
+                                  ["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps",
+                                   "100001"],
+                                  ["compare", "--check", "--tol", "0"],
+                                  ["bosons", "--digits", "2147483648"]]),
+            ("zeppelin=1\n", [["bosons"]]), ("m_z_gev=-1\n", [["bosons"]]),
+            ("alpha=2\n", [["bosons"]]), ("theta_w_deg=95\n", [["bosons"]]),
+            ("m_z_gev=1e300\n", [["bosons"]]),
+            ("theta_w_deg=29.69\n", [["sweep", "m_z_gev", "--from", "4e-309", "--to", "2e-310",
+                                      "--steps", "3"]]),
+            ("m_electron_mev=0.510999\n", [["fermions", "--calibrate", "--alpha", "0.001"]])):
+        cases.append(_case(argvs, config=config))
+    planck = ["compare", "--m-z-gev", "1.4450095375723133e+288", "--observed", "planck.csv"]
+    for name, text, argvs in (
+            *(("cal.txt", text, [["fermions", "--calibration", "cal.txt"]]) for text in (
+                "quark_base_7_mev=oops\ntop_lump_8_gev=1\n",
+                "quark_base_7_mev=inf\ntop_lump_8_gev=162\n",
+                "quark_base_7_mev=14.5\ntop_lump_8_gev=1e306\n",
+                # a valid mass, but the b row built from it overflows
+                "quark_base_7_mev=1e306\ntop_lump_8_gev=162\n")),
+            ("bad.txt", "quark_base_7_mev=14.5\nbogus\ntop_lump_8_gev=162\n",
+             [["fermions", "--calibration", "bad.txt"]]),
+            ("calibration.txt", "quark_base_7_mev=14.5\nbogus\n",
+             [["fermions", "--calibration", "calibration.txt"]]),
+            ("observed.txt", "name,value\n", [["compare", "--observed", "observed.txt"]]),
+            ("leptons.csv", leptons, [["compare", "--observed", "leptons.csv", "--check", "--tol",
+                                       tol] for tol in ("0.005", "0.0001")]),
+            ("obs.csv", head + "top_quark,176,GeV,13,collider\ngraviton,1,GeV,,none\n",
+             [["compare", "--format", "json", "--observed", "obs.csv"]]),
+            ("bad.csv", head + "muon,105.6,parsec,,x\n", [["compare", "--observed", "bad.csv"]]),
+            ("angle.csv", head + "theta_w,29.0,MeV,,x\n", [["compare", "--observed", "angle.csv"]]),
+            ("negative.csv", head + "muon,-105.6,MeV,300,x\n",
+             [["compare", "--observed", "negative.csv", *extra]
+              for extra in ([], ["--format", "json"], ["--check"])]),
+            # 105.5 MeV against 1e-320 MeV has a relative error beyond float range
+            ("tiny.csv", head + "muon,1e-320,MeV,,x\n",
+             [["compare", "--observed", "tiny.csv", *extra]
+              for extra in ([], ["--format", "json"], ["--check"])]),
+            # at the ladder-top edge the two-figure planck_mass claim is 1.8e+305 GeV, which
+            # the conversion to MeV rounds up to inf; against a GeV row it compares
+            ("planck.csv", head + "planck_mass,1.2e22,MeV,,\n", [planck]),
+            ("planck.csv", head + "planck_mass,1.2e19,GeV,,\n", [planck]),
+            ("observed.csv", head + "boson_11,1e300,MeV,,x\n", [
+                ["bosons", "--m-z-gev", "1e308"], ["bosons", "--alpha", "1e-40"],
+                ["compare", "--m-electron-mev", "1e306"],
+                ["sweep", "alpha", "--from", "0.007", "--to", "0.008", "--steps", "2",
+                 "--m-electron-mev", "1e306"],
+                ["sweep", "m_z_gev", "--from", "90", "--to", "1e308", "--steps", "2"],
+                # finite in GeV, but compare converts it to the observed row's MeV
+                ["compare", "--m-z-gev", "1e290", "--observed", "observed.csv"],
+                # the top boson, tau and alpha_w checks, each failing at the last point only
+                ["sweep", "m_z_gev", "--from", "1.2e288", "--to", "1.6e288", "--steps", "3"],
+                ["sweep", "m_electron_mev", "--from", "5e304", "--to", "5.2e304", "--steps", "3"],
+                ["sweep", "m_z_gev", "--from", "4e-309", "--to", "2e-310", "--steps", "3"]])):
+        cases.append(_case(argvs, {name: text}))
     return cases
 
 
