@@ -236,6 +236,7 @@ def _grid_cases() -> list:
                   [["compare", "--alpha", "0.001"],
                    ["fermions", "--calibrate", "--m-electron-mev", "5"],
                    ["calibrate", "--alpha", "0.001", "--out", "cal.txt"]],
+                  # the largest precision `format` accepts, and one past it
                   [["compare", "--digits", "2147483647"], ["compare", "--digits", "2147483648"],
                    ["calibrate", "--out", "cal.txt", "--digits", "2147483648"]],
                   [["calibrate", "--out", "cal.txt", "--digits", "2147483647"]],
@@ -243,6 +244,7 @@ def _grid_cases() -> list:
                    ["compare", "--observed", "observed.txt"]]):
         cases.append(_case(argvs))
     for config, argvs in (
+            # a flag still wins over the config file
             ("# test config\nm_z_gev=90\n", [["bosons", "--format", "csv"],
                                              ["bosons", "--format", "csv", "--m-z-gev", "91.177"]]),
             # every flag is checked before the config file is read
