@@ -258,10 +258,10 @@ def _format_columns(fmt: str, names, cells_by_column, n: int, digits: int,
     Floats show `digits` significant digits; json rounds the value instead, but writes a finite
     float that rounds past the largest float as the other formats do. Booleans read true/false;
     None is an empty cell, left out of a json object. Each row is one `template % cells`: a column
-    given as one float, or of one nonzero float, is a literal of it, a column of floats is
-    formatted by it (a table takes their texts first, for its widths, from one `%` over the
-    column), and other cells are turned into text one by one. Each sequence is scanned for its
-    class, unless `float_columns` says that every one holds floats alone.
+    given as one float is a literal of it, a column of floats is formatted by it (a table takes
+    their texts first, for its widths, from one `%` over the column), and other cells are turned
+    into text one by one. Each sequence is scanned for whether it holds floats alone, unless
+    `float_columns` says that every one does.
     """
     if digits < 1:
         raise ValueError(f"need at least one significant digit, got {digits!r}")
@@ -288,10 +288,7 @@ def _format_columns(fmt: str, names, cells_by_column, n: int, digits: int,
             cells = [cells] if n else []
         floats = n and (one or float_columns or type(cells[0]) is float
                         and {*map(type, cells)} == {float})
-        # one value given, or one nonzero float or one nan object repeated (0.0 and -0.0 differ)
-        # in a column not said to be floats; ends tested first
-        fixed = floats and (one or not float_columns and cells[0] and cells[-1] in cells[:1]
-                            and cells.count(cells[0]) == n)
+        fixed = floats and one
         prefix = f"{',' if pieces else ''}\n    {quote(name)}: " if is_json else ""
         literal = prefix.replace("%", "%%")  # the prefix as the template holds it
         if fixed:

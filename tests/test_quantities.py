@@ -303,9 +303,9 @@ def test_json_spells_a_float_that_rounds_up_to_inf_as_json_dumps_does():
         '[\n  {\n    "x": 1.7976931348623157e+308\n  }\n]\n')
 
 
-# columns that each repeat one value, the case the writer turns into text once when
-# that value is a nonzero float: 0.0 and -0.0 print apart, nan equals nothing, 1 and
-# True equal 1.0, and the last column matches only at its ends
+# columns that each repeat one value, which a writer that printed a repeated value once would
+# have to keep apart: 0.0 and -0.0 print apart, nan equals nothing, 1 and True equal 1.0, and
+# the last column matches only at its ends
 _REPEATED_COLUMNS = {
     "float": [1e-5] * 4,
     "zeros": [0.0, -0.0, -0.0, 0.0],
