@@ -173,12 +173,10 @@ def _grid_cases() -> list:
                             ["compare", "--observed", observed]], bom))
     cases.append(_case([["bosons"]], config="\ufeffm_z_gev=90\n"))
     # an observed file with an empty name, and one with a repeated name
-    for rows in (",1,MeV,,\n", "muon,105.66,MeV,,\nmuon,105.7,MeV,,\n"):
-        cases.append(_case([["compare", "--observed", "obs.csv"]],
-                           {"obs.csv": "name,value,unit,uncertainty,source\n" + rows}))
-    # the command line's output examples: argvs without --digits, and their own input files
     head = "name,value,unit,uncertainty,source\n"
-    leptons = head + "muon,105.6,MeV,,reference table\ntau,1786,MeV,,reference table\n"
+    for rows in (",1,MeV,,\n", "muon,105.66,MeV,,\nmuon,105.7,MeV,,\n"):
+        cases.append(_case([["compare", "--observed", "obs.csv"]], {"obs.csv": head + rows}))
+    # the command line's output examples, each with its own input and config files
     # the ladder is fixed by alpha_e, Me and M_Z alone, so a theta_w_deg sweep keeps four
     # columns at one value, a planck_gev sweep five and a zero-width sweep all six; 17 digits
     # print every float exactly, so any reordered arithmetic shows
@@ -275,8 +273,10 @@ def _grid_cases() -> list:
             ("calibration.txt", "quark_base_7_mev=14.5\nbogus\n",
              [["fermions", "--calibration", "calibration.txt"]]),
             ("observed.txt", "name,value\n", [["compare", "--observed", "observed.txt"]]),
-            ("leptons.csv", leptons, [["compare", "--observed", "leptons.csv", "--check", "--tol",
-                                       tol] for tol in ("0.005", "0.0001")]),
+            ("leptons.csv",
+             head + "muon,105.6,MeV,,reference table\ntau,1786,MeV,,reference table\n",
+             [["compare", "--observed", "leptons.csv", "--check", "--tol", tol]
+              for tol in ("0.005", "0.0001")]),
             ("obs.csv", head + "top_quark,176,GeV,13,collider\ngraviton,1,GeV,,none\n",
              [["compare", "--format", "json", "--observed", "obs.csv"]]),
             ("bad.csv", head + "muon,105.6,parsec,,x\n", [["compare", "--observed", "bad.csv"]]),
