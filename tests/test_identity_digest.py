@@ -8,16 +8,19 @@ files the case leaves. The corpus runs in-process in this tree, once a session (
 
 argparse words a few texts differently by Python, such as `dimorb --help` on 3.13. The digest
 of such a case is pinned per Python, as `exit=<exit codes>,<version>=<digest>,...`. On a
-Python the line does not list, the case is checked by its exit codes alone, and the test says
-so on the terminal.
+Python the line does not list, the case is checked by its exit codes alone, and
+`test_every_committed_line_matches_a_case` says so on the terminal.
 
 The committed lines are matched to the corpus's cases in order by first argv, with `difflib`,
 so a case added or lost anywhere in the corpus shows as that one case and that one line of the
 file, not as a shift of every later case. A case with no line is added, a line with no case
-is lost, and either fails the test, as does a matched case whose digest changed. On a mismatch
-the test lists the first `LISTED` such cases, a case with its argvs and outputs, and writes the
-file this tree gives under pytest's temporary directory. A change that means to change output
-bytes commits that file, so its diff lists the cases that changed.
+is lost, and either fails, as does a matched case whose digest changed or an argv that raised.
+Each hand-written case, the corpus before its seeded fuzz, is its own test, named by its first
+command and a hash of the case (`written_case` in `conftest.py`); the fuzz is one test, which
+lists its first `LISTED` failing cases, and one more test lists the lost lines. A failure shows
+each case's argvs and outputs, and the path of the file this tree gives, written under pytest's
+temporary directory. A change that means to change output bytes commits that file, so its diff
+lists the cases that changed.
 """
 
 import difflib
@@ -64,20 +67,24 @@ def _outputs(case: dict, record: dict) -> str:
     return f"{text}  files written: {written!r}\n"
 
 
-def test_every_case_of_the_corpus_gives_its_committed_digest(identity_run, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def checked(identity_run, tmp_path_factory):
+    """The corpus's cases matched to the committed lines, as a dict: `tokens`, each matched
+    case's committed digest field by index; `lost`, the lines no case matches; `differing`,
+    the indices of the cases whose digest is not the committed one; `by_exit_code`, those the
+    file pins for other Pythons only; and `fresh`, the file this tree gives, written when a
+    case differs or a line is lost."""
     identity, cases, records = identity_run
-    assert not identity.raised(cases, {"cases": records})
     committed = _committed()
     firsts = [shlex.join(case["argvs"][0]) if case["argvs"] else "" for case in cases]
     matcher = difflib.SequenceMatcher(None, [argv for _, argv in committed], firsts,
                                       autojunk=False)
-    # each case's committed digest field, for the cases whose first argv a line matches
     tokens = {block.b + k: committed[block.a + k][0]
               for block in matcher.get_matching_blocks() for k in range(block.size)}
     lost = [committed[j][1] for tag, j1, j2, _, _ in matcher.get_opcodes() if tag != "equal"
             for j in range(j1, j2)]
-    lines, differing, by_exit_code = [], [], []
-    for i, (case, record, first) in enumerate(zip(cases, records, firsts)):
+    lines, differing, by_exit_code = [], set(), []
+    for i, (record, first) in enumerate(zip(records, firsts)):
         token = tokens.get(i, "")
         pinned, digest = _pinned(token), identity.digest(record)
         if pinned is None:
@@ -90,17 +97,50 @@ def test_every_case_of_the_corpus_gives_its_committed_digest(identity_run, tmp_p
                 by_exit_code.append(i)
         lines.append(f"{new} {first}".rstrip() + "\n")
         if not same:
-            differing.append(i)
-    if by_exit_code:
+            differing.add(i)
+    fresh = None
+    if differing or lost:
+        fresh = tmp_path_factory.mktemp("identity") / DIGESTS.name
+        fresh.write_text(HEADER + "".join(lines))
+    return {"tokens": tokens, "lost": lost, "differing": differing,
+            "by_exit_code": by_exit_code, "fresh": fresh}
+
+
+def _failures(identity_run, checked: dict, indices) -> list:
+    """The listing of each case of `indices` whose digest differs or whose run raised."""
+    identity, cases, records = identity_run
+    listed = []
+    for i in indices:
+        raised = identity.raised([cases[i]], {"cases": [records[i]]})
+        if raised or i in checked["differing"]:
+            listed.append(f"case {i}{'' if i in checked['tokens'] else ' (added)'}"
+                          f"{' raised' if raised else ''}:\n{_outputs(cases[i], records[i])}")
+    return listed
+
+
+def test_a_written_case_gives_its_committed_digest(written_case, identity_run, checked):
+    failed = _failures(identity_run, checked, [written_case])
+    if failed:
+        pytest.fail(f"differs from {DIGESTS}; this tree's file is {checked['fresh']}\n"
+                    f"{failed[0]}", pytrace=False)
+
+
+def test_every_fuzz_case_gives_its_committed_digest(identity_run, checked):
+    identity, cases, _ = identity_run
+    fuzz = range(len(identity.corpus(1, fuzz=0)), len(cases))
+    failed = _failures(identity_run, checked, fuzz)
+    if failed:
+        pytest.fail(f"{len(failed)} of {len(fuzz)} fuzz cases differ from {DIGESTS}; this tree's "
+                    f"file is {checked['fresh']}\n{''.join(failed[:LISTED])}", pytrace=False)
+
+
+def test_every_committed_line_matches_a_case(checked, capsys):
+    if checked["by_exit_code"]:
         with capsys.disabled():
             print(f"\n{DIGESTS.name} pins no digest for Python {PYTHON}: cases "
-                  f"{', '.join(map(str, by_exit_code))} checked by exit code only")
-    if differing or lost:
-        fresh = tmp_path / DIGESTS.name
-        fresh.write_text(HEADER + "".join(lines))
-        listed = [f"case {i}{'' if i in tokens else ' (added)'}:\n{_outputs(cases[i], records[i])}"
-                  for i in differing]
-        listed += [f"line (lost): {argv}\n" for argv in lost]
-        pytest.fail(f"{len(differing)} of {len(cases)} cases differ from {DIGESTS} and "
-                    f"{len(lost)} of its lines match no case; this tree's file is {fresh}\n"
-                    f"{''.join(listed[:LISTED])}", pytrace=False)
+                  f"{', '.join(map(str, checked['by_exit_code']))} checked by exit code only")
+    lost = checked["lost"]
+    if lost:
+        pytest.fail(f"{len(lost)} lines of {DIGESTS} match no case; this tree's file is "
+                    f"{checked['fresh']}\n" + "".join(f"line (lost): {argv}\n"
+                                                    for argv in lost[:LISTED]), pytrace=False)
